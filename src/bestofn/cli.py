@@ -9,6 +9,10 @@ only; standard output carries the report when ``-o`` is omitted.
 
 Randomness layout: sample draws use stream 0 of the root seed and bootstrap
 resampling uses stream 1, so adding CIs never disturbs the simulated samples.
+``curve --ci`` bootstraps the point at budget n of estimator kind e from
+``RngStream(seed, 1).child(e, n)``, where e is fixed per kind (unbiased 0,
+meanmax 1, meanmax-prefix 2), so a curve's CIs do not depend on which other
+estimators are requested or in what order.
 Worker threads (``--threads``, default from ``BESTOFN_THREADS``) change
 wall-clock time but never results.
 """
@@ -34,10 +38,13 @@ from .estimators import (
     CurvePoint,
     EstimatorKind,
     ExpectedMaxCurve,
+    KsBoundReport,
+    KsBoundRow,
     budget_is_bounded,
     expected_max_curve,
     ks_lower_bound,
 )
+from .experiments import FailureScanReport
 from .experiments import coverage as run_coverage
 from .experiments import curves as run_curves
 from .experiments import failure_scan as run_failure_scan
@@ -58,6 +65,9 @@ DEFAULT_SEED = 1729
 THREADS_ENV = "BESTOFN_THREADS"
 
 _ESTIMATOR_CHOICES = ("meanmax", "meanmax-prefix", "unbiased")
+
+# The bootstrap child stream of each estimator kind under ``curve --ci``.
+_CI_STREAMS = {EstimatorKind.UNBIASED_U: 0, EstimatorKind.MEANMAX_V: 1, EstimatorKind.MEANMAX_PREFIX: 2}
 
 
 class UsageError(Exception):
@@ -164,23 +174,18 @@ def cmd_curve(args) -> int:
         )
 
     payload = []
-    for k, kind in enumerate(kinds):
+    for kind in kinds:
         curve = expected_max_curve(sample, kind, n_max)
         if args.ci:
             base = BootstrapConfig(
                 rng=RngStream(args.seed, 1), resamples=args.resamples, confidence=args.confidence
             )
-            points = tuple(
-                CurvePoint(
-                    n=p.n,
-                    estimate=p.estimate,
-                    ci=(lambda ci: (ci.lo, ci.hi))(
-                        percentile_bootstrap_ci(sample, kind, p.n, replace(base, rng=base.rng.child(k, p.n)))
-                    ),
-                )
-                for p in curve.points
-            )
-            curve = ExpectedMaxCurve(points=points, estimator=kind, sample_size=curve.sample_size)
+            points = []
+            for p in curve.points:
+                boot = replace(base, rng=base.rng.child(_CI_STREAMS[kind], p.n))
+                ci = percentile_bootstrap_ci(sample, kind, p.n, boot)
+                points.append(CurvePoint(n=p.n, estimate=p.estimate, ci=(ci.lo, ci.hi)))
+            curve = ExpectedMaxCurve(points=tuple(points), estimator=kind, sample_size=curve.sample_size)
         payload.append(curve)
 
     config = {
@@ -369,17 +374,13 @@ def cmd_failure_scan(args) -> int:
         if name not in names:
             raise UsageError(f"{flag} {name!r} is not in the report (models: {', '.join(names)})")
 
-    inversions = run_failure_scan(report, model_a, model_b)
-    payload = {
-        "model_a": model_a,
-        "model_b": model_b,
-        "B": report.B,
-        "estimator": str(report.kind),
-        "inversions": [
-            {"n": inv.n, "true_leader": inv.true_leader, "estimated_leader": inv.estimated_leader}
-            for inv in inversions
-        ],
-    }
+    payload = FailureScanReport(
+        model_a=model_a,
+        model_b=model_b,
+        B=report.B,
+        kind=report.kind,
+        inversions=tuple(run_failure_scan(report, model_a, model_b)),
+    )
     config = {
         "command": "failure-scan",
         "report": args.report,
@@ -395,11 +396,11 @@ def cmd_ks_bound(args) -> int:
     _positive(args.n_max, "--n-max")
 
     sample = read_runs(args.runs)
-    rows = [
-        {"n": n, "bound": ks_lower_bound(sample, args.cdf_at_max, n)}
+    rows = tuple(
+        KsBoundRow(n=n, bound=ks_lower_bound(sample, args.cdf_at_max, n))
         for n in range(1, args.n_max + 1)
-    ]
-    payload = {"cdf_at_max": args.cdf_at_max, "B": sample.size, "rows": rows}
+    )
+    payload = KsBoundReport(cdf_at_max=args.cdf_at_max, B=sample.size, rows=rows)
     config = {
         "command": "ks-bound",
         "runs": args.runs,

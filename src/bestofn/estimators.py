@@ -79,12 +79,6 @@ class ScoreSample:
     def max(self) -> float:
         return float(self._sorted[-1])
 
-    def prefix(self, n: int) -> "ScoreSample":
-        """Sub-sample of the first n values in ingestion order."""
-        if not 1 <= n <= self.size:
-            raise ValueError(f"prefix length {n} outside 1..{self.size}")
-        return ScoreSample(self._ingested[:n])
-
     def __len__(self) -> int:
         return self.size
 
@@ -309,6 +303,22 @@ def ks_distance(cdf_a: Callable, cdf_b: Callable, grid) -> float:
     return float(np.max(np.abs(np.asarray(cdf_a(pts)) - np.asarray(cdf_b(pts)))))
 
 
+@dataclass(frozen=True)
+class KsBoundRow:
+    n: int
+    bound: float
+
+
+@dataclass(frozen=True)
+class KsBoundReport:
+    """KS lower bounds of the powered ECDF for n = 1..n_max, given the true
+    CDF at the sample maximum."""
+
+    cdf_at_max: float
+    B: int
+    rows: tuple[KsBoundRow, ...]
+
+
 def ks_lower_bound(sample: ScoreSample, true_cdf_at_sample_max: float, n: int = 1) -> float:
     """Guaranteed lower bound 1 - F(max(sample))^n on the KS distance between
     the powered ECDF and the powered true CDF, valid whenever the population
@@ -322,22 +332,7 @@ def ks_lower_bound(sample: ScoreSample, true_cdf_at_sample_max: float, n: int = 
         raise BudgetTooSmallError(f"power n must be >= 1, got {n}")
     if not 0.0 <= true_cdf_at_sample_max <= 1.0:
         raise ValueError(f"CDF value must lie in [0, 1], got {true_cdf_at_sample_max}")
-    if sample.size == 0:  # unreachable; ScoreSample forbids empty
-        raise EmptySampleError("score sample must contain at least one value")
     return 1.0 - true_cdf_at_sample_max**n
-
-
-def weight_matrix(kind: EstimatorKind, size: int, n_max: int) -> np.ndarray:
-    """Rows n = 1..n_max of estimator weights over the sorted sample.
-
-    Row n dotted with the sorted scores gives the budget-n estimate; useful
-    for evaluating a whole curve as a single matrix-vector product. The
-    prefix estimator has no such form (each n uses a different sub-sample).
-    """
-    if kind is EstimatorKind.MEANMAX_PREFIX:
-        raise ValueError("prefix estimator has no all-budget weight matrix")
-    fn = meanmax_weights if kind is EstimatorKind.MEANMAX_V else unbiased_weights
-    return np.vstack([fn(size, n) for n in range(1, n_max + 1)])
 
 
 def cumweight_matrix(kind: EstimatorKind, size: int, n_max: int) -> np.ndarray:

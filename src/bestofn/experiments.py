@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -112,12 +112,24 @@ class CurveReport:
         raise ValueError(f"no model named {name!r} in report (have: {known})")
 
 
-class Inversion(NamedTuple):
+@dataclass(frozen=True)
+class Inversion:
     """A budget where the estimated ordering contradicts the true ordering."""
 
     n: int
     true_leader: str
     estimated_leader: str
+
+
+@dataclass(frozen=True)
+class FailureScanReport:
+    """Every inversion between two models of one curves report."""
+
+    model_a: str
+    model_b: str
+    B: int
+    kind: EstimatorKind
+    inversions: tuple[Inversion, ...]
 
 
 def _check_battery_args(B: int, n_max: int, kind: EstimatorKind) -> None:

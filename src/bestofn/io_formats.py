@@ -1,5 +1,9 @@
 """File formats: runs CSV ingestion, report envelopes, and SVG chart emission.
 
+Each payload kind has one codec in ``_CODECS``: its payload type, CSV header
+and rows, and chart. JSON encoding and decoding follow the payload's
+dataclass fields and are written once for all kinds.
+
 Report JSON is canonical: keys sorted, no whitespace, floats in shortest
 round-trip decimal form, one trailing newline. Two runs with the same seed
 and config therefore produce byte-identical files except for the ``created``
@@ -17,22 +21,21 @@ CSV column orders, by payload kind:
 """
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 from xml.etree import ElementTree as ET
 
-from .estimators import CurvePoint, EstimatorKind, ExpectedMaxCurve, ScoreSample
-from .experiments import (
-    CoverageReport,
-    CoverageRow,
-    CurveReport,
-    ModelCurves,
-    ProbeReport,
-    ProbeRow,
-)
+from .estimators import EstimatorKind, ExpectedMaxCurve, KsBoundReport, ScoreSample
+from .experiments import CoverageReport, CurveReport, FailureScanReport, ProbeReport
 from .resampling import Interval
 
 SCHEMA_VERSION = "1"
@@ -162,177 +165,216 @@ def make_envelope(payload_kind: str, payload, config: dict) -> ReportEnvelope:
     )
 
 
-def _interval_to_json(ci: Interval) -> list[float]:
-    return [ci.lo, ci.hi]
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, str, object], ...]:
+    """(attribute, JSON key, type hint) for each field of a dataclass.
+
+    Every field keeps its name as its key, except ``kind``, which is
+    written as ``estimator``.
+    """
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, "estimator" if f.name == "kind" else f.name, hints[f.name])
+        for f in dataclasses.fields(cls)
+    )
 
 
-def payload_to_jsonable(kind: str, payload) -> dict:
-    if kind == "curve":
-        return {
-            "curves": [
-                {
-                    "estimator": str(c.estimator),
-                    "sample_size": c.sample_size,
-                    "points": [
-                        {
-                            "n": p.n,
-                            "estimate": p.estimate,
-                            "ci": None if p.ci is None else [p.ci[0], p.ci[1]],
-                        }
-                        for p in c.points
-                    ],
-                }
-                for c in payload
-            ]
-        }
-    if kind == "probe":
-        return {
-            "rows": [
-                {
-                    "n": r.n,
-                    "underestimates": r.underestimates,
-                    "samples": r.samples,
-                    "proportion": r.proportion,
-                    "ci": _interval_to_json(r.ci),
-                }
-                for r in payload.rows
-            ],
-            "B": payload.B,
-            "estimator": str(payload.kind),
-            "dist_id": payload.dist_id,
-            "seed": payload.seed,
-            "stream": payload.stream,
-        }
-    if kind == "coverage":
-        return {
-            "rows": [
-                {
-                    "n": r.n,
-                    "hits": r.hits,
-                    "samples": r.samples,
-                    "ecp": r.ecp,
-                    "ci": _interval_to_json(r.ci),
-                }
-                for r in payload.rows
-            ],
-            "B": payload.B,
-            "resamples": payload.resamples,
-            "nominal": payload.nominal,
-            "estimator": str(payload.kind),
-            "dist_id": payload.dist_id,
-            "seed": payload.seed,
-            "stream": payload.stream,
-        }
-    if kind == "curves":
-        return {
-            "models": [
-                {
-                    "name": m.name,
-                    "budgets": list(m.budgets),
-                    "averaged": list(m.averaged),
-                    "true": list(m.true),
-                    "stderr": list(m.stderr),
-                }
-                for m in payload.models
-            ],
-            "B": payload.B,
-            "num_samples": payload.num_samples,
-            "estimator": str(payload.kind),
-            "seed": payload.seed,
-            "stream": payload.stream,
-        }
-    if kind in ("failure_scan", "ks_bound"):
-        return payload  # already a plain JSON-shaped dict
-    raise ValueError(f"unknown payload kind {kind!r}")
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), dict: (dict,)}
 
 
-def payload_from_jsonable(kind: str, obj: dict):
-    if kind == "curve":
-        return tuple(
-            ExpectedMaxCurve(
-                points=tuple(
-                    CurvePoint(
-                        n=p["n"],
-                        estimate=p["estimate"],
-                        ci=None if p["ci"] is None else (p["ci"][0], p["ci"][1]),
-                    )
-                    for p in c["points"]
-                ),
-                estimator=EstimatorKind.parse(c["estimator"]),
-                sample_size=c["sample_size"],
-            )
-            for c in obj["curves"]
-        )
-    if kind == "probe":
-        return ProbeReport(
-            rows=tuple(
-                ProbeRow(
-                    n=r["n"],
-                    underestimates=r["underestimates"],
-                    samples=r["samples"],
-                    proportion=r["proportion"],
-                    ci=Interval(*r["ci"]),
-                )
-                for r in obj["rows"]
-            ),
-            B=obj["B"],
-            kind=EstimatorKind.parse(obj["estimator"]),
-            dist_id=obj["dist_id"],
-            seed=obj["seed"],
-            stream=obj["stream"],
-        )
-    if kind == "coverage":
-        return CoverageReport(
-            rows=tuple(
-                CoverageRow(
-                    n=r["n"],
-                    hits=r["hits"],
-                    samples=r["samples"],
-                    ecp=r["ecp"],
-                    ci=Interval(*r["ci"]),
-                )
-                for r in obj["rows"]
-            ),
-            B=obj["B"],
-            resamples=obj["resamples"],
-            nominal=obj["nominal"],
-            kind=EstimatorKind.parse(obj["estimator"]),
-            dist_id=obj["dist_id"],
-            seed=obj["seed"],
-            stream=obj["stream"],
-        )
-    if kind == "curves":
-        return CurveReport(
-            models=tuple(
-                ModelCurves(
-                    name=m["name"],
-                    budgets=tuple(m["budgets"]),
-                    averaged=tuple(m["averaged"]),
-                    true=tuple(m["true"]),
-                    stderr=tuple(m["stderr"]),
-                )
-                for m in obj["models"]
-            ),
-            B=obj["B"],
-            num_samples=obj["num_samples"],
-            kind=EstimatorKind.parse(obj["estimator"]),
-            seed=obj["seed"],
-            stream=obj["stream"],
-        )
-    if kind in ("failure_scan", "ks_bound"):
-        return obj
-    raise ValueError(f"unknown payload kind {kind!r}")
+@functools.cache
+def _encoder(cls: type) -> Callable:
+    """The JSON encoder for values of ``cls``: an Interval becomes
+    ``[lo, hi]``, a dataclass an object of its fields, a tuple a list and an
+    enum its value. Built once per type, since a curve has thousands of
+    points."""
+    if cls is Interval:
+        return lambda ci: [ci.lo, ci.hi]
+    if dataclasses.is_dataclass(cls):
+        keys = [(name, key) for name, key, _ in _fields(cls)]
+        return lambda obj: {key: _to_json(getattr(obj, name)) for name, key in keys}
+    if issubclass(cls, tuple):
+        return lambda items: [_to_json(x) for x in items]
+    if issubclass(cls, enum.Enum):
+        return lambda member: member.value
+    return lambda x: x
+
+
+def _to_json(value):
+    return _encoder(type(value))(value)
+
+
+def _field(obj, key: str, where: str) -> tuple[object, str]:
+    """``obj[key]`` and its path in the report."""
+    path = f"{where}.{key}" if where else key
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where or 'report'} must be an object")
+    if key not in obj:
+        raise ValueError(f"missing field {path}")
+    return obj[key], path
+
+
+def _from_json(hint, value, where: str):
+    """Rebuild a value of type ``hint`` from its JSON form.
+
+    ``where`` is the value's path in the report, such as
+    ``payload.models[0].true``; a missing or ill-typed field is reported
+    under its path.
+    """
+    if hint is Interval:
+        return Interval(*_from_json(tuple[float, float], value, where))
+    if dataclasses.is_dataclass(hint):
+        return hint(**{
+            name: _from_json(field_hint, *_field(value, key, where))
+            for name, key, field_hint in _fields(hint)
+        })
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # X | None
+        return None if value is None else _from_json(args[0], value, where)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ValueError(f"{where} must be a list of {len(args)} values")
+        return tuple(_from_json(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if hint is EstimatorKind:
+        return EstimatorKind.parse(_from_json(str, value, where))
+    if hint is not object and (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[hint])):
+        raise ValueError(f"{where} must be of type {hint.__name__}, got {type(value).__name__}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# One codec per payload kind
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Series:
+    label: str
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
+    dashed: bool = False
+    band: tuple[tuple[float, ...], tuple[float, ...]] | None = None  # (los, his)
+
+
+def _curve_chart(curves: tuple[ExpectedMaxCurve, ...]):
+    series = []
+    for c in curves:
+        band = None
+        if all(p.ci is not None for p in c.points):
+            band = (tuple(p.ci[0] for p in c.points), tuple(p.ci[1] for p in c.points))
+        xs = tuple(float(p.n) for p in c.points)
+        series.append(_Series(str(c.estimator), xs, tuple(p.estimate for p in c.points), band=band))
+    return series, "expected max score", None, None
+
+
+def _rate_chart(report, rate: str, y_label: str, reference: float):
+    """The proportion field ``rate`` of each row, with its Clopper-Pearson band."""
+    rows = report.rows
+    xs, ys = tuple(float(r.n) for r in rows), tuple(getattr(r, rate) for r in rows)
+    band = (tuple(r.ci.lo for r in rows), tuple(r.ci.hi for r in rows))
+    series = _Series(str(report.kind), xs, ys, band=band)
+    return [series], y_label, reference, (0.0, 1.0)
+
+
+def _models_chart(report: CurveReport):
+    series = []
+    for m in report.models:
+        xs = tuple(float(n) for n in m.budgets)
+        series.append(_Series(m.name, xs, m.averaged))
+        series.append(_Series(f"{m.name} (true)", xs, m.true, dashed=True))
+    return series, "expected max score", None, None
+
+
+def _ks_chart(report: KsBoundReport):
+    xs = tuple(float(r.n) for r in report.rows)
+    ys = tuple(r.bound for r in report.rows)
+    return [_Series("KS lower bound", xs, ys)], "KS distance", None, (0.0, 1.0)
+
+
+class _Codec(NamedTuple):
+    """How one payload kind is decoded, flattened to CSV and charted.
+
+    JSON encoding follows the payload's dataclass fields and needs nothing
+    per kind; decoding follows the type hint ``payload_type``. A payload
+    that is a bare tuple sits in JSON under the key ``wrap``. ``chart``
+    returns (series, y label, y of a dashed reference line or None,
+    y bounds or None to fit the data).
+    """
+
+    payload_type: object
+    header: tuple[str, ...]
+    rows: Callable[[object], Iterable[list]]
+    chart: Callable[[object], tuple] | None
+    wrap: str | None = None
+
+
+_CODECS = {
+    "curve": _Codec(
+        tuple[ExpectedMaxCurve, ...],
+        ("estimator", "n", "estimate", "ci_lo", "ci_hi"),
+        lambda curves: (
+            [str(c.estimator), p.n, p.estimate, *(p.ci or (None, None))]
+            for c in curves
+            for p in c.points
+        ),
+        _curve_chart,
+        wrap="curves",
+    ),
+    "probe": _Codec(
+        ProbeReport,
+        ("n", "underestimates", "samples", "proportion", "ci_lo", "ci_hi"),
+        lambda rep: (
+            [r.n, r.underestimates, r.samples, r.proportion, r.ci.lo, r.ci.hi] for r in rep.rows
+        ),
+        lambda rep: _rate_chart(rep, "proportion", "underestimate proportion", 0.5),
+    ),
+    "coverage": _Codec(
+        CoverageReport,
+        ("n", "hits", "samples", "ecp", "ci_lo", "ci_hi"),
+        lambda rep: ([r.n, r.hits, r.samples, r.ecp, r.ci.lo, r.ci.hi] for r in rep.rows),
+        lambda rep: _rate_chart(rep, "ecp", "empirical coverage", rep.nominal),
+    ),
+    "curves": _Codec(
+        CurveReport,
+        ("model", "n", "estimate", "true", "stderr"),
+        lambda rep: (
+            [m.name, *cells]
+            for m in rep.models
+            for cells in zip(m.budgets, m.averaged, m.true, m.stderr)
+        ),
+        _models_chart,
+    ),
+    "failure_scan": _Codec(
+        FailureScanReport,
+        ("n", "true_leader", "estimated_leader"),
+        lambda rep: ([i.n, i.true_leader, i.estimated_leader] for i in rep.inversions),
+        None,
+    ),
+    "ks_bound": _Codec(
+        KsBoundReport,
+        ("n", "bound"),
+        lambda rep: ([r.n, r.bound] for r in rep.rows),
+        _ks_chart,
+    ),
+}
+
+
+def _codec(kind: str) -> _Codec:
+    if kind not in _CODECS:
+        raise ValueError(f"unknown payload kind {kind!r}")
+    return _CODECS[kind]
 
 
 def envelope_to_jsonable(envelope: ReportEnvelope) -> dict:
-    return {
-        "schema_version": envelope.schema_version,
-        "tool_version": envelope.tool_version,
-        "created": envelope.created,
-        "config": envelope.config,
-        "payload_kind": envelope.payload_kind,
-        "payload": payload_to_jsonable(envelope.payload_kind, envelope.payload),
-    }
+    obj = _to_json(envelope)
+    wrap = _codec(envelope.payload_kind).wrap
+    if wrap:
+        obj["payload"] = {wrap: obj["payload"]}
+    return obj
 
 
 def canonical_json(obj) -> str:
@@ -345,51 +387,14 @@ def report_json_text(envelope: ReportEnvelope) -> str:
 
 
 def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def report_csv_text(envelope: ReportEnvelope) -> str:
     """Flatten the payload's per-n rows to CSV (header + data rows only)."""
-    kind = envelope.payload_kind
-    payload = envelope.payload
-    rows: list[list] = []
-    if kind == "curve":
-        header = ["estimator", "n", "estimate", "ci_lo", "ci_hi"]
-        for c in payload:
-            for p in c.points:
-                lo, hi = (None, None) if p.ci is None else p.ci
-                rows.append([str(c.estimator), p.n, p.estimate, lo, hi])
-    elif kind == "probe":
-        header = ["n", "underestimates", "samples", "proportion", "ci_lo", "ci_hi"]
-        for r in payload.rows:
-            rows.append([r.n, r.underestimates, r.samples, r.proportion, r.ci.lo, r.ci.hi])
-    elif kind == "coverage":
-        header = ["n", "hits", "samples", "ecp", "ci_lo", "ci_hi"]
-        for r in payload.rows:
-            rows.append([r.n, r.hits, r.samples, r.ecp, r.ci.lo, r.ci.hi])
-    elif kind == "curves":
-        header = ["model", "n", "estimate", "true", "stderr"]
-        for m in payload.models:
-            for n, est, tru, se in zip(m.budgets, m.averaged, m.true, m.stderr):
-                rows.append([m.name, n, est, tru, se])
-    elif kind == "failure_scan":
-        header = ["n", "true_leader", "estimated_leader"]
-        for inv in payload["inversions"]:
-            rows.append([inv["n"], inv["true_leader"], inv["estimated_leader"]])
-    elif kind == "ks_bound":
-        header = ["n", "bound"]
-        for r in payload["rows"]:
-            rows.append([r["n"], r["bound"]])
-    else:
-        raise ValueError(f"unknown payload kind {kind!r}")
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(x) for x in row) for row in rows)
+    codec = _codec(envelope.payload_kind)
+    lines = [",".join(codec.header)]
+    lines.extend(",".join(_cell(x) for x in row) for row in codec.rows(envelope.payload))
     return "\n".join(lines) + "\n"
 
 
@@ -408,19 +413,21 @@ def read_report(path) -> ReportEnvelope:
     """Read a JSON report back into an envelope with a typed payload."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    version = obj.get("schema_version")
+    version = obj.get("schema_version") if isinstance(obj, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(
             f"{path}: unsupported schema version {version!r} (this build reads {SCHEMA_VERSION!r})"
         )
-    return ReportEnvelope(
-        schema_version=obj["schema_version"],
-        tool_version=obj["tool_version"],
-        created=obj["created"],
-        config=obj["config"],
-        payload_kind=obj["payload_kind"],
-        payload=payload_from_jsonable(obj["payload_kind"], obj["payload"]),
-    )
+    try:
+        envelope = _from_json(ReportEnvelope, obj, "")
+        codec = _codec(envelope.payload_kind)
+        payload, where = envelope.payload, "payload"
+        if codec.wrap:
+            payload, where = _field(payload, codec.wrap, where)
+        payload = _from_json(codec.payload_type, payload, where)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    return dataclasses.replace(envelope, payload=payload)
 
 
 # ---------------------------------------------------------------------------
@@ -430,77 +437,6 @@ def read_report(path) -> ReportEnvelope:
 _SVG_W, _SVG_H = 720, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 46
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
-
-_ALLOWED_SVG_ELEMENTS = {"svg", "rect", "line", "polyline", "polygon", "text", "g"}
-
-
-@dataclass(frozen=True)
-class _Series:
-    label: str
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-    dashed: bool = False
-    band: tuple[tuple[float, ...], tuple[float, ...]] | None = None  # (los, his)
-
-
-def _plot_series(envelope: ReportEnvelope):
-    """Extract (series, y_label, reference_y, y_bounds) for the payload."""
-    kind = envelope.payload_kind
-    payload = envelope.payload
-    if kind == "curve":
-        series = []
-        for c in payload:
-            xs = tuple(float(p.n) for p in c.points)
-            ys = tuple(p.estimate for p in c.points)
-            band = None
-            if all(p.ci is not None for p in c.points):
-                band = (
-                    tuple(p.ci[0] for p in c.points),
-                    tuple(p.ci[1] for p in c.points),
-                )
-            series.append(_Series(label=str(c.estimator), xs=xs, ys=ys, band=band))
-        return series, "expected max score", None, None
-    if kind == "probe":
-        xs = tuple(float(r.n) for r in payload.rows)
-        series = [
-            _Series(
-                label=str(payload.kind),
-                xs=xs,
-                ys=tuple(r.proportion for r in payload.rows),
-                band=(
-                    tuple(r.ci.lo for r in payload.rows),
-                    tuple(r.ci.hi for r in payload.rows),
-                ),
-            )
-        ]
-        return series, "underestimate proportion", 0.5, (0.0, 1.0)
-    if kind == "coverage":
-        xs = tuple(float(r.n) for r in payload.rows)
-        series = [
-            _Series(
-                label=str(payload.kind),
-                xs=xs,
-                ys=tuple(r.ecp for r in payload.rows),
-                band=(
-                    tuple(r.ci.lo for r in payload.rows),
-                    tuple(r.ci.hi for r in payload.rows),
-                ),
-            )
-        ]
-        return series, "empirical coverage", payload.nominal, (0.0, 1.0)
-    if kind == "curves":
-        series = []
-        for m in payload.models:
-            xs = tuple(float(n) for n in m.budgets)
-            series.append(_Series(label=m.name, xs=xs, ys=m.averaged))
-            series.append(_Series(label=f"{m.name} (true)", xs=xs, ys=m.true, dashed=True))
-        return series, "expected max score", None, None
-    if kind == "ks_bound":
-        xs = tuple(float(r["n"]) for r in payload["rows"])
-        ys = tuple(r["bound"] for r in payload["rows"])
-        return [_Series(label="KS lower bound", xs=xs, ys=ys)], "KS distance", None, (0.0, 1.0)
-    raise ValueError(f"payload kind {kind!r} has no chart form")
-
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi == lo:
@@ -521,7 +457,10 @@ def emit_plot(envelope: ReportEnvelope, path) -> None:
     a horizontal reference line (0.5 and the nominal level respectively).
     The sidecar CSV lands next to the SVG with a ``.csv`` suffix.
     """
-    series, y_label, reference, y_bounds = _plot_series(envelope)
+    chart = _codec(envelope.payload_kind).chart
+    if chart is None:
+        raise ValueError(f"payload kind {envelope.payload_kind!r} has no chart form")
+    series, y_label, reference, y_bounds = chart(envelope.payload)
     xs_all = [x for s in series for x in s.xs]
     ys_all = [y for s in series for y in s.ys]
     for s in series:

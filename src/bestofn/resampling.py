@@ -3,15 +3,13 @@
 The bootstrap here is deliberately the plain percentile method (no BCa or
 studentized variants): the point of the simulation batteries is to measure how
 that method's coverage behaves under a biased estimator, so the method itself
-must stay vanilla. Clopper-Pearson intervals are computed from scratch via a
-continued-fraction regularized incomplete beta and bisection, keeping the
-package free of special-function dependencies.
+must stay vanilla. Clopper-Pearson intervals are exact beta quantiles from
+``scipy.special.betaincinv``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import lgamma
 from typing import Sequence
 
 import numpy as np
@@ -134,99 +132,6 @@ def percentile_bootstrap_ci(
     return Interval(percentile(stats, alpha / 2.0), percentile(stats, 1.0 - alpha / 2.0))
 
 
-_CF_EPS = 1e-15
-_CF_TINY = 1e-300
-_CF_MAX_ITER = 500
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction failed to converge for a={a}, b={b}, x={x}"
-    )
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), the regularized incomplete beta function.
-
-    Continued-fraction evaluation with the standard symmetry switch at
-    x = (a+1)/(a+b+2) so the fraction always converges quickly.
-    """
-    if a <= 0 or b <= 0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return x
-    ln_front = lgamma(a + b) - lgamma(a) - lgamma(b) + a * math.log(x) + b * math.log1p(-x)
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
-
-
-_INV_TOL = 1e-10
-
-
-def inverse_regularized_incomplete_beta(a: float, b: float, p: float) -> float:
-    """Solve I_x(a, b) = p for x by bisection.
-
-    Converges to within ``1e-10`` in probability. Slower than a dedicated
-    quantile routine but unconditionally robust, and it only runs once per
-    reported interval endpoint.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    mid = 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = regularized_incomplete_beta(a, b, mid)
-        if abs(f - p) <= _INV_TOL:
-            return mid
-        if f < p:
-            lo = mid
-        else:
-            hi = mid
-    return mid
-
-
 def clopper_pearson(successes: int, trials: int, confidence: float) -> Interval:
     """Exact (Clopper-Pearson) binomial confidence interval for a proportion.
 
@@ -240,14 +145,11 @@ def clopper_pearson(successes: int, trials: int, confidence: float) -> Interval:
         raise ValueError(f"successes must be in [0, {trials}], got {successes}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    # Imported here, not at module level: only the batteries need it.
+    from scipy.special import betaincinv
+
     alpha = 1.0 - confidence
     k, m = successes, trials
-    if k == 0:
-        lo = 0.0
-    else:
-        lo = inverse_regularized_incomplete_beta(k, m - k + 1, alpha / 2.0)
-    if k == m:
-        hi = 1.0
-    else:
-        hi = inverse_regularized_incomplete_beta(k + 1, m - k, 1.0 - alpha / 2.0)
+    lo = 0.0 if k == 0 else float(betaincinv(k, m - k + 1, alpha / 2.0))
+    hi = 1.0 if k == m else float(betaincinv(k + 1, m - k, 1.0 - alpha / 2.0))
     return Interval(lo, hi)

@@ -9,6 +9,7 @@ import pytest
 
 from bestofn import DiscreteDistribution, save_distribution
 from bestofn.cli import DEFAULT_SEED, THREADS_ENV, main
+from bestofn.io_formats import read_report, report_json_text
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +123,21 @@ def test_curve_ci_flag_attaches_intervals(tmp_path, ten_runs):
     for point in load_payload(out)["curves"][0]["points"]:
         lo, hi = point["ci"]
         assert lo <= hi
+
+
+def test_curve_ci_does_not_depend_on_estimator_order(tmp_path):
+    runs = write_runs(tmp_path, [0.1, 0.5, 0.9, 0.3, 0.88, 0.44])
+    kinds = ["unbiased", "meanmax", "meanmax-prefix"]
+    curves = []
+    for order in (kinds, kinds[::-1]):
+        out = tmp_path / "ci.json"
+        flags = [f for kind in order for f in ("--estimator", kind)]
+        assert main(["curve", "--runs", runs, *flags, "--n-max", "3", "--ci",
+                     "--resamples", "100", "-o", str(out)]) == 0
+        curves.append({c["estimator"]: c for c in load_payload(out)["curves"]})
+    forward, backward = curves
+    for kind in kinds:
+        assert forward[kind] == backward[kind]
 
 
 def test_curve_csv_to_stdout(tmp_path, ten_runs, capsys):
@@ -375,6 +391,75 @@ def test_failure_scan_rejects_non_curves_report(tmp_path, coin_dist, capsys):
     assert "curves-sim" in capsys.readouterr().err
 
 
+def test_failure_scan_names_missing_payload_fields(tmp_path, crossing_pair, capsys):
+    steady, volatile = crossing_pair
+    report = tmp_path / "r.json"
+    assert main(["curves-sim", "--dist", steady, "--dist", volatile,
+                 "--B", "4", "--samples", "10", "-o", str(report)]) == 0
+    good = json.loads(report.read_text(encoding="utf-8"))
+    for field, delete in (
+        ("payload.models", lambda p: p.pop("models")),
+        ("payload.models[1].true", lambda p: p["models"][1].pop("true")),
+    ):
+        broken = json.loads(json.dumps(good))
+        delete(broken["payload"])
+        report.write_text(json.dumps(broken), encoding="utf-8")
+        assert main(["failure-scan", "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert str(report) in err
+        assert f"missing field {field}" in err
+
+
+def test_failure_scan_names_ill_typed_payload_fields(tmp_path, crossing_pair, capsys):
+    steady, volatile = crossing_pair
+    report = tmp_path / "r.json"
+    assert main(["curves-sim", "--dist", steady, "--dist", volatile,
+                 "--B", "4", "--samples", "10", "-o", str(report)]) == 0
+    broken = json.loads(report.read_text(encoding="utf-8"))
+    broken["payload"]["models"][0]["budgets"][2] = "three"
+    report.write_text(json.dumps(broken), encoding="utf-8")
+    assert main(["failure-scan", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert str(report) in err
+    assert "payload.models[0].budgets[2] must be of type int" in err
+
+
+# ---------------------------------------------------------------------------
+# Report bytes round trip
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def real_reports(tmp_path_factory):
+    """One report written by the CLI for each payload kind, by name."""
+    tmp = tmp_path_factory.mktemp("reports")
+    runs = write_runs(tmp, np.random.default_rng(94).uniform(0.6, 0.9, size=12))
+    coin = write_dist(tmp, [0.0, 1.0], [0.5, 0.5], "coin.json")
+    steady = write_dist(tmp, [0.8], [1.0], "steady.json")
+    volatile = write_dist(tmp, [0.5, 1.0], [0.9, 0.1], "volatile.json")
+    commands = {
+        "curve": ["curve", "--runs", runs, "--estimator", "unbiased", "--estimator", "meanmax"],
+        "curve-ci": ["curve", "--runs", runs, "--n-max", "5", "--ci", "--resamples", "50"],
+        "probe": ["probe", "--dist", coin, "--B", "6", "--n-max", "4", "--samples", "30"],
+        "coverage": ["coverage", "--dist", coin, "--B", "6", "--n-max", "3", "--M", "10",
+                     "--resamples", "30"],
+        "curves-sim": ["curves-sim", "--dist", steady, "--dist", volatile, "--B", "10",
+                       "--samples", "200"],
+        "failure-scan": ["failure-scan", "--report", str(tmp / "curves-sim.json")],
+        "ks-bound": ["ks-bound", "--runs", runs, "--cdf-at-max", "0.95"],
+    }
+    for name, args in commands.items():  # curves-sim runs before failure-scan
+        assert main([*args, "-o", str(tmp / f"{name}.json")]) == 0
+    return {name: tmp / f"{name}.json" for name in commands}
+
+
+@pytest.mark.parametrize("name", ["curve", "curve-ci", "probe", "coverage", "curves-sim",
+                                  "failure-scan", "ks-bound"])
+def test_report_bytes_survive_read_and_rewrite(real_reports, name):
+    path = real_reports[name]
+    assert report_json_text(read_report(path)).encode("utf-8") == path.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # ks-bound
 # ---------------------------------------------------------------------------
@@ -432,6 +517,13 @@ def test_help_lists_flags_with_defaults(command, capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, bestofn.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path):

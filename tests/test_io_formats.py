@@ -19,11 +19,13 @@ from bestofn import (
     write_report,
     write_runs,
 )
-from bestofn.estimators import CurvePoint, ExpectedMaxCurve
+from bestofn.estimators import CurvePoint, ExpectedMaxCurve, KsBoundReport, KsBoundRow
 from bestofn.experiments import (
     CoverageReport,
     CoverageRow,
     CurveReport,
+    FailureScanReport,
+    Inversion,
     ModelCurves,
     ProbeReport,
     ProbeRow,
@@ -182,14 +184,12 @@ def random_payloads(rng):
         ),
         B=10, num_samples=60, kind=EstimatorKind.MEANMAX_V, seed=9, stream=0,
     )
-    scan = {
-        "model_a": "alpha", "model_b": "beta", "B": 10, "estimator": "meanmax",
-        "inversions": [
-            {"n": 4, "true_leader": "beta", "estimated_leader": "alpha"},
-        ],
-    }
-    ks = {"cdf_at_max": 0.9, "B": 50,
-          "rows": [{"n": n, "bound": 1.0 - 0.9**n} for n in range(1, 6)]}
+    scan = FailureScanReport(
+        model_a="alpha", model_b="beta", B=10, kind=EstimatorKind.MEANMAX_V,
+        inversions=(Inversion(n=4, true_leader="beta", estimated_leader="alpha"),),
+    )
+    ks = KsBoundReport(cdf_at_max=0.9, B=50,
+                       rows=tuple(KsBoundRow(n=n, bound=1.0 - 0.9**n) for n in range(1, 6)))
     return [
         ("curve", curve), ("probe", probe), ("coverage", cov),
         ("curves", curves_rep), ("failure_scan", scan), ("ks_bound", ks),
@@ -210,7 +210,7 @@ def test_json_round_trip_every_payload_kind(tmp_path):
 
 
 def test_envelope_carries_versions_and_timestamp():
-    env = make_envelope("ks_bound", {"cdf_at_max": 1.0, "B": 1, "rows": []}, {})
+    env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=1.0, B=1, rows=()), {})
     assert env.schema_version == "1"
     assert env.tool_version
     assert env.created.endswith("Z")
@@ -229,8 +229,7 @@ def test_canonical_json_preserves_doubles_exactly():
 
 
 def test_same_config_reports_differ_only_in_timestamp():
-    payload = {"cdf_at_max": 0.9, "B": 3,
-               "rows": [{"n": 1, "bound": 0.1}]}
+    payload = KsBoundReport(cdf_at_max=0.9, B=3, rows=(KsBoundRow(n=1, bound=0.1),))
     a = make_envelope("ks_bound", payload, {"seed": 1})
     b = make_envelope("ks_bound", payload, {"seed": 1})
     dict_a = envelope_to_jsonable(a)
@@ -248,7 +247,7 @@ def test_read_report_rejects_unknown_schema(tmp_path):
 
 
 def test_write_report_rejects_unknown_format(tmp_path):
-    env = make_envelope("ks_bound", {"cdf_at_max": 1.0, "B": 1, "rows": []}, {})
+    env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=1.0, B=1, rows=()), {})
     with pytest.raises(ValueError, match="format"):
         write_report(env, tmp_path / "x.yaml", format="yaml")
 
