@@ -6,16 +6,20 @@ every budget n. Two families are provided: the plug-in "meanmax" estimator
 (empirical CDF raised to the n-th power, a V-statistic, negatively biased
 for n > 1) and the subset-average estimator (a U-statistic, exactly
 unbiased for n <= B).
+
+Both are evaluated in one form, the sample maximum minus the sorted gaps
+weighted by partial weight sums c_j(n). A single budget builds its row of
+c_j in O(B) (:func:`cumweights`); a full curve walks n by exact ratio
+recurrences, a bounded block of rows at a time, so memory stays O(B) for
+any number of budgets (:func:`expected_max_curve`).
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class EmptySampleError(ValueError):
@@ -91,7 +95,7 @@ class ScoreSample:
         return np.array_equal(self._ingested, other._ingested)
 
     def __hash__(self):
-        return hash(self._ingested.tobytes())
+        return hash((self._ingested + 0.0).tobytes())  # -0.0 == 0.0, so hash them alike
 
 
 class EstimatorKind(enum.Enum):
@@ -159,66 +163,26 @@ def _require_budget(n: int, size: int, bounded: bool) -> None:
         )
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+def cumweights(kind: EstimatorKind, size: int, n: int) -> np.ndarray:
+    """Budget-n partial weight sums c_1..c_{B-1} of a size-B sample (c_B = 1
+    omitted), the weights :func:`_tail_weighted` applies to the sorted gaps.
 
-
-@lru_cache(maxsize=1024)
-def meanmax_weights(size: int, n: int) -> np.ndarray:
-    """Plug-in weights w_j = (j/B)^n - ((j-1)/B)^n for j = 1..B.
-
-    Computed ratios-first so no intermediate exceeds 1; for very large n the
-    weights underflow to 0 away from j = B, which is the correct limit.
+    The plug-in estimator has c_j = (j/B)^n. The unbiased one has the subset
+    count ratio c_j = C(j, n) / C(B, n), built downward from c_B = 1 by
+    c_{j-1} = c_j * (j-n)/j: no factor exceeds 1, nothing overflows, and
+    c_j is exactly zero for j < n. At n = 1 both estimators are the sample
+    mean, so the unbiased one reuses the plug-in row and the two agree
+    bit for bit. The prefix estimator at budget n is the plug-in estimator
+    on its first n scores. O(B) time and memory, nothing cached.
     """
-    ratios = np.arange(0, size + 1, dtype=float) / size
-    powered = ratios**n
-    return _readonly(np.diff(powered))
-
-
-@lru_cache(maxsize=1024)
-def unbiased_weights(size: int, n: int) -> np.ndarray:
-    """Subset-count weights w_j = C(j-1, n-1) / C(B, n) for j = 1..B.
-
-    Evaluated in log space via log-gamma, so they stay finite where direct
-    64-bit binomials overflow (B around 62). Weights are exactly zero for
-    j < n, where no size-n subset has its maximum at position j.
-    """
-    j = np.arange(1, size + 1, dtype=float)
-    log_choose_total = gammaln(size + 1) - gammaln(n + 1) - gammaln(size - n + 1)
-    with np.errstate(invalid="ignore"):
-        log_w = gammaln(j) - gammaln(n) - gammaln(j - n + 1) - log_choose_total
-    weights = np.zeros(size)
-    hit = j >= n
-    weights[hit] = np.exp(log_w[hit])
-    return _readonly(weights)
-
-
-@lru_cache(maxsize=1024)
-def meanmax_cumweights(size: int, n: int) -> np.ndarray:
-    """Partial weight sums c_j = (j/B)^n for j = 1..B-1 (c_B = 1 omitted)."""
-    return _readonly((np.arange(1, size, dtype=float) / size) ** n)
-
-
-@lru_cache(maxsize=1024)
-def unbiased_cumweights(size: int, n: int) -> np.ndarray:
-    """Partial weight sums c_j = C(j, n) / C(B, n) for j = 1..B-1.
-
-    The per-position weights telescope to binomial ratios (the hockey-stick
-    identity), evaluated in log space. At n = 1 both estimators degenerate
-    to the sample mean, so the exact plug-in ratios are reused rather than
-    round-tripped through log-gamma (keeps the n = 1 equality bit-exact).
-    """
-    if n == 1:
-        return meanmax_cumweights(size, 1)
-    j = np.arange(1, size, dtype=float)
-    log_total = gammaln(size + 1) - gammaln(size - n + 1)
-    with np.errstate(invalid="ignore"):
-        log_c = gammaln(j + 1) - gammaln(j - n + 1) - log_total
-    cum = np.zeros(size - 1)
-    hit = j >= n
-    cum[hit] = np.exp(log_c[hit])
-    return _readonly(cum)
+    _require_budget(n, size, budget_is_bounded(kind))
+    if kind is EstimatorKind.MEANMAX_PREFIX:
+        kind, size = EstimatorKind.MEANMAX_V, n
+    if kind is EstimatorKind.MEANMAX_V or n == 1:
+        return (np.arange(1, size, dtype=float) / size) ** n
+    j = np.arange(size, 1, -1, dtype=float)
+    ratios = np.maximum(j - n, 0.0) / j
+    return np.cumprod(ratios)[::-1]
 
 
 def _tail_weighted(sorted_values: np.ndarray, cum: np.ndarray) -> float:
@@ -228,11 +192,10 @@ def _tail_weighted(sorted_values: np.ndarray, cum: np.ndarray) -> float:
     exact on constant samples (every gap is zero, so the result is the
     sample value itself), collapses ties for free, and makes the dominance
     of the unbiased estimator hold exactly in floating point, because the
-    two estimators then differ by a sum of non-negative products.
+    two estimators then differ by a sum of non-negative products. A single
+    value has no gaps, and the empty sum leaves its maximum.
     """
-    if sorted_values.size == 1:
-        return float(sorted_values[0])
-    return float(sorted_values[-1] - cum @ np.diff(sorted_values))
+    return float(sorted_values[-1] - cum @ (sorted_values[1:] - sorted_values[:-1]))
 
 
 def meanmax_v(sample: ScoreSample, n: int) -> float:
@@ -242,22 +205,21 @@ def meanmax_v(sample: ScoreSample, n: int) -> float:
     differences telescope across tied values, so ties need no special
     handling. Defined for any n >= 1, including n > B.
     """
-    _require_budget(n, sample.size, bounded=False)
-    return _tail_weighted(sample.sorted_values, meanmax_cumweights(sample.size, n))
+    cum = cumweights(EstimatorKind.MEANMAX_V, sample.size, n)
+    return _tail_weighted(sample.sorted_values, cum)
 
 
 def unbiased_u(sample: ScoreSample, n: int) -> float:
     """Unbiased estimate: the average maximum over all C(B, n) subsets."""
-    _require_budget(n, sample.size, bounded=True)
-    return _tail_weighted(sample.sorted_values, unbiased_cumweights(sample.size, n))
+    cum = cumweights(EstimatorKind.UNBIASED_U, sample.size, n)
+    return _tail_weighted(sample.sorted_values, cum)
 
 
 def meanmax_prefix(sample: ScoreSample, n: int) -> float:
     """Plug-in estimate computed from only the first n scores, in ingestion
     order. Much noisier than :func:`meanmax_v`, which uses all B scores."""
-    _require_budget(n, sample.size, bounded=True)
-    head = np.sort(sample.ingested_values[:n])
-    return _tail_weighted(head, meanmax_cumweights(n, n))
+    cum = cumweights(EstimatorKind.MEANMAX_PREFIX, sample.size, n)
+    return _tail_weighted(np.sort(sample.ingested_values[:n]), cum)
 
 
 _ESTIMATORS: dict[EstimatorKind, Callable[[ScoreSample, int], float]] = {
@@ -335,31 +297,56 @@ def ks_lower_bound(sample: ScoreSample, true_cdf_at_sample_max: float, n: int = 
     return 1.0 - true_cdf_at_sample_max**n
 
 
-def cumweight_matrix(kind: EstimatorKind, size: int, n_max: int) -> np.ndarray:
-    """Rows n = 1..n_max of partial weight sums c_1..c_{B-1}.
+_BLOCK_VALUES = 1 << 20
 
-    ``max(sample) - row @ diff(sorted sample)`` gives the budget-n estimate;
-    this is how the estimators are actually evaluated (see _tail_weighted).
+
+def _curve_estimates(sorted_values: np.ndarray, kind: EstimatorKind, n_max: int) -> np.ndarray:
+    """Budget-n estimates for n = 1..n_max, walking n by exact ratios.
+
+    Row n of partial weight sums is row n-1 times c_j(n)/c_j(n-1): j/B for
+    the plug-in estimator and (j-n+1)/(B-n+1) for the unbiased one. Both
+    start from the shared row j/B at n = 1, every unbiased ratio is at most
+    the plug-in one, and no ratio exceeds 1, so equality at n = 1, dominance
+    and monotone curves hold exactly in floating point: the per-row sums
+    below add their non-negative products in the same order for every row.
+    Rows are built a block of about _BLOCK_VALUES floats at a time, each
+    block's first row continuing from the previous block's last, so memory
+    stays O(B) for any n_max and results do not depend on the block size.
     """
-    if kind is EstimatorKind.MEANMAX_PREFIX:
-        raise ValueError("prefix estimator has no all-budget weight matrix")
-    fn = meanmax_cumweights if kind is EstimatorKind.MEANMAX_V else unbiased_cumweights
-    return np.vstack([fn(size, n) for n in range(1, n_max + 1)])
+    size = sorted_values.size
+    gaps = np.diff(sorted_values)
+    j = np.arange(1, size, dtype=float)
+    rows_per_block = max(1, _BLOCK_VALUES // max(1, size - 1))
+    last = 1.0
+    out = np.empty(n_max)
+    for start in range(0, n_max, rows_per_block):
+        stop = min(start + rows_per_block, n_max)
+        if kind is EstimatorKind.UNBIASED_U:
+            m = np.arange(start, stop, dtype=float)[:, None]  # n - 1 for budgets n
+            block = np.maximum(j - m, 0.0) / (size - m)
+        else:
+            block = np.repeat((j / size)[None, :], stop - start, axis=0)
+        block[0] *= last
+        np.cumprod(block, axis=0, out=block)
+        last = block[-1].copy()
+        block *= gaps
+        out[start:stop] = sorted_values[-1] - block.sum(axis=1)
+    return out
 
 
 def expected_max_curve(sample: ScoreSample, kind: EstimatorKind, n_max: int) -> ExpectedMaxCurve:
     """Expected-maximum estimates for every budget n = 1..n_max.
 
-    Confidence intervals are not attached here; see
+    The plug-in and unbiased curves walk n by a ratio recurrence in O(B)
+    memory for any n_max (see :func:`_curve_estimates`); each point agrees
+    with :func:`estimate` at its budget to rounding. The prefix curve is
+    evaluated budget by budget. Confidence intervals are not attached here; see
     :func:`bestofn.resampling.percentile_bootstrap_ci`.
     """
     _require_budget(n_max, sample.size, bounded=budget_is_bounded(kind))
     if kind is EstimatorKind.MEANMAX_PREFIX:
         values = [meanmax_prefix(sample, n) for n in range(1, n_max + 1)]
-    elif sample.size == 1:
-        values = [sample.max] * n_max
     else:
-        cum = cumweight_matrix(kind, sample.size, n_max)
-        values = sample.max - cum @ np.diff(sample.sorted_values)
+        values = _curve_estimates(sample.sorted_values, kind, n_max)
     points = tuple(CurvePoint(n=i + 1, estimate=float(v)) for i, v in enumerate(values))
     return ExpectedMaxCurve(points=points, estimator=kind, sample_size=sample.size)

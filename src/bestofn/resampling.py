@@ -15,13 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import RngStream
-from .estimators import (
-    EstimatorKind,
-    ScoreSample,
-    estimate,
-    meanmax_cumweights,
-    unbiased_cumweights,
-)
+from .estimators import EstimatorKind, ScoreSample, cumweights
+from .estimators import estimate  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 
 @dataclass(frozen=True)
@@ -91,13 +86,8 @@ def _resample_statistics(
     """
     size = sample.size
     values = sample.sorted_values
+    cum = cumweights(kind, size, n)
     gen = config.rng.generator()
-    if kind is EstimatorKind.UNBIASED_U:
-        cum = unbiased_cumweights(size, n)
-    elif kind is EstimatorKind.MEANMAX_V:
-        cum = meanmax_cumweights(size, n)
-    else:
-        cum = meanmax_cumweights(n, n)
     out = np.empty(config.resamples, dtype=float)
     rows_per_chunk = max(1, _BOOT_CHUNK_VALUES // size)
     done = 0
@@ -108,10 +98,7 @@ def _resample_statistics(
         if kind is EstimatorKind.MEANMAX_PREFIX:
             draws = draws[:, :n]
         draws.sort(axis=1)
-        if draws.shape[1] == 1:
-            out[done : done + rows] = draws[:, 0]
-        else:
-            out[done : done + rows] = draws[:, -1] - np.diff(draws, axis=1) @ cum
+        out[done : done + rows] = draws[:, -1] - np.diff(draws, axis=1) @ cum
         done += rows
     return out
 
@@ -126,7 +113,6 @@ def percentile_bootstrap_ci(
     (alpha/2, 1-alpha/2) percentiles where alpha = 1 - confidence.
     Deterministic given ``config.rng``.
     """
-    estimate(sample, kind, n)  # surface estimator precondition errors up front
     stats = _resample_statistics(sample, kind, n, config)
     alpha = 1.0 - config.confidence
     return Interval(percentile(stats, alpha / 2.0), percentile(stats, 1.0 - alpha / 2.0))

@@ -520,10 +520,16 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    code = "import sys, bestofn.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, bestofn.cli; print('scipy.stats' in sys.modules); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    stats_loaded, scipy_modules = result.stdout.split("\n")[:2]
+    assert stats_loaded == "False"
+    # Only the batteries' Clopper-Pearson intervals need scipy, imported on use.
+    assert scipy_modules == "[]"
 
 
 def test_module_entry_point(tmp_path):

@@ -9,14 +9,20 @@ oracles:
   replacement, built by iterating ``np.maximum.outer``.
 
 Both oracles are written from the definition of the statistic, not from the
-weight formulas the library uses, so agreement is meaningful.
+weight formulas the library uses, so agreement is meaningful. At sizes too
+large to enumerate, both estimators are checked against their weighted
+order-statistic sums in exact rational arithmetic.
 """
 
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bestofn import (
@@ -34,12 +40,10 @@ from bestofn import (
     meanmax_v,
     unbiased_u,
 )
-from bestofn.estimators import (
-    meanmax_cumweights,
-    meanmax_weights,
-    unbiased_cumweights,
-    unbiased_weights,
-)
+from bestofn.estimators import cumweights
+
+MEANMAX = EstimatorKind.MEANMAX_V
+UNBIASED = EstimatorKind.UNBIASED_U
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +63,21 @@ def ordered_draw_mean_max(values, n):
     for _ in range(n - 1):
         acc = np.maximum.outer(acc, values).ravel()
     return float(acc.mean())
+
+
+def exact_estimate(values, kind, n):
+    """The estimate as an exact rational, correctly rounded at the end.
+
+    The j-th smallest of B values is the maximum of C(j-1, n-1) of the
+    C(B, n) size-n subsets, and of j**n - (j-1)**n of the B**n ordered draws.
+    """
+    ordered = [Fraction(v) for v in sorted(values)]
+    size = len(ordered)
+    if kind is UNBIASED:
+        total = sum(math.comb(j - 1, n - 1) * v for j, v in enumerate(ordered, start=1))
+        return float(total / math.comb(size, n))
+    total = sum((j**n - (j - 1) ** n) * v for j, v in enumerate(ordered, start=1))
+    return float(total / size**n)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +145,10 @@ def test_meanmax_prefix_examples():
     assert_allclose(meanmax_prefix(ordered, 2), 7.0 / 4.0, rtol=1e-15)
     assert_allclose(
         meanmax_prefix(ordered, 2), meanmax_v(ScoreSample([1.0, 2.0]), 2), rtol=1e-15
+    )
+    # At budget n the prefix estimator weighs its n scores as the plug-in does.
+    assert np.array_equal(
+        cumweights(EstimatorKind.MEANMAX_PREFIX, 3, 2), cumweights(MEANMAX, 2, 2)
     )
 
 
@@ -207,18 +230,23 @@ def test_prefix_curve_may_decrease():
 # ---------------------------------------------------------------------------
 
 
+def per_position_weights(cum):
+    """Weights w_1..w_B from partial sums c_1..c_{B-1} (c_0 = 0, c_B = 1)."""
+    return np.diff(np.concatenate(([0.0], cum, [1.0])))
+
+
 def test_weights_sum_to_one():
     for size in range(1, 65):
         for n in range(1, size + 1):
-            assert abs(meanmax_weights(size, n).sum() - 1.0) < 1e-12
-            assert abs(unbiased_weights(size, n).sum() - 1.0) < 1e-12
+            for kind in (MEANMAX, UNBIASED):
+                assert abs(per_position_weights(cumweights(kind, size, n)).sum() - 1.0) < 1e-12
 
 
 def test_weights_are_non_negative():
     for size in (1, 2, 5, 17, 64):
         for n in range(1, size + 1):
-            assert np.all(meanmax_weights(size, n) >= 0.0)
-            assert np.all(unbiased_weights(size, n) >= 0.0)
+            for kind in (MEANMAX, UNBIASED):
+                assert np.all(per_position_weights(cumweights(kind, size, n)) >= 0.0)
 
 
 def test_cumulative_weight_dominance():
@@ -226,39 +254,93 @@ def test_cumulative_weight_dominance():
     # at every interior index, for every n >= 2.
     for size in (2, 3, 5, 10, 27, 64):
         for n in range(2, size + 1):
-            cum_v = meanmax_cumweights(size, n)
-            cum_u = unbiased_cumweights(size, n)
+            cum_v = cumweights(MEANMAX, size, n)
+            cum_u = cumweights(UNBIASED, size, n)
             assert cum_u.shape == cum_v.shape == (size - 1,)
             assert np.all(cum_u < cum_v)
 
 
 def test_cumweights_match_weight_prefix_sums():
+    # Per-position weights from their definitions: (j/B)^n - ((j-1)/B)^n and
+    # C(j-1, n-1) / C(B, n), the latter exact in integers.
     for size in (3, 8, 21):
+        j = np.arange(1, size + 1)
         for n in range(1, size + 1):
-            assert_allclose(
-                meanmax_cumweights(size, n),
-                np.cumsum(meanmax_weights(size, n))[:-1],
-                atol=1e-12,
-            )
-            assert_allclose(
-                unbiased_cumweights(size, n),
-                np.cumsum(unbiased_weights(size, n))[:-1],
-                atol=1e-12,
-            )
+            w_v = (j / size) ** n - ((j - 1) / size) ** n
+            w_u = np.array([math.comb(k - 1, n - 1) / math.comb(size, n) for k in j])
+            assert_allclose(cumweights(MEANMAX, size, n), np.cumsum(w_v)[:-1], atol=1e-12)
+            assert_allclose(cumweights(UNBIASED, size, n), np.cumsum(w_u)[:-1], atol=1e-12)
+            # The unbiased partial sums vanish exactly where no subset can
+            # have its maximum at or below position j.
+            assert np.all(cumweights(UNBIASED, size, n)[: n - 1] == 0.0)
 
 
 def test_shared_cumweights_at_n_one():
     # Both estimators reduce to the mean at n=1 through the same weight
     # vector, so the n=1 equality is exact in floating point.
     for size in (1, 4, 33):
-        assert np.array_equal(meanmax_cumweights(size, 1), unbiased_cumweights(size, 1))
+        assert np.array_equal(cumweights(MEANMAX, size, 1), cumweights(UNBIASED, size, 1))
 
 
 def test_large_sample_weights_stay_finite():
-    # Direct binomials would overflow here; log-space evaluation must not.
-    w = unbiased_weights(2000, 50)
-    assert np.all(np.isfinite(w))
-    assert abs(w.sum() - 1.0) < 1e-9
+    # Direct binomials would overflow here; the ratio products must not.
+    for kind in (MEANMAX, UNBIASED):
+        w = per_position_weights(cumweights(kind, 2000, 50))
+        assert np.all(np.isfinite(w))
+        assert np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) < 1e-9
+
+
+def test_estimates_match_exact_rationals():
+    rng = np.random.default_rng(107)
+    values = rng.normal(size=300)
+    sample = ScoreSample(values)
+    scale = sample.max - sample.min
+    for kind in (MEANMAX, UNBIASED):
+        curve = expected_max_curve(sample, kind, sample.size).estimates
+        for n in (1, 2, 10, 150, 300):
+            want = exact_estimate(values, kind, n)
+            assert abs(estimate(sample, kind, n) - want) <= 1e-12 * scale
+            assert abs(curve[n - 1] - want) <= 1e-12 * scale
+
+
+def test_curve_memory_does_not_grow_with_budget_count():
+    # One weight row per budget would take n_max * B * 8 bytes (153 MiB).
+    sample = ScoreSample(np.random.default_rng(108).normal(size=100_000))
+    for kind in (MEANMAX, UNBIASED):
+        tracemalloc.start()
+        try:
+            expected_max_curve(sample, kind, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(-1000, 1000).map(lambda k: k / 64), min_size=1, max_size=80))
+def test_estimator_invariants_hold_exactly(values):
+    # Dyadic scores keep every gap exact and the last rounding at the sample
+    # maximum far below the tolerance, so the bound below is about the
+    # weights alone.
+    sample = ScoreSample(values)
+    lo, hi = sample.min, sample.max
+    tol = 1e-12 * (hi - lo)
+    curves = {
+        kind: expected_max_curve(sample, kind, sample.size).estimates
+        for kind in (MEANMAX, UNBIASED)
+    }
+    assert np.all(curves[MEANMAX] <= curves[UNBIASED])
+    assert curves[MEANMAX][0] == curves[UNBIASED][0]
+    for curve in curves.values():
+        assert np.all(np.diff(curve) >= 0.0)
+        assert np.all((lo <= curve) & (curve <= hi))
+    assert meanmax_v(sample, 1) == unbiased_u(sample, 1)
+    for n in range(1, sample.size + 1):
+        v, u = meanmax_v(sample, n), unbiased_u(sample, n)
+        assert lo <= v <= u <= hi
+        assert abs(v - curves[MEANMAX][n - 1]) <= tol
+        assert abs(u - curves[UNBIASED][n - 1]) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +537,13 @@ def test_ks_lower_bound_monotone_in_n():
 # ---------------------------------------------------------------------------
 # Input validation
 # ---------------------------------------------------------------------------
+
+
+def test_equal_samples_hash_alike():
+    a, b = ScoreSample([0.0, 1.0]), ScoreSample([-0.0, 1.0])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_empty_sample_rejected():
