@@ -22,6 +22,7 @@ from .distributions import (
     true_curve,
 )
 from .estimators import (
+    ArgumentError,
     BudgetTooLargeError,
     BudgetTooSmallError,
     CurvePoint,
@@ -69,6 +70,7 @@ from .resampling import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ArgumentError",
     "BootstrapConfig",
     "BudgetTooLargeError",
     "BudgetTooSmallError",

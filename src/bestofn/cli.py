@@ -1,8 +1,17 @@
 """Command-line interface wiring ingestion, estimation, and simulations.
 
 Exit codes: 0 success, 1 data error (missing or malformed input, impossible
-fit), 2 usage error (bad flag or flag combination, rejected before any work
-starts). The root seed defaults to the fixed constant 1729 so bare
+fit), 2 usage error (bad flag value or flag combination). Each flag is
+checked once, by the library function it reaches: an out-of-range value
+raises :class:`~bestofn.estimators.ArgumentError`, which names the argument
+as its flag spells it, and ``main`` reports it as ``--flag detail`` with
+exit 2. Most flags are therefore checked after the input files are read,
+so a missing or malformed input is reported first: ``probe`` with a
+missing ``--dist`` file and ``--B 0`` exits 1. ``curve`` checks its
+bootstrap flags before reading the runs, and every requested estimator's
+budget before computing any curve.
+
+The root seed defaults to the fixed constant 1729 so bare
 invocations are reproducible; every report embeds the config needed to
 reproduce its payload byte for byte. Progress lines go to standard error
 only; standard output carries the report when ``-o`` is omitted.
@@ -35,6 +44,7 @@ from .distributions import (
     scott_bandwidth,
 )
 from .estimators import (
+    ArgumentError,
     CurvePoint,
     EstimatorKind,
     ExpectedMaxCurve,
@@ -43,6 +53,7 @@ from .estimators import (
     budget_is_bounded,
     expected_max_curve,
     ks_lower_bound,
+    require_budget,
 )
 from .experiments import FailureScanReport
 from .experiments import coverage as run_coverage
@@ -50,7 +61,6 @@ from .experiments import curves as run_curves
 from .experiments import failure_scan as run_failure_scan
 from .experiments import probe as run_probe
 from .io_formats import (
-    RunsFileError,
     emit_plot,
     make_envelope,
     read_report,
@@ -70,33 +80,20 @@ _ESTIMATOR_CHOICES = ("meanmax", "meanmax-prefix", "unbiased")
 _CI_STREAMS = {EstimatorKind.UNBIASED_U: 0, EstimatorKind.MEANMAX_V: 1, EstimatorKind.MEANMAX_PREFIX: 2}
 
 
-class UsageError(Exception):
-    """A flag-level mistake, reported with exit status 2 before any work."""
-
-
-def _positive(value: int, flag: str) -> int:
-    if value < 1:
-        raise UsageError(f"{flag} must be a positive integer, got {value}")
-    return value
-
-
-def _confidence(value: float, flag: str = "--confidence") -> float:
-    if not 0.0 < value < 1.0:
-        raise UsageError(f"{flag} must lie strictly between 0 and 1, got {value}")
-    return value
-
-
 def _resolve_threads(flag_value: int | None) -> int | None:
-    if flag_value is not None:
-        return _positive(flag_value, "--threads")
+    """``--threads`` if given, else the positive integer in BESTOFN_THREADS."""
     raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
+    if flag_value is not None or raw is None:
+        return flag_value
     try:
         value = int(raw)
     except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return _positive(value, THREADS_ENV)
+        value = 0
+    if value < 1:
+        raise ArgumentError(
+            "threads", f"defaults to {THREADS_ENV}, which must be a positive integer, got {raw!r}"
+        )
+    return value
 
 
 def _progress(msg: str) -> None:
@@ -108,7 +105,7 @@ def _parse_dist_flag(raw: str) -> tuple[str, str]:
     if "=" in raw:
         name, path = raw.split("=", 1)
         if not name or not path:
-            raise UsageError(f"--dist expects NAME=PATH or a bare path, got {raw!r}")
+            raise ArgumentError("dist", f"expects NAME=PATH or a bare path, got {raw!r}")
         return name, path
     stem = os.path.splitext(os.path.basename(raw))[0]
     return stem, raw
@@ -153,19 +150,14 @@ def cmd_curve(args) -> int:
         kind = EstimatorKind.parse(name)
         if kind not in kinds:
             kinds.append(kind)
-    if args.n_max is not None:
-        _positive(args.n_max, "--n-max")
-    _positive(args.resamples, "--resamples")
-    _confidence(args.confidence)
+    boot = BootstrapConfig(
+        rng=RngStream(args.seed, 1), resamples=args.resamples, confidence=args.confidence
+    )
 
     sample = read_runs(args.runs)
     n_max = args.n_max if args.n_max is not None else sample.size
-    for kind in kinds:
-        if budget_is_bounded(kind) and n_max > sample.size:
-            raise UsageError(
-                f"--n-max {n_max} exceeds the {sample.size} scores in {args.runs} "
-                f"for estimator {kind}"
-            )
+    for kind in kinds:  # every budget is checked before any curve is computed
+        require_budget(n_max, sample.size, budget_is_bounded(kind), "n_max")
     if n_max > sample.size:
         print(
             f"bestofn: warning: --n-max {n_max} extrapolates past the sample size "
@@ -177,13 +169,10 @@ def cmd_curve(args) -> int:
     for kind in kinds:
         curve = expected_max_curve(sample, kind, n_max)
         if args.ci:
-            base = BootstrapConfig(
-                rng=RngStream(args.seed, 1), resamples=args.resamples, confidence=args.confidence
-            )
             points = []
             for p in curve.points:
-                boot = replace(base, rng=base.rng.child(_CI_STREAMS[kind], p.n))
-                ci = percentile_bootstrap_ci(sample, kind, p.n, boot)
+                point_boot = replace(boot, rng=boot.rng.child(_CI_STREAMS[kind], p.n))
+                ci = percentile_bootstrap_ci(sample, kind, p.n, point_boot)
                 points.append(CurvePoint(n=p.n, estimate=p.estimate, ci=(ci.lo, ci.hi)))
             curve = ExpectedMaxCurve(points=tuple(points), estimator=kind, sample_size=curve.sample_size)
         payload.append(curve)
@@ -204,34 +193,20 @@ def cmd_curve(args) -> int:
 def cmd_fit(args) -> int:
     preset = KDE_PRESETS[args.preset] if args.preset else None
     bins = args.bins if args.bins is not None else (preset.bins if preset else 511)
-    if bins < 2:
-        raise UsageError(f"--bins must be at least 2, got {bins}")
-
     raw_bw = args.bandwidth if args.bandwidth is not None else (
         preset.bandwidth if preset else "scott"
     )
-    if raw_bw == "scott":
-        bandwidth: float | str = "scott"
-    else:
-        try:
-            bandwidth = float(raw_bw)
-        except ValueError:
-            raise UsageError(
-                f"--bandwidth must be a positive number or 'scott', got {raw_bw!r}"
-            ) from None
-        if not bandwidth > 0:
-            raise UsageError(f"--bandwidth must be positive, got {bandwidth}")
-    if args.support_lo is not None and args.support_hi is not None:
-        if not args.support_lo < args.support_hi:
-            raise UsageError(
-                f"--support-lo ({args.support_lo}) must be below --support-hi ({args.support_hi})"
-            )
+    try:
+        bandwidth: float | str = float(raw_bw)
+    except ValueError:
+        bandwidth = raw_bw  # a rule name; KdeSpec accepts only 'scott'
 
     sample = read_runs(args.runs)
     # Resolve the numeric bandwidth first: default support edges sit three
-    # bandwidths beyond the observed score range.
-    h = scott_bandwidth(sample) if bandwidth == "scott" else bandwidth
-    if h == 0.0:
+    # bandwidths beyond the observed score range. A rule name KdeSpec
+    # rejects gets Scott's width here, so that KdeSpec can name it.
+    h = scott_bandwidth(sample) if isinstance(bandwidth, str) else bandwidth
+    if bandwidth == "scott" and h == 0.0:
         raise ValueError(
             f"scores in {args.runs} are constant; Scott's rule gives bandwidth 0, "
             f"pass an explicit --bandwidth"
@@ -248,8 +223,6 @@ def cmd_fit(args) -> int:
         hi = preset.support_hi
     else:
         hi = sample.max + 3.0 * h
-    if not lo < hi:
-        raise UsageError(f"--support-lo ({lo}) must be below --support-hi ({hi})")
 
     dist = fit_kde(sample, KdeSpec(bandwidth=bandwidth, support_lo=lo, support_hi=hi, bins=bins))
     if args.output is not None:
@@ -262,13 +235,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    _positive(args.B, "--B")
-    _positive(args.samples, "--samples")
     kind = EstimatorKind.parse(args.estimator)
     n_max = args.n_max if args.n_max is not None else args.B
-    _positive(n_max, "--n-max")
-    if budget_is_bounded(kind) and n_max > args.B:
-        raise UsageError(f"--n-max {n_max} exceeds --B {args.B} for estimator {kind}")
     threads = _resolve_threads(args.threads)
 
     dist_id, path = _parse_dist_flag(args.dist)
@@ -291,15 +259,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    _positive(args.B, "--B")
-    _positive(args.M, "--M")
-    _positive(args.resamples, "--resamples")
-    _confidence(args.confidence)
     kind = EstimatorKind.parse(args.estimator)
     n_max = args.n_max if args.n_max is not None else min(20, args.B)
-    _positive(n_max, "--n-max")
-    if budget_is_bounded(kind) and n_max > args.B:
-        raise UsageError(f"--n-max {n_max} exceeds --B {args.B} for estimator {kind}")
     threads = _resolve_threads(args.threads)
 
     dist_id, path = _parse_dist_flag(args.dist)
@@ -327,8 +288,6 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_curves_sim(args) -> int:
-    _positive(args.B, "--B")
-    _positive(args.samples, "--samples")
     kind = EstimatorKind.parse(args.estimator)
     threads = _resolve_threads(args.threads)
 
@@ -336,7 +295,7 @@ def cmd_curves_sim(args) -> int:
     for raw in args.dist:
         name, path = _parse_dist_flag(raw)
         if name in named:
-            raise UsageError(f"--dist name {name!r} given twice; disambiguate with NAME=PATH")
+            raise ArgumentError("dist", f"name {name!r} given twice; disambiguate with NAME=PATH")
         named[name] = path
     dists = {name: load_distribution(path) for name, path in named.items()}
     report = run_curves(
@@ -357,8 +316,8 @@ def cmd_curves_sim(args) -> int:
 def cmd_failure_scan(args) -> int:
     envelope = read_report(args.report)
     if envelope.payload_kind != "curves":
-        raise UsageError(
-            f"--report must point to a curves-sim JSON report, got {envelope.payload_kind!r}"
+        raise ArgumentError(
+            "report", f"must point to a curves-sim JSON report, got {envelope.payload_kind!r}"
         )
     report = envelope.payload
     names = [m.name for m in report.models]
@@ -367,12 +326,12 @@ def cmd_failure_scan(args) -> int:
     elif args.model_a is not None and args.model_b is not None:
         model_a, model_b = args.model_a, args.model_b
     else:
-        raise UsageError(
-            f"report contains models {', '.join(names)}; pass both --model-a and --model-b"
+        raise ArgumentError(
+            "model_a", f"and --model-b are both needed: the report has models {', '.join(names)}"
         )
-    for flag, name in (("--model-a", model_a), ("--model-b", model_b)):
+    for flag, name in (("model_a", model_a), ("model_b", model_b)):
         if name not in names:
-            raise UsageError(f"{flag} {name!r} is not in the report (models: {', '.join(names)})")
+            raise ArgumentError(flag, f"{name!r} is not in the report (models: {', '.join(names)})")
 
     payload = FailureScanReport(
         model_a=model_a,
@@ -391,11 +350,8 @@ def cmd_failure_scan(args) -> int:
 
 
 def cmd_ks_bound(args) -> int:
-    if not 0.0 <= args.cdf_at_max <= 1.0:
-        raise UsageError(f"--cdf-at-max must lie in [0, 1], got {args.cdf_at_max}")
-    _positive(args.n_max, "--n-max")
-
     sample = read_runs(args.runs)
+    require_budget(args.n_max, sample.size, bounded=False, name="n_max")
     rows = tuple(
         KsBoundRow(n=n, bound=ks_lower_bound(sample, args.cdf_at_max, n))
         for n in range(1, args.n_max + 1)
@@ -531,12 +487,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"bestofn: error: {err}", file=sys.stderr)
+    except ArgumentError as err:
+        print(f"bestofn: error: --{err.name.replace('_', '-')} {err.detail}", file=sys.stderr)
         return 2
-    except RunsFileError as err:
-        print(f"bestofn: error: {err}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, KeyError, ArithmeticError) as err:
         print(f"bestofn: error: {err}", file=sys.stderr)
         return 1

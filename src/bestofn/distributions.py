@@ -7,13 +7,14 @@ every budget, and supports reproducible sampling through seeded streams.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .estimators import BudgetTooSmallError, ScoreSample
+from .estimators import ArgumentError, ScoreSample, require_budget
 
 _MASK64 = (1 << 64) - 1
 
@@ -136,7 +137,7 @@ class DiscreteDistribution:
 class KdeSpec:
     """Parameters for discretizing a Gaussian KDE over run scores.
 
-    ``bandwidth`` is either a positive width in score units or the string
+    ``bandwidth`` is either a finite positive width in score units or the string
     ``"scott"`` for the one-dimensional normal-reference rule
     h = std(runs, ddof=1) * B**(-1/5).
     """
@@ -147,17 +148,21 @@ class KdeSpec:
     bins: int = 511
 
     def __post_init__(self):
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "scott":
-                raise ValueError(f"unknown bandwidth rule {self.bandwidth!r}; use 'scott'")
-        elif not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        if self.bandwidth != "scott" and (
+            isinstance(self.bandwidth, str) or not 0 < self.bandwidth < math.inf
+        ):
+            raise ArgumentError(
+                "bandwidth", f"must be a finite positive number or 'scott', got {self.bandwidth!r}"
+            )
+        for name in ("support_lo", "support_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ArgumentError(name, f"must be finite, got {getattr(self, name)}")
         if not self.support_lo < self.support_hi:
-            raise ValueError(
-                f"support_lo ({self.support_lo}) must be below support_hi ({self.support_hi})"
+            raise ArgumentError(
+                "support_lo", f"must be below support_hi = {self.support_hi}, got {self.support_lo}"
             )
         if self.bins < 2:
-            raise ValueError(f"bins must be >= 2, got {self.bins}")
+            raise ArgumentError("bins", f"must be >= 2, got {self.bins}")
 
 
 # Published KDE parameters for the four reference models (bandwidth via
@@ -209,8 +214,7 @@ def fit_kde(runs: ScoreSample, spec: KdeSpec) -> DiscreteDistribution:
 
 def exact_expected_max(dist: DiscreteDistribution, n: int) -> float:
     """Exact expected maximum of n i.i.d. draws: sum of v_j * (F(v_j)^n - F(v_{j-1})^n)."""
-    if n < 1:
-        raise BudgetTooSmallError(f"budget n must be >= 1, got {n}")
+    require_budget(n, dist.size, bounded=False)
     powered = dist.cumulative**n
     pmf_of_max = np.diff(powered, prepend=0.0)
     return float(dist.support @ pmf_of_max)
@@ -218,8 +222,7 @@ def exact_expected_max(dist: DiscreteDistribution, n: int) -> float:
 
 def true_curve(dist: DiscreteDistribution, n_max: int) -> np.ndarray:
     """Exact expected maxima for budgets 1..n_max."""
-    if n_max < 1:
-        raise BudgetTooSmallError(f"budget n_max must be >= 1, got {n_max}")
+    require_budget(n_max, dist.size, bounded=False, name="n_max")
     n = np.arange(1, n_max + 1)
     powered = dist.cumulative[None, :] ** n[:, None]
     pmf = np.diff(powered, prepend=0.0, axis=1)
@@ -236,8 +239,7 @@ def mc_expected_max(dist: DiscreteDistribution, n: int, iterations: int, rng: Rn
     over ``iterations`` simulated budgets. Deterministic given the stream;
     the result does not depend on internal chunking.
     """
-    if n < 1:
-        raise BudgetTooSmallError(f"budget n must be >= 1, got {n}")
+    require_budget(n, dist.size, bounded=False)
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     gen = rng.generator()

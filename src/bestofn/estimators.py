@@ -26,11 +26,21 @@ class EmptySampleError(ValueError):
     """Raised when an operation receives a sample with no values."""
 
 
-class BudgetTooSmallError(ValueError):
+class ArgumentError(ValueError):
+    """An argument out of range. ``name`` is spelled like its CLI flag with
+    ``_`` for ``-`` (``n_max``), so the CLI can report the flag it came from."""
+
+    def __init__(self, name: str, detail: str):
+        super().__init__(f"{name} {detail}")
+        self.name = name
+        self.detail = detail
+
+
+class BudgetTooSmallError(ArgumentError):
     """Raised when a budget n < 1 is requested."""
 
 
-class BudgetTooLargeError(ValueError):
+class BudgetTooLargeError(ArgumentError):
     """Raised when a budget n > B is requested from an estimator that
     cannot extrapolate past the sample size."""
 
@@ -153,13 +163,16 @@ class ExpectedMaxCurve:
         return np.array([p.estimate for p in self.points], dtype=float)
 
 
-def _require_budget(n: int, size: int, bounded: bool) -> None:
+def require_budget(n: int, size: int, bounded: bool, name: str = "n") -> None:
+    """Reject a budget n < 1, or n > B = ``size`` for a ``bounded`` estimator
+    (see :func:`budget_is_bounded`); ``name`` is the argument n came from."""
     if n < 1:
-        raise BudgetTooSmallError(f"budget n must be >= 1, got {n}")
+        raise BudgetTooSmallError(name, f"must be >= 1, got {n}")
     if bounded and n > size:
         raise BudgetTooLargeError(
-            f"budget n={n} exceeds sample size B={size}; only the plug-in "
-            "meanmax estimator extrapolates past B"
+            name,
+            f"{n} exceeds the sample size B = {size}; only the plug-in "
+            "meanmax estimator extrapolates past B",
         )
 
 
@@ -175,7 +188,7 @@ def cumweights(kind: EstimatorKind, size: int, n: int) -> np.ndarray:
     bit for bit. The prefix estimator at budget n is the plug-in estimator
     on its first n scores. O(B) time and memory, nothing cached.
     """
-    _require_budget(n, size, budget_is_bounded(kind))
+    require_budget(n, size, budget_is_bounded(kind))
     if kind is EstimatorKind.MEANMAX_PREFIX:
         kind, size = EstimatorKind.MEANMAX_V, n
     if kind is EstimatorKind.MEANMAX_V or n == 1:
@@ -245,8 +258,7 @@ def ecdf_pow(sample: ScoreSample, x, n: int = 1):
     This is the plug-in approximation to the CDF of the maximum of n draws.
     Accepts scalar or array x; right-continuous step function.
     """
-    if n < 1:
-        raise BudgetTooSmallError(f"power n must be >= 1, got {n}")
+    require_budget(n, sample.size, bounded=False)
     counts = np.searchsorted(sample.sorted_values, x, side="right")
     out = (counts / sample.size) ** n
     return float(out) if np.isscalar(x) else out
@@ -290,10 +302,9 @@ def ks_lower_bound(sample: ScoreSample, true_cdf_at_sample_max: float, n: int = 
     sample value. The bound grows to 1 exponentially in n: budgets past the
     sample's reach make the plug-in CDF arbitrarily wrong in the tail.
     """
-    if n < 1:
-        raise BudgetTooSmallError(f"power n must be >= 1, got {n}")
+    require_budget(n, sample.size, bounded=False)
     if not 0.0 <= true_cdf_at_sample_max <= 1.0:
-        raise ValueError(f"CDF value must lie in [0, 1], got {true_cdf_at_sample_max}")
+        raise ArgumentError("cdf_at_max", f"must lie in [0, 1], got {true_cdf_at_sample_max}")
     return 1.0 - true_cdf_at_sample_max**n
 
 
@@ -343,7 +354,7 @@ def expected_max_curve(sample: ScoreSample, kind: EstimatorKind, n_max: int) -> 
     evaluated budget by budget. Confidence intervals are not attached here; see
     :func:`bestofn.resampling.percentile_bootstrap_ci`.
     """
-    _require_budget(n_max, sample.size, bounded=budget_is_bounded(kind))
+    require_budget(n_max, sample.size, budget_is_bounded(kind), "n_max")
     if kind is EstimatorKind.MEANMAX_PREFIX:
         values = [meanmax_prefix(sample, n) for n in range(1, n_max + 1)]
     else:

@@ -16,12 +16,12 @@ import numpy as np
 
 from .distributions import DiscreteDistribution, RngStream, draw_sample, true_curve
 from .estimators import (
-    BudgetTooLargeError,
-    BudgetTooSmallError,
+    ArgumentError,
     EstimatorKind,
     budget_is_bounded,
     estimate,
     expected_max_curve,
+    require_budget,
 )
 from .resampling import BootstrapConfig, Interval, clopper_pearson, percentile_bootstrap_ci
 
@@ -134,19 +134,14 @@ class FailureScanReport:
 
 def _check_battery_args(B: int, n_max: int, kind: EstimatorKind) -> None:
     if B < 1:
-        raise ValueError(f"sample size B must be >= 1, got {B}")
-    if n_max < 1:
-        raise BudgetTooSmallError(f"n_max must be >= 1, got {n_max}")
-    if budget_is_bounded(kind) and n_max > B:
-        raise BudgetTooLargeError(
-            f"n_max ({n_max}) exceeds sample size B ({B}) for estimator {kind}"
-        )
+        raise ArgumentError("B", f"must be >= 1, got {B}")
+    require_budget(n_max, B, budget_is_bounded(kind), "n_max")
 
 
 def _run_ordered(worker, items, threads: int | None, progress: ProgressFn | None, label: str):
     """Map worker over items, preserving order; optionally in a thread pool."""
     if threads is not None and threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+        raise ArgumentError("threads", f"must be >= 1, got {threads}")
     results = []
     total = len(items)
     if threads is None or threads == 1:
@@ -185,7 +180,7 @@ def probe(
     """
     _check_battery_args(B, n_max, kind)
     if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+        raise ArgumentError("samples", f"must be >= 1, got {num_samples}")
     truth = true_curve(dist, n_max)
 
     def run_budget(n: int) -> int:
@@ -235,7 +230,7 @@ def coverage(
     """
     _check_battery_args(B, n_max, kind)
     if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+        raise ArgumentError("M", f"must be >= 1, got {M}")
     truth = true_curve(dist, n_max)
 
     def run_budget(n: int) -> int:
@@ -296,7 +291,7 @@ def curves(
         raise ValueError("at least one distribution is required")
     _check_battery_args(B, B, kind)
     if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+        raise ArgumentError("samples", f"must be >= 1, got {num_samples}")
     budgets = tuple(range(1, B + 1))
 
     def run_model(item: tuple[int, str]) -> ModelCurves:

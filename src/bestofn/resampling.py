@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import RngStream
-from .estimators import EstimatorKind, ScoreSample, cumweights
+from .estimators import ArgumentError, EstimatorKind, ScoreSample, cumweights
 from .estimators import estimate  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 
@@ -50,9 +50,11 @@ class BootstrapConfig:
 
     def __post_init__(self):
         if self.resamples < 1:
-            raise ValueError(f"resamples must be >= 1, got {self.resamples}")
+            raise ArgumentError("resamples", f"must be >= 1, got {self.resamples}")
         if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
+            raise ArgumentError(
+                "confidence", f"must lie strictly between 0 and 1, got {self.confidence}"
+            )
 
 
 def percentile(values: Sequence[float] | np.ndarray, q: float) -> float:

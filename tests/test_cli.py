@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from bestofn import DiscreteDistribution, save_distribution
+from bestofn import DiscreteDistribution, cli, save_distribution
 from bestofn.cli import DEFAULT_SEED, THREADS_ENV, main
 from bestofn.io_formats import read_report, report_json_text
 
@@ -482,6 +482,61 @@ def test_ks_bound_rows(tmp_path, ten_runs):
 def test_ks_bound_rejects_cdf_outside_unit_interval(ten_runs, capsys):
     assert main(["ks-bound", "--runs", ten_runs, "--cdf-at-max", "1.2"]) == 2
     assert "--cdf-at-max" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Usage errors name their flag
+# ---------------------------------------------------------------------------
+
+
+BAD_FLAGS = [
+    (["curve", "--runs", "RUNS", "--n-max", "0"], "--n-max"),
+    (["probe", "--dist", "DIST", "--n-max", "0"], "--n-max"),
+    (["coverage", "--dist", "DIST", "--n-max", "0"], "--n-max"),
+    (["ks-bound", "--runs", "RUNS", "--cdf-at-max", "0.5", "--n-max", "0"], "--n-max"),
+    (["probe", "--dist", "DIST", "--B", "0"], "--B"),
+    (["probe", "--dist", "DIST", "--samples", "0"], "--samples"),
+    (["curves-sim", "--dist", "DIST", "--B", "0"], "--B"),
+    (["coverage", "--dist", "DIST", "--M", "0"], "--M"),
+    (["curve", "--runs", "RUNS", "--resamples", "0"], "--resamples"),
+    (["coverage", "--dist", "DIST", "--resamples", "0"], "--resamples"),
+    (["curve", "--runs", "RUNS", "--confidence", "1.5"], "--confidence"),
+    (["fit", "--runs", "RUNS", "--bins", "1"], "--bins"),
+    (["fit", "--runs", "RUNS", "--bandwidth", "inf"], "--bandwidth"),
+    (["fit", "--runs", "RUNS", "--bandwidth", "wide"], "--bandwidth"),
+    (["fit", "--runs", "RUNS", "--support-lo=-inf"], "--support-lo"),
+    (["fit", "--runs", "RUNS", "--support-hi=inf"], "--support-hi"),
+    (["probe", "--dist", "DIST", "--threads", "0"], "--threads"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_FLAGS,
+                         ids=[" ".join(argv[:1] + argv[3:]) for argv, _ in BAD_FLAGS])
+def test_bad_flag_is_usage_error_naming_it(ten_runs, coin_dist, argv, flag, capsys):
+    argv = [{"RUNS": ten_runs, "DIST": coin_dist}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"bestofn: error: {flag} ")
+
+
+def test_zero_threads_env_is_usage_error(coin_dist, monkeypatch, capsys):
+    monkeypatch.setenv(THREADS_ENV, "0")
+    assert main(["probe", "--dist", coin_dist, "--B", "4", "--samples", "10"]) == 2
+    assert THREADS_ENV in capsys.readouterr().err
+
+
+def test_curve_checks_every_budget_before_computing_any(ten_runs, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "expected_max_curve", lambda *args: calls.append(args))
+    code = main(["curve", "--runs", ten_runs, "--estimator", "meanmax",
+                 "--estimator", "unbiased", "--n-max", "1000000000"])
+    assert code == 2
+    assert calls == []
+    assert "--n-max 1000000000" in capsys.readouterr().err
+
+
+def test_missing_input_is_reported_before_bad_flags(tmp_path, capsys):
+    assert main(["probe", "--dist", str(tmp_path / "nope.json"), "--B", "0"]) == 1
+    assert "nope.json" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

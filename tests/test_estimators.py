@@ -575,3 +575,55 @@ def test_budget_above_sample_size_rejected_for_bounded_kinds():
         meanmax_prefix(sample, 4)
     with pytest.raises(BudgetTooLargeError):
         expected_max_curve(sample, EstimatorKind.UNBIASED_U, 4)
+
+
+def test_argument_checks_name_their_argument():
+    from bestofn import (
+        ArgumentError,
+        BootstrapConfig,
+        DiscreteDistribution,
+        KdeSpec,
+        RngStream,
+        coverage,
+        curves,
+        probe,
+    )
+    from bestofn.estimators import require_budget
+
+    sample = ScoreSample([1.0, 2.0, 3.0])
+    dist = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
+    rng = RngStream(1)
+    boot = BootstrapConfig(rng, resamples=10)
+    cases = [
+        ("n", lambda: require_budget(0, 3, False)),
+        ("n_max", lambda: require_budget(4, 3, True, "n_max")),
+        ("n", lambda: estimate(sample, UNBIASED, 4)),
+        ("n", lambda: cumweights(MEANMAX, 3, 0)),
+        ("n_max", lambda: expected_max_curve(sample, UNBIASED, 4)),
+        ("bandwidth", lambda: KdeSpec(math.inf, 0.0, 1.0)),
+        ("bandwidth", lambda: KdeSpec(math.nan, 0.0, 1.0)),
+        ("bandwidth", lambda: KdeSpec(0.0, 0.0, 1.0)),
+        ("bandwidth", lambda: KdeSpec("wide", 0.0, 1.0)),
+        ("support_lo", lambda: KdeSpec(0.1, -math.inf, 1.0)),
+        ("support_hi", lambda: KdeSpec(0.1, 0.0, math.inf)),
+        ("support_lo", lambda: KdeSpec(0.1, 1.0, 0.0)),
+        ("bins", lambda: KdeSpec(0.1, 0.0, 1.0, bins=1)),
+        ("resamples", lambda: BootstrapConfig(rng, resamples=0)),
+        ("confidence", lambda: BootstrapConfig(rng, confidence=1.5)),
+        ("B", lambda: probe(dist, 0, 1, 5, MEANMAX, rng)),
+        ("samples", lambda: probe(dist, 4, 2, 0, MEANMAX, rng)),
+        ("n_max", lambda: probe(dist, 4, 0, 5, MEANMAX, rng)),
+        ("n_max", lambda: probe(dist, 4, 5, 5, UNBIASED, rng)),
+        ("M", lambda: coverage(dist, 4, 2, 0, boot, MEANMAX, rng)),
+        ("B", lambda: curves({"d": dist}, 0, 5, MEANMAX, rng)),
+        ("samples", lambda: curves({"d": dist}, 4, 0, MEANMAX, rng)),
+        ("threads", lambda: probe(dist, 4, 2, 5, MEANMAX, rng, threads=0)),
+        ("cdf_at_max", lambda: ks_lower_bound(sample, 1.2, 1)),
+    ]
+    for name, call in cases:
+        with pytest.raises(ArgumentError) as info:
+            call()
+        assert info.value.name == name
+        assert str(info.value) == f"{name} {info.value.detail}"
+    assert issubclass(BudgetTooSmallError, ArgumentError)
+    assert issubclass(BudgetTooLargeError, ArgumentError)
