@@ -29,6 +29,7 @@ wall-clock time but never results.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -211,18 +212,18 @@ def cmd_fit(args) -> int:
             f"scores in {args.runs} are constant; Scott's rule gives bandwidth 0, "
             f"pass an explicit --bandwidth"
         )
-    if args.support_lo is not None:
-        lo = args.support_lo
-    elif preset:
-        lo = preset.support_lo
+    if preset:
+        lo, hi = preset.support_lo, preset.support_hi
     else:
-        lo = sample.min - 3.0 * h
-    if args.support_hi is not None:
-        hi = args.support_hi
-    elif preset:
-        hi = preset.support_hi
-    else:
-        hi = sample.max + 3.0 * h
+        lo, hi = sample.min - 3.0 * h, sample.max + 3.0 * h
+        if math.isfinite(h) and not (math.isfinite(lo) and math.isfinite(hi)):
+            if args.support_lo is None or args.support_hi is None:
+                raise ArgumentError(
+                    "bandwidth", f"{h!r} puts the default support, 3 bandwidths beyond the "
+                    "scores, past the float range; pass --support-lo and --support-hi"
+                )
+    lo = lo if args.support_lo is None else args.support_lo
+    hi = hi if args.support_hi is None else args.support_hi
 
     dist = fit_kde(sample, KdeSpec(bandwidth=bandwidth, support_lo=lo, support_hi=hi, bins=bins))
     if args.output is not None:

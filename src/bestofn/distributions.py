@@ -255,17 +255,22 @@ def mc_expected_max(dist: DiscreteDistribution, n: int, iterations: int, rng: Rn
     return total / iterations
 
 
+def draw_rows(dist: DiscreteDistribution, count: int, streams: Sequence[RngStream]) -> np.ndarray:
+    """Draw ``count`` i.i.d. scores per stream by inverse-CDF lookup, one row
+    per stream in draw order: shape (len(streams), count)."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    u = np.stack([rng.generator().random(count) for rng in streams])
+    return dist.support[np.searchsorted(dist.cumulative, u, side="left")]
+
+
 def draw_sample(dist: DiscreteDistribution, count: int, rng: RngStream) -> ScoreSample:
     """Draw ``count`` i.i.d. scores by inverse-CDF lookup.
 
     The draw order becomes the sample's ingestion order, so prefix-estimator
     semantics are well defined on simulated samples.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    u = rng.generator().random(count)
-    idx = np.searchsorted(dist.cumulative, u, side="left")
-    return ScoreSample(dist.support[idx])
+    return ScoreSample(draw_rows(dist, count, [rng])[0])
 
 
 def save_distribution(dist: DiscreteDistribution, path: str | Path) -> None:

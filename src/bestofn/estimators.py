@@ -8,10 +8,10 @@ for n > 1) and the subset-average estimator (a U-statistic, exactly
 unbiased for n <= B).
 
 Both are evaluated in one form, the sample maximum minus the sorted gaps
-weighted by partial weight sums c_j(n). A single budget builds its row of
-c_j in O(B) (:func:`cumweights`); a full curve walks n by exact ratio
-recurrences, a bounded block of rows at a time, so memory stays O(B) for
-any number of budgets (:func:`expected_max_curve`).
+weighted by partial weight sums c_j(n), on a stack of samples at a time. A
+single budget builds its row of c_j in O(B) (:func:`estimate_rows`); a full
+curve walks n by exact ratio recurrences, a bounded block of rows at a time,
+so memory stays O(B) per sample for any number of budgets (:func:`curve_rows`).
 """
 from __future__ import annotations
 
@@ -178,7 +178,7 @@ def require_budget(n: int, size: int, bounded: bool, name: str = "n") -> None:
 
 def cumweights(kind: EstimatorKind, size: int, n: int) -> np.ndarray:
     """Budget-n partial weight sums c_1..c_{B-1} of a size-B sample (c_B = 1
-    omitted), the weights :func:`_tail_weighted` applies to the sorted gaps.
+    omitted), the weights :func:`estimate_rows` applies to the sorted gaps.
 
     The plug-in estimator has c_j = (j/B)^n. The unbiased one has the subset
     count ratio c_j = C(j, n) / C(B, n), built downward from c_B = 1 by
@@ -198,17 +198,21 @@ def cumweights(kind: EstimatorKind, size: int, n: int) -> np.ndarray:
     return np.cumprod(ratios)[::-1]
 
 
-def _tail_weighted(sorted_values: np.ndarray, cum: np.ndarray) -> float:
-    """Evaluate max - sum_j c_j * (V_(j+1) - V_(j)) over the sorted values.
+def estimate_rows(draws: np.ndarray, kind: EstimatorKind, n: int) -> np.ndarray:
+    """Budget-n estimates of score rows in ingestion order, (..., B) -> (...).
 
-    Summation by parts of the weighted order-statistic sum. This form is
-    exact on constant samples (every gap is zero, so the result is the
-    sample value itself), collapses ties for free, and makes the dominance
-    of the unbiased estimator hold exactly in floating point, because the
-    two estimators then differ by a sum of non-negative products. A single
-    value has no gaps, and the empty sum leaves its maximum.
+    Each row is max - sum_j c_j * (V_(j+1) - V_(j)) over its sorted values
+    (the prefix estimator sorts only its first n): summation by parts of the
+    weighted order-statistic sum. This form is exact on constant rows,
+    collapses ties for free, and makes the dominance of the unbiased
+    estimator hold exactly in floating point, because the two estimators
+    then differ by a sum of non-negative products. A single value has no
+    gaps, and the empty sum leaves its maximum. Each row's sum is a dot
+    product of its own, so its bits do not depend on the stack's height.
     """
-    return float(sorted_values[-1] - cum @ (sorted_values[1:] - sorted_values[:-1]))
+    cum = cumweights(kind, draws.shape[-1], n)
+    rows = np.sort(draws[..., :n] if kind is EstimatorKind.MEANMAX_PREFIX else draws, axis=-1)
+    return rows[..., -1] - np.vecdot(np.diff(rows, axis=-1), cum)
 
 
 def meanmax_v(sample: ScoreSample, n: int) -> float:
@@ -218,33 +222,23 @@ def meanmax_v(sample: ScoreSample, n: int) -> float:
     differences telescope across tied values, so ties need no special
     handling. Defined for any n >= 1, including n > B.
     """
-    cum = cumweights(EstimatorKind.MEANMAX_V, sample.size, n)
-    return _tail_weighted(sample.sorted_values, cum)
+    return estimate(sample, EstimatorKind.MEANMAX_V, n)
 
 
 def unbiased_u(sample: ScoreSample, n: int) -> float:
     """Unbiased estimate: the average maximum over all C(B, n) subsets."""
-    cum = cumweights(EstimatorKind.UNBIASED_U, sample.size, n)
-    return _tail_weighted(sample.sorted_values, cum)
+    return estimate(sample, EstimatorKind.UNBIASED_U, n)
 
 
 def meanmax_prefix(sample: ScoreSample, n: int) -> float:
     """Plug-in estimate computed from only the first n scores, in ingestion
     order. Much noisier than :func:`meanmax_v`, which uses all B scores."""
-    cum = cumweights(EstimatorKind.MEANMAX_PREFIX, sample.size, n)
-    return _tail_weighted(np.sort(sample.ingested_values[:n]), cum)
-
-
-_ESTIMATORS: dict[EstimatorKind, Callable[[ScoreSample, int], float]] = {
-    EstimatorKind.MEANMAX_V: meanmax_v,
-    EstimatorKind.MEANMAX_PREFIX: meanmax_prefix,
-    EstimatorKind.UNBIASED_U: unbiased_u,
-}
+    return estimate(sample, EstimatorKind.MEANMAX_PREFIX, n)
 
 
 def estimate(sample: ScoreSample, kind: EstimatorKind, n: int) -> float:
     """Evaluate the selected estimator at budget n."""
-    return _ESTIMATORS[kind](sample, n)
+    return float(estimate_rows(sample.ingested_values, kind, n))
 
 
 def budget_is_bounded(kind: EstimatorKind) -> bool:
@@ -308,28 +302,34 @@ def ks_lower_bound(sample: ScoreSample, true_cdf_at_sample_max: float, n: int = 
     return 1.0 - true_cdf_at_sample_max**n
 
 
-_BLOCK_VALUES = 1 << 20
+_BLOCK_VALUES = 1 << 16
 
 
-def _curve_estimates(sorted_values: np.ndarray, kind: EstimatorKind, n_max: int) -> np.ndarray:
-    """Budget-n estimates for n = 1..n_max, walking n by exact ratios.
+def curve_rows(draws: np.ndarray, kind: EstimatorKind, n_max: int) -> np.ndarray:
+    """Budget 1..n_max estimates of score rows in ingestion order, (..., B) -> (..., n_max).
 
-    Row n of partial weight sums is row n-1 times c_j(n)/c_j(n-1): j/B for
-    the plug-in estimator and (j-n+1)/(B-n+1) for the unbiased one. Both
-    start from the shared row j/B at n = 1, every unbiased ratio is at most
-    the plug-in one, and no ratio exceeds 1, so equality at n = 1, dominance
-    and monotone curves hold exactly in floating point: the per-row sums
-    below add their non-negative products in the same order for every row.
-    Rows are built a block of about _BLOCK_VALUES floats at a time, each
-    block's first row continuing from the previous block's last, so memory
-    stays O(B) for any n_max and results do not depend on the block size.
+    The prefix estimator stacks :func:`estimate_rows` over n. The others
+    walk n by exact ratios: row n of partial weight sums is row n-1 times
+    c_j(n)/c_j(n-1), j/B for the plug-in estimator and (j-n+1)/(B-n+1) for
+    the unbiased one. Both start from the shared row j/B at n = 1, every
+    unbiased ratio is at most the plug-in one, and no ratio exceeds 1, so
+    equality at n = 1, dominance and monotone curves hold exactly in
+    floating point: each score row sums its non-negative products in the
+    same order for every budget and any stack height. About _BLOCK_VALUES
+    products are alive at a time, each block of weight rows continuing from
+    the previous block's last, so memory stays O(B) per score row for any
+    n_max and results do not depend on the block size.
     """
-    size = sorted_values.size
-    gaps = np.diff(sorted_values)
+    size = draws.shape[-1]
+    require_budget(n_max, size, budget_is_bounded(kind), "n_max")
+    if kind is EstimatorKind.MEANMAX_PREFIX:
+        return np.stack([estimate_rows(draws, kind, n) for n in range(1, n_max + 1)], axis=-1)
+    ordered = np.sort(draws, axis=-1)
+    gaps = np.diff(ordered, axis=-1)[..., None, :]
     j = np.arange(1, size, dtype=float)
-    rows_per_block = max(1, _BLOCK_VALUES // max(1, size - 1))
+    rows_per_block = max(1, _BLOCK_VALUES // max(1, gaps.size))
     last = 1.0
-    out = np.empty(n_max)
+    out = np.empty(draws.shape[:-1] + (n_max,))
     for start in range(0, n_max, rows_per_block):
         stop = min(start + rows_per_block, n_max)
         if kind is EstimatorKind.UNBIASED_U:
@@ -340,24 +340,18 @@ def _curve_estimates(sorted_values: np.ndarray, kind: EstimatorKind, n_max: int)
         block[0] *= last
         np.cumprod(block, axis=0, out=block)
         last = block[-1].copy()
-        block *= gaps
-        out[start:stop] = sorted_values[-1] - block.sum(axis=1)
+        out[..., start:stop] = ordered[..., -1:] - (gaps * block).sum(axis=-1)
     return out
 
 
 def expected_max_curve(sample: ScoreSample, kind: EstimatorKind, n_max: int) -> ExpectedMaxCurve:
     """Expected-maximum estimates for every budget n = 1..n_max.
 
-    The plug-in and unbiased curves walk n by a ratio recurrence in O(B)
-    memory for any n_max (see :func:`_curve_estimates`); each point agrees
-    with :func:`estimate` at its budget to rounding. The prefix curve is
-    evaluated budget by budget. Confidence intervals are not attached here; see
+    Evaluated by :func:`curve_rows` in O(B) memory for any n_max; each point
+    agrees with :func:`estimate` at its budget to rounding. Confidence
+    intervals are not attached here; see
     :func:`bestofn.resampling.percentile_bootstrap_ci`.
     """
-    require_budget(n_max, sample.size, budget_is_bounded(kind), "n_max")
-    if kind is EstimatorKind.MEANMAX_PREFIX:
-        values = [meanmax_prefix(sample, n) for n in range(1, n_max + 1)]
-    else:
-        values = _curve_estimates(sample.sorted_values, kind, n_max)
+    values = curve_rows(sample.ingested_values, kind, n_max)
     points = tuple(CurvePoint(n=i + 1, estimate=float(v)) for i, v in enumerate(values))
     return ExpectedMaxCurve(points=points, estimator=kind, sample_size=sample.size)

@@ -3,8 +3,9 @@
 Every battery is deterministic given its RngStream and is safe to parallelize:
 the randomness for sample i of budget n comes from ``rng.child(n, i)`` (and
 the bootstrap for that sample from ``boot.rng.child(n, i)``), so the result is
-identical whether the work runs on one thread or many. Reports are assembled
-in budget order regardless of completion order.
+identical whether the work runs on one thread or many. probe and curves draw
+and evaluate a fixed-size chunk of a budget's samples per kernel call. Reports
+are assembled in budget order regardless of completion order.
 """
 from __future__ import annotations
 
@@ -14,18 +15,23 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, RngStream, draw_sample, true_curve
+from .distributions import DiscreteDistribution, RngStream, draw_rows, draw_sample, true_curve
 from .estimators import (
     ArgumentError,
     EstimatorKind,
     budget_is_bounded,
-    estimate,
-    expected_max_curve,
+    curve_rows,
+    estimate_rows,
     require_budget,
 )
+from .estimators import estimate, expected_max_curve  # noqa: F401  (perfbench wraps them here)
 from .resampling import BootstrapConfig, Interval, clopper_pearson, percentile_bootstrap_ci
 
 _PROPORTION_CI_CONFIDENCE = 0.95
+
+# probe and curves draw and evaluate about this many score values per kernel
+# call, so memory does not grow with the sample count; results do not depend on it.
+_SAMPLE_CHUNK_VALUES = 1 << 10
 
 ProgressFn = Callable[[str], None]
 
@@ -173,23 +179,24 @@ def probe(
     """Proportion of samples whose estimate falls strictly below the truth.
 
     For each budget n in 1..n_max, draws ``num_samples`` independent size-B
-    samples from ``dist``, evaluates the estimator, and counts strict
-    underestimates against the exact expected maximum. Ties count as neither
-    under- nor over-estimate. Each row carries a Clopper-Pearson 95% interval
-    for the proportion.
+    samples from ``dist``, sample i from ``rng.child(n, i)``, evaluates the
+    estimator on each chunk of samples in one call of :func:`estimate_rows`,
+    and counts strict underestimates against the exact expected maximum.
+    Ties count as neither under- nor over-estimate. Each row carries a
+    Clopper-Pearson 95% interval for the proportion.
     """
     _check_battery_args(B, n_max, kind)
     if num_samples < 1:
         raise ArgumentError("samples", f"must be >= 1, got {num_samples}")
     truth = true_curve(dist, n_max)
+    per_chunk = max(1, _SAMPLE_CHUNK_VALUES // B)
 
     def run_budget(n: int) -> int:
-        theta = truth[n - 1]
         count = 0
-        for i in range(num_samples):
-            sample = draw_sample(dist, B, rng.child(n, i))
-            if estimate(sample, kind, n) < theta:
-                count += 1
+        for start in range(0, num_samples, per_chunk):
+            streams = [rng.child(n, i) for i in range(start, min(start + per_chunk, num_samples))]
+            estimates = estimate_rows(draw_rows(dist, B, streams), kind, n)
+            count += int(np.count_nonzero(estimates < truth[n - 1]))
         return count
 
     budgets = list(range(1, n_max + 1))
@@ -282,10 +289,10 @@ def curves(
     """Average estimated budget-quality curves against exact true curves.
 
     For each named distribution, draws ``num_samples`` size-B samples,
-    computes the full estimated curve on each (budgets 1..B), and averages
-    pointwise; the per-budget standard error of that average is recorded.
-    Sample i of the m-th distribution (in mapping order) draws from
-    ``rng.child(m, i)``.
+    computes the full estimated curve on each (budgets 1..B), a chunk of
+    samples per call of :func:`curve_rows`, and averages pointwise; the
+    per-budget standard error of that average is recorded. Sample i of the
+    m-th distribution (in mapping order) draws from ``rng.child(m, i)``.
     """
     if not dists:
         raise ValueError("at least one distribution is required")
@@ -293,14 +300,16 @@ def curves(
     if num_samples < 1:
         raise ArgumentError("samples", f"must be >= 1, got {num_samples}")
     budgets = tuple(range(1, B + 1))
+    per_chunk = max(1, _SAMPLE_CHUNK_VALUES // B)
 
     def run_model(item: tuple[int, str]) -> ModelCurves:
         m, name = item
         dist = dists[name]
         estimates = np.empty((num_samples, B), dtype=float)
-        for i in range(num_samples):
-            sample = draw_sample(dist, B, rng.child(m, i))
-            estimates[i] = expected_max_curve(sample, kind, B).estimates
+        for start in range(0, num_samples, per_chunk):
+            stop = min(start + per_chunk, num_samples)
+            streams = [rng.child(m, i) for i in range(start, stop)]
+            estimates[start:stop] = curve_rows(draw_rows(dist, B, streams), kind, B)
         averaged = estimates.mean(axis=0)
         if num_samples > 1:
             stderr = estimates.std(axis=0, ddof=1) / np.sqrt(num_samples)

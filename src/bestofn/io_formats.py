@@ -67,26 +67,16 @@ class EmptyRunsError(RunsFileError):
     """A runs file with no data rows."""
 
 
-@dataclass(frozen=True)
-class RunsFile:
-    """Parsed runs CSV: scores in file order, with optional run identifiers."""
+def read_runs(path) -> ScoreSample:
+    """Read a runs CSV into a ScoreSample; file order becomes ingestion order.
 
-    path: str
-    scores: tuple[float, ...]
-    run_ids: tuple[str, ...] | None
-
-
-def parse_runs(path) -> RunsFile:
-    """Parse a runs CSV into scores (file order) and optional run ids.
-
-    The file holds one score per row, optionally followed by a run id cell.
-    A header row is auto-detected: if the first cell of row 1 does not parse
-    as a number, row 1 is treated as a header. Blank lines are skipped.
+    The file holds one score per row, optionally followed by a run id cell,
+    which is ignored. A header row is auto-detected: if the first cell of
+    row 1 does not parse as a number, row 1 is treated as a header. Blank
+    lines are skipped.
     """
     text = Path(path).read_text(encoding="utf-8")
     scores: list[float] = []
-    run_ids: list[str] = []
-    saw_id = False
     first_data_row = True
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -110,23 +100,9 @@ def parse_runs(path) -> RunsFile:
         if not math.isfinite(value):
             raise NonFiniteScoreError(path, lineno, cells[0])
         scores.append(value)
-        if len(cells) == 2:
-            saw_id = True
-            run_ids.append(cells[1])
-        else:
-            run_ids.append(str(len(scores) - 1))
     if not scores:
         raise EmptyRunsError(f"{path}: no data rows")
-    return RunsFile(
-        path=str(path),
-        scores=tuple(scores),
-        run_ids=tuple(run_ids) if saw_id else None,
-    )
-
-
-def read_runs(path) -> ScoreSample:
-    """Read a runs CSV into a ScoreSample; file order becomes ingestion order."""
-    return ScoreSample(parse_runs(path).scores)
+    return ScoreSample(scores)
 
 
 def write_runs(sample: ScoreSample, path) -> None:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import RngStream
-from .estimators import ArgumentError, EstimatorKind, ScoreSample, cumweights
+from .estimators import ArgumentError, EstimatorKind, ScoreSample, estimate_rows
 from .estimators import estimate  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 
@@ -87,21 +87,13 @@ def _resample_statistics(
     module constant, so chunking never changes the draw sequence.
     """
     size = sample.size
-    values = sample.sorted_values
-    cum = cumweights(kind, size, n)
     gen = config.rng.generator()
     out = np.empty(config.resamples, dtype=float)
     rows_per_chunk = max(1, _BOOT_CHUNK_VALUES // size)
-    done = 0
-    while done < config.resamples:
-        rows = min(rows_per_chunk, config.resamples - done)
-        idx = gen.integers(0, size, size=(rows, size))
-        draws = values[idx]
-        if kind is EstimatorKind.MEANMAX_PREFIX:
-            draws = draws[:, :n]
-        draws.sort(axis=1)
-        out[done : done + rows] = draws[:, -1] - np.diff(draws, axis=1) @ cum
-        done += rows
+    for start in range(0, config.resamples, rows_per_chunk):
+        rows = min(rows_per_chunk, config.resamples - start)
+        draws = sample.sorted_values[gen.integers(0, size, size=(rows, size))]
+        out[start : start + rows] = estimate_rows(draws, kind, n)
     return out
 
 

@@ -1,8 +1,10 @@
 """End-to-end CLI tests driving ``bestofn.cli.main`` in process."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,14 @@ def write_dist(tmp_path, support, mass, name):
 def load_payload(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)["payload"]
+
+
+def child_env():
+    """Environment for a child interpreter that imports the bestofn under test,
+    whether or not it is installed."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 @pytest.fixture
@@ -504,6 +514,7 @@ BAD_FLAGS = [
     (["fit", "--runs", "RUNS", "--bins", "1"], "--bins"),
     (["fit", "--runs", "RUNS", "--bandwidth", "inf"], "--bandwidth"),
     (["fit", "--runs", "RUNS", "--bandwidth", "wide"], "--bandwidth"),
+    (["fit", "--runs", "RUNS", "--bandwidth", "1e308"], "--bandwidth"),
     (["fit", "--runs", "RUNS", "--support-lo=-inf"], "--support-lo"),
     (["fit", "--runs", "RUNS", "--support-hi=inf"], "--support-hi"),
     (["probe", "--dist", "DIST", "--threads", "0"], "--threads"),
@@ -579,7 +590,9 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         "import sys, bestofn.cli; print('scipy.stats' in sys.modules); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
     assert result.returncode == 0, result.stderr
     stats_loaded, scipy_modules = result.stdout.split("\n")[:2]
     assert stats_loaded == "False"
@@ -590,7 +603,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "bestofn", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert result.returncode == 0
     assert "curves-sim" in result.stdout

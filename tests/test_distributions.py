@@ -31,6 +31,7 @@ from bestofn import (
     scott_bandwidth,
     true_curve,
 )
+from bestofn.distributions import draw_rows
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +273,17 @@ def test_draw_preserves_draw_order(uniform_123):
     # astronomically unlikely; ingestion order must reflect draw order.
     assert not np.array_equal(sample.ingested_values, sample.sorted_values)
     assert np.array_equal(np.sort(sample.ingested_values), sample.sorted_values)
+
+
+def test_draw_rows_stack_the_per_stream_samples(uniform_123):
+    streams = [RngStream(12, 0).child(n, i) for n in (1, 2) for i in range(3)]
+    rows = draw_rows(uniform_123, 40, streams)
+    assert rows.shape == (6, 40)
+    for row, rng in zip(rows, streams):
+        assert np.array_equal(row, draw_sample(uniform_123, 40, rng).ingested_values)
+        u = rng.generator().random(40)
+        inverse_cdf = uniform_123.support[np.searchsorted(uniform_123.cumulative, u)]
+        assert np.array_equal(row, inverse_cdf)
 
 
 def test_draw_frequencies_chi_square():

@@ -40,7 +40,7 @@ from bestofn import (
     meanmax_v,
     unbiased_u,
 )
-from bestofn.estimators import cumweights
+from bestofn.estimators import cumweights, curve_rows, estimate_rows
 
 MEANMAX = EstimatorKind.MEANMAX_V
 UNBIASED = EstimatorKind.UNBIASED_U
@@ -341,6 +341,50 @@ def test_estimator_invariants_hold_exactly(values):
         assert lo <= v <= u <= hi
         assert abs(v - curves[MEANMAX][n - 1]) <= tol
         assert abs(u - curves[UNBIASED][n - 1]) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Stacked kernels
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_estimate_rows_match_single_estimates(kind):
+    # Each row is its own dot product, so a stack of any height gives the
+    # single-sample bits.
+    rows = np.random.default_rng(31).normal(size=(7, 23))
+    for n in (1, 2, 9, 23):
+        stacked = estimate_rows(rows, kind, n)
+        single = [estimate(ScoreSample(row), kind, n) for row in rows]
+        assert stacked.shape == (7,)
+        assert np.array_equal(stacked, single)
+
+
+@pytest.mark.parametrize("kind", [MEANMAX, UNBIASED])
+def test_curve_rows_stack_matches_single_curves_exactly(kind):
+    rows = np.random.default_rng(32).normal(size=(2, 3, 17))
+    stacked = curve_rows(rows, kind, 17)
+    assert stacked.shape == (2, 3, 17)
+    for index in np.ndindex(2, 3):
+        single = expected_max_curve(ScoreSample(rows[index]), kind, 17).estimates
+        assert np.array_equal(stacked[index], single)
+
+
+def test_prefix_curve_rows_follow_ingestion_order():
+    rows = np.random.default_rng(33).normal(size=(4, 9))
+    stacked = curve_rows(rows, EstimatorKind.MEANMAX_PREFIX, 9)
+    for row, curve in zip(rows, stacked):
+        want = [meanmax_prefix(ScoreSample(row), n) for n in range(1, 10)]
+        assert np.array_equal(curve, want)
+
+
+def test_stacked_kernels_check_their_budget():
+    rows = np.zeros((3, 5))
+    with pytest.raises(BudgetTooLargeError) as err:
+        curve_rows(rows, UNBIASED, 6)
+    assert err.value.name == "n_max"
+    with pytest.raises(BudgetTooSmallError):
+        estimate_rows(rows, EstimatorKind.MEANMAX_PREFIX, 0)
 
 
 # ---------------------------------------------------------------------------

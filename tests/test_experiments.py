@@ -6,8 +6,12 @@ The underestimate probabilities for the two-point coin distribution are
 computed exactly by enumerating the binomial count of ones.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import binom
 
@@ -22,12 +26,18 @@ from bestofn import (
     clopper_pearson,
     coverage,
     curves,
+    draw_sample,
     estimate,
     exact_expected_max,
+    expected_max_curve,
     failure_scan,
+    make_envelope,
     probe,
+    true_curve,
 )
+from bestofn import experiments
 from bestofn.experiments import CurveReport, ModelCurves
+from bestofn.io_formats import report_json_text
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +272,88 @@ def test_curves_validation(ten):
         curves({}, 4, 5, EstimatorKind.MEANMAX_V, RngStream(1))
     with pytest.raises(ValueError):
         curves({"ten": ten}, 4, 0, EstimatorKind.MEANMAX_V, RngStream(1))
+
+
+# ---------------------------------------------------------------------------
+# Stacked evaluation and thread-count independence
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_probe_counts_match_a_per_sample_loop(ten, kind):
+    # On the ten-point lattice the mean of B = 10 draws often equals the
+    # truth at n = 1 exactly, so a count is only right if every estimate
+    # rounds as the single-sample estimate does.
+    rng = RngStream(61, 3)
+    rep = probe(ten, 10, 10, 150, kind, rng)
+    truth = true_curve(ten, 10)
+    for row in rep.rows:
+        want = sum(
+            estimate(draw_sample(ten, 10, rng.child(row.n, i)), kind, row.n) < truth[row.n - 1]
+            for i in range(150)
+        )
+        assert row.underestimates == want
+
+
+@pytest.mark.parametrize("kind", [EstimatorKind.MEANMAX_V, EstimatorKind.UNBIASED_U])
+def test_curves_match_per_sample_curves_bit_for_bit(ten, coin, kind):
+    rng = RngStream(62, 1)
+    rep = curves({"ten": ten, "coin": coin}, 9, 130, kind, rng)
+    for m, (model, dist) in enumerate(zip(rep.models, (ten, coin))):
+        estimates = np.array([
+            expected_max_curve(draw_sample(dist, 9, rng.child(m, i)), kind, 9).estimates
+            for i in range(130)
+        ])
+        assert model.averaged == tuple(estimates.mean(axis=0).tolist())
+        assert model.stderr == tuple((estimates.std(axis=0, ddof=1) / np.sqrt(130)).tolist())
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 30])
+def test_reports_do_not_depend_on_the_sample_chunk(ten, coin, chunk, monkeypatch):
+    def run_all():
+        probes = [probe(ten, 10, 10, 120, kind, RngStream(63)) for kind in EstimatorKind]
+        curve_reports = [
+            curves({"ten": ten, "coin": coin}, 10, 120, kind, RngStream(64))
+            for kind in (EstimatorKind.MEANMAX_V, EstimatorKind.UNBIASED_U)
+        ]
+        return probes, curve_reports
+
+    default = run_all()
+    monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_VALUES", chunk)
+    assert run_all() == default
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(lambda B: st.tuples(st.just(B), st.integers(1, B))),
+    st.integers(1, 40),
+    st.sampled_from(list(EstimatorKind)),
+    st.integers(0, 2**32),
+)
+def test_batteries_do_not_depend_on_the_thread_count(sizes, samples, kind, seed):
+    B, n_max = sizes
+    ten = DiscreteDistribution(np.arange(1.0, 11.0), np.full(10, 0.1))
+    coin = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
+    boot = BootstrapConfig(RngStream(seed, 1), resamples=16, confidence=0.9)
+    batteries = {
+        "probe": lambda threads: probe(
+            ten, B, n_max, samples, kind, RngStream(seed), threads=threads
+        ),
+        "coverage": lambda threads: coverage(
+            ten, B, n_max, samples, boot, kind, RngStream(seed), threads=threads
+        ),
+        "curves": lambda threads: curves(
+            {"ten": ten, "coin": coin}, B, samples, kind, RngStream(seed), threads=threads
+        ),
+    }
+    for payload_kind, run in batteries.items():
+        reports = [run(None), run(3)]
+        assert reports[0] == reports[1]
+        texts = [
+            report_json_text(replace(make_envelope(payload_kind, r, {"seed": seed}), created=""))
+            for r in reports
+        ]
+        assert texts[0] == texts[1]
 
 
 # ---------------------------------------------------------------------------

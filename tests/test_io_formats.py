@@ -37,7 +37,6 @@ from bestofn.io_formats import (
     RunsFileError,
     canonical_json,
     envelope_to_jsonable,
-    parse_runs,
     report_csv_text,
     report_json_text,
 )
@@ -70,15 +69,9 @@ def test_read_runs_skips_blank_lines(tmp_path):
     assert sample.size == 2
 
 
-def test_parse_runs_preserves_run_ids(tmp_path):
-    parsed = parse_runs(runs_file(tmp_path, "score,run_id\n0.5,trial-a\n0.7,trial-b\n"))
-    assert parsed.scores == (0.5, 0.7)
-    assert parsed.run_ids == ("trial-a", "trial-b")
-
-
-def test_parse_runs_without_ids_has_none(tmp_path):
-    parsed = parse_runs(runs_file(tmp_path, "0.5\n0.7\n"))
-    assert parsed.run_ids is None
+def test_read_runs_ignores_a_run_id_cell(tmp_path):
+    sample = read_runs(runs_file(tmp_path, "score,run_id\n0.5,trial-a\n0.7,trial-b\n"))
+    assert np.array_equal(sample.ingested_values, [0.5, 0.7])
 
 
 def test_read_runs_realistic_row_count(tmp_path):
