@@ -18,10 +18,11 @@ only; standard output carries the report when ``-o`` is omitted.
 
 Randomness layout: sample draws use stream 0 of the root seed and bootstrap
 resampling uses stream 1, so adding CIs never disturbs the simulated samples.
-``curve --ci`` bootstraps the point at budget n of estimator kind e from
-``RngStream(seed, 1).child(e, n)``, where e is fixed per kind (unbiased 0,
-meanmax 1, meanmax-prefix 2), so a curve's CIs do not depend on which other
-estimators are requested or in what order.
+``curve --ci`` draws one resample matrix per estimator kind e, from
+``RngStream(seed, 1).child(e)``, and reads every budget's interval off it, so
+the intervals of one curve share their resamples. e is fixed per kind
+(unbiased 0, meanmax 1, meanmax-prefix 2), so a curve's CIs do not depend on
+which other estimators are requested or in what order.
 Worker threads (``--threads``, default from ``BESTOFN_THREADS``) change
 wall-clock time but never results.
 """
@@ -32,7 +33,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 from .distributions import (
@@ -70,7 +70,8 @@ from .io_formats import (
     report_json_text,
     write_report,
 )
-from .resampling import BootstrapConfig, percentile_bootstrap_ci
+from .resampling import BootstrapConfig, percentile_bootstrap_curve
+from .resampling import percentile_bootstrap_ci  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 DEFAULT_SEED = 1729
 THREADS_ENV = "BESTOFN_THREADS"
@@ -151,9 +152,8 @@ def cmd_curve(args) -> int:
         kind = EstimatorKind.parse(name)
         if kind not in kinds:
             kinds.append(kind)
-    boot = BootstrapConfig(
-        rng=RngStream(args.seed, 1), resamples=args.resamples, confidence=args.confidence
-    )
+    boots = {k: BootstrapConfig(RngStream(args.seed, 1).child(_CI_STREAMS[k]), args.resamples,
+                                args.confidence) for k in kinds}
 
     sample = read_runs(args.runs)
     n_max = args.n_max if args.n_max is not None else sample.size
@@ -170,12 +170,10 @@ def cmd_curve(args) -> int:
     for kind in kinds:
         curve = expected_max_curve(sample, kind, n_max)
         if args.ci:
-            points = []
-            for p in curve.points:
-                point_boot = replace(boot, rng=boot.rng.child(_CI_STREAMS[kind], p.n))
-                ci = percentile_bootstrap_ci(sample, kind, p.n, point_boot)
-                points.append(CurvePoint(n=p.n, estimate=p.estimate, ci=(ci.lo, ci.hi)))
-            curve = ExpectedMaxCurve(points=tuple(points), estimator=kind, sample_size=curve.sample_size)
+            lo, hi = percentile_bootstrap_curve(sample, kind, n_max, boots[kind])
+            points = tuple(map(CurvePoint, range(1, n_max + 1), curve.estimates.tolist(),
+                               zip(lo.tolist(), hi.tolist())))
+            curve = ExpectedMaxCurve(points=points, estimator=kind, sample_size=curve.sample_size)
         payload.append(curve)
 
     config = {
@@ -386,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ci", action="store_true",
                    help="attach percentile-bootstrap CIs to every point (default: off)")
     p.add_argument("--resamples", type=int, default=1000,
-                   help="bootstrap resamples per point when --ci is set (default: 1000)")
+                   help="bootstrap resamples per estimator when --ci is set (default: 1000)")
     p.add_argument("--confidence", type=float, default=0.95,
                    help="bootstrap CI confidence level (default: 0.95)")
     _add_seed_flag(p)

@@ -11,11 +11,12 @@ Both are evaluated in one form, the sample maximum minus the sorted gaps
 weighted by partial weight sums c_j(n), on a stack of samples at a time. A
 single budget builds its row of c_j in O(B) (:func:`estimate_rows`); a full
 curve walks n by exact ratio recurrences, a bounded block of rows at a time,
-so memory stays O(B) per sample for any number of budgets (:func:`curve_rows`).
+so memory stays O(B) per sample for any number of budgets (:func:`curve_blocks`).
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -129,9 +130,19 @@ class EstimatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """One budget of a curve; ``ci``, when present, is (lo, hi)."""
+
     n: int
     estimate: float
     ci: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if not math.isfinite(self.estimate):
+            raise ValueError(f"curve point n={self.n}: estimate must be finite, got {self.estimate}")
+        if self.ci is not None and not (
+            math.isfinite(self.ci[0]) and math.isfinite(self.ci[1]) and self.ci[0] <= self.ci[1]
+        ):
+            raise ValueError(f"curve point n={self.n}: CI must be finite with lo <= hi, got {self.ci}")
 
 
 @dataclass(frozen=True)
@@ -305,31 +316,31 @@ def ks_lower_bound(sample: ScoreSample, true_cdf_at_sample_max: float, n: int = 
 _BLOCK_VALUES = 1 << 16
 
 
-def curve_rows(draws: np.ndarray, kind: EstimatorKind, n_max: int) -> np.ndarray:
-    """Budget 1..n_max estimates of score rows in ingestion order, (..., B) -> (..., n_max).
+def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
+    """Yield ``(start, values)``: estimates of score rows at budgets start+1..start+k, shape
+    (..., k), for consecutive blocks covering 1..n_max. Callers check n_max.
 
-    The prefix estimator stacks :func:`estimate_rows` over n. The others
-    walk n by exact ratios: row n of partial weight sums is row n-1 times
-    c_j(n)/c_j(n-1), j/B for the plug-in estimator and (j-n+1)/(B-n+1) for
-    the unbiased one. Both start from the shared row j/B at n = 1, every
-    unbiased ratio is at most the plug-in one, and no ratio exceeds 1, so
-    equality at n = 1, dominance and monotone curves hold exactly in
-    floating point: each score row sums its non-negative products in the
-    same order for every budget and any stack height. About _BLOCK_VALUES
-    products are alive at a time, each block of weight rows continuing from
-    the previous block's last, so memory stays O(B) per score row for any
-    n_max and results do not depend on the block size.
+    The prefix estimator yields :func:`estimate_rows` one budget at a time.
+    The others walk n by exact ratios: row n of partial weight sums is row
+    n-1 times c_j(n)/c_j(n-1), j/B for the plug-in estimator and
+    (j-n+1)/(B-n+1) for the unbiased one. Both start from the shared row j/B
+    at n = 1, every unbiased ratio is at most the plug-in one, and no ratio
+    exceeds 1, so equality at n = 1, dominance and monotone curves hold
+    exactly in floating point: each score row sums its non-negative products
+    in the same order for every budget and any stack height. About
+    _BLOCK_VALUES products are alive at a time, each block of weight rows
+    continuing from the previous block's last, so memory stays O(B) per
+    score row for any n_max and results do not depend on the block size.
     """
-    size = draws.shape[-1]
-    require_budget(n_max, size, budget_is_bounded(kind), "n_max")
     if kind is EstimatorKind.MEANMAX_PREFIX:
-        return np.stack([estimate_rows(draws, kind, n) for n in range(1, n_max + 1)], axis=-1)
-    ordered = np.sort(draws, axis=-1)
-    gaps = np.diff(ordered, axis=-1)[..., None, :]
+        yield from ((n - 1, estimate_rows(draws, kind, n)[..., None]) for n in range(1, n_max + 1))
+        return
+    size = draws.shape[-1]
+    top = draws.max(axis=-1, keepdims=True)
+    gaps = np.diff(np.sort(draws, axis=-1), axis=-1)[..., None, :]  # keeps no sorted copy
     j = np.arange(1, size, dtype=float)
     rows_per_block = max(1, _BLOCK_VALUES // max(1, gaps.size))
     last = 1.0
-    out = np.empty(draws.shape[:-1] + (n_max,))
     for start in range(0, n_max, rows_per_block):
         stop = min(start + rows_per_block, n_max)
         if kind is EstimatorKind.UNBIASED_U:
@@ -340,7 +351,15 @@ def curve_rows(draws: np.ndarray, kind: EstimatorKind, n_max: int) -> np.ndarray
         block[0] *= last
         np.cumprod(block, axis=0, out=block)
         last = block[-1].copy()
-        out[..., start:stop] = ordered[..., -1:] - (gaps * block).sum(axis=-1)
+        yield start, top - (gaps * block).sum(axis=-1)
+
+
+def curve_rows(draws: np.ndarray, kind: EstimatorKind, n_max: int) -> np.ndarray:
+    """Budget 1..n_max estimates of score rows, (..., B) -> (..., n_max), by :func:`curve_blocks`."""
+    require_budget(n_max, draws.shape[-1], budget_is_bounded(kind), "n_max")
+    out = np.empty(draws.shape[:-1] + (n_max,))
+    for start, values in curve_blocks(draws, kind, n_max):
+        out[..., start : start + values.shape[-1]] = values
     return out
 
 
@@ -350,7 +369,7 @@ def expected_max_curve(sample: ScoreSample, kind: EstimatorKind, n_max: int) -> 
     Evaluated by :func:`curve_rows` in O(B) memory for any n_max; each point
     agrees with :func:`estimate` at its budget to rounding. Confidence
     intervals are not attached here; see
-    :func:`bestofn.resampling.percentile_bootstrap_ci`.
+    :func:`bestofn.resampling.percentile_bootstrap_curve`.
     """
     values = curve_rows(sample.ingested_values, kind, n_max)
     points = tuple(CurvePoint(n=i + 1, estimate=float(v)) for i, v in enumerate(values))

@@ -3,9 +3,10 @@
 Every battery is deterministic given its RngStream and is safe to parallelize:
 the randomness for sample i of budget n comes from ``rng.child(n, i)`` (and
 the bootstrap for that sample from ``boot.rng.child(n, i)``), so the result is
-identical whether the work runs on one thread or many. probe and curves draw
-and evaluate a fixed-size chunk of a budget's samples per kernel call. Reports
-are assembled in budget order regardless of completion order.
+identical whether the work runs on one thread or many. Every battery draws a
+fixed-size chunk of a budget's samples at a time; probe and curves evaluate
+each chunk in one kernel call. Reports are assembled in budget order
+regardless of completion order.
 """
 from __future__ import annotations
 
@@ -15,10 +16,12 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, RngStream, draw_rows, draw_sample, true_curve
+from .distributions import DiscreteDistribution, RngStream, draw_rows, true_curve
+from .distributions import draw_sample  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .estimators import (
     ArgumentError,
     EstimatorKind,
+    ScoreSample,
     budget_is_bounded,
     curve_rows,
     estimate_rows,
@@ -144,6 +147,15 @@ def _check_battery_args(B: int, n_max: int, kind: EstimatorKind) -> None:
     require_budget(n_max, B, budget_is_bounded(kind), "n_max")
 
 
+def _sample_chunks(dist: DiscreteDistribution, B: int, count: int, rng: RngStream, key: int):
+    """Yield ``(start, rows)``: ``count`` size-B samples, sample i drawn from
+    ``rng.child(key, i)``, about _SAMPLE_CHUNK_VALUES score values at a time."""
+    per_chunk = max(1, _SAMPLE_CHUNK_VALUES // B)
+    for start in range(0, count, per_chunk):
+        streams = [rng.child(key, i) for i in range(start, min(start + per_chunk, count))]
+        yield start, draw_rows(dist, B, streams)
+
+
 def _run_ordered(worker, items, threads: int | None, progress: ProgressFn | None, label: str):
     """Map worker over items, preserving order; optionally in a thread pool."""
     if threads is not None and threads < 1:
@@ -189,15 +201,12 @@ def probe(
     if num_samples < 1:
         raise ArgumentError("samples", f"must be >= 1, got {num_samples}")
     truth = true_curve(dist, n_max)
-    per_chunk = max(1, _SAMPLE_CHUNK_VALUES // B)
 
     def run_budget(n: int) -> int:
-        count = 0
-        for start in range(0, num_samples, per_chunk):
-            streams = [rng.child(n, i) for i in range(start, min(start + per_chunk, num_samples))]
-            estimates = estimate_rows(draw_rows(dist, B, streams), kind, n)
-            count += int(np.count_nonzero(estimates < truth[n - 1]))
-        return count
+        return sum(
+            int(np.count_nonzero(estimate_rows(rows, kind, n) < truth[n - 1]))
+            for _, rows in _sample_chunks(dist, B, num_samples, rng, n)
+        )
 
     budgets = list(range(1, n_max + 1))
     counts = _run_ordered(run_budget, budgets, threads, progress, "probe")
@@ -241,15 +250,14 @@ def coverage(
     truth = true_curve(dist, n_max)
 
     def run_budget(n: int) -> int:
-        theta = truth[n - 1]
         hits = 0
-        for i in range(M):
-            sample = draw_sample(dist, B, rng.child(n, i))
-            ci = percentile_bootstrap_ci(
-                sample, kind, n, replace(boot, rng=boot.rng.child(n, i))
-            )
-            if ci.contains(theta):
-                hits += 1
+        for start, rows in _sample_chunks(dist, B, M, rng, n):
+            for i, row in enumerate(rows, start):
+                ci = percentile_bootstrap_ci(
+                    ScoreSample(row), kind, n, replace(boot, rng=boot.rng.child(n, i))
+                )
+                if ci.contains(truth[n - 1]):
+                    hits += 1
         return hits
 
     budgets = list(range(1, n_max + 1))
@@ -300,16 +308,13 @@ def curves(
     if num_samples < 1:
         raise ArgumentError("samples", f"must be >= 1, got {num_samples}")
     budgets = tuple(range(1, B + 1))
-    per_chunk = max(1, _SAMPLE_CHUNK_VALUES // B)
 
     def run_model(item: tuple[int, str]) -> ModelCurves:
         m, name = item
         dist = dists[name]
         estimates = np.empty((num_samples, B), dtype=float)
-        for start in range(0, num_samples, per_chunk):
-            stop = min(start + per_chunk, num_samples)
-            streams = [rng.child(m, i) for i in range(start, stop)]
-            estimates[start:stop] = curve_rows(draw_rows(dist, B, streams), kind, B)
+        for start, rows in _sample_chunks(dist, B, num_samples, rng, m):
+            estimates[start : start + len(rows)] = curve_rows(rows, kind, B)
         averaged = estimates.mean(axis=0)
         if num_samples > 1:
             stderr = estimates.std(axis=0, ddof=1) / np.sqrt(num_samples)

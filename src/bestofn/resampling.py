@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import RngStream
-from .estimators import ArgumentError, EstimatorKind, ScoreSample, estimate_rows
+from .estimators import ArgumentError, EstimatorKind, ScoreSample, budget_is_bounded
+from .estimators import curve_blocks, estimate_rows, require_budget
 from .estimators import estimate  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 
@@ -72,29 +73,24 @@ def percentile(values: Sequence[float] | np.ndarray, q: float) -> float:
     return float(np.quantile(arr, q, method="linear"))
 
 
-_BOOT_CHUNK_VALUES = 1 << 22
+_BOOT_CHUNK_VALUES = 1 << 15  # resample values per draw: small enough to stay in cache
 
 
-def _resample_statistics(
-    sample: ScoreSample, kind: EstimatorKind, n: int, config: BootstrapConfig
-) -> np.ndarray:
-    """Estimator values over all bootstrap resamples, in draw order.
-
+def _resamples(sample: ScoreSample, config: BootstrapConfig):
+    """Yield ``(start, rows)``: the ``config.resamples`` with-replacement
+    resamples of the full sample size, in draw order, a chunk of rows at a time.
     Resampling indexes the sorted representation of the sample with uniform
     draws, so the result cannot depend on ingestion order for the
     permutation-invariant estimators. For the prefix estimator the resample's
-    own draw order serves as its ingestion order. Chunk size is a fixed
-    module constant, so chunking never changes the draw sequence.
+    own draw order serves as its ingestion order. Philox ``integers`` draws
+    the same stream however a draw is split, so chunking never changes it.
     """
     size = sample.size
     gen = config.rng.generator()
-    out = np.empty(config.resamples, dtype=float)
     rows_per_chunk = max(1, _BOOT_CHUNK_VALUES // size)
     for start in range(0, config.resamples, rows_per_chunk):
         rows = min(rows_per_chunk, config.resamples - start)
-        draws = sample.sorted_values[gen.integers(0, size, size=(rows, size))]
-        out[start : start + rows] = estimate_rows(draws, kind, n)
-    return out
+        yield start, sample.sorted_values[gen.integers(0, size, size=(rows, size))]
 
 
 def percentile_bootstrap_ci(
@@ -107,9 +103,24 @@ def percentile_bootstrap_ci(
     (alpha/2, 1-alpha/2) percentiles where alpha = 1 - confidence.
     Deterministic given ``config.rng``.
     """
-    stats = _resample_statistics(sample, kind, n, config)
+    stats = np.concatenate([estimate_rows(rows, kind, n) for _, rows in _resamples(sample, config)])
     alpha = 1.0 - config.confidence
     return Interval(percentile(stats, alpha / 2.0), percentile(stats, 1.0 - alpha / 2.0))
+
+
+def percentile_bootstrap_curve(
+    sample: ScoreSample, kind: EstimatorKind, n_max: int, config: BootstrapConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`percentile_bootstrap_ci`'s ends (lo, hi), to rounding, at budgets 1..n_max, all
+    read off one set of resamples. Each :func:`~bestofn.estimators.curve_blocks` block is
+    reduced to its two percentiles at once, so resamples x n_max estimates are never held."""
+    require_budget(n_max, sample.size, budget_is_bounded(kind), "n_max")
+    draws = np.concatenate([rows for _, rows in _resamples(sample, config)])
+    q = (1.0 - config.confidence) / 2.0  # alpha / 2
+    ends = np.empty((2, n_max))
+    for start, values in curve_blocks(draws, kind, n_max):
+        ends[:, start : start + values.shape[-1]] = np.quantile(values, (q, 1.0 - q), axis=0)
+    return ends[0], ends[1]
 
 
 def clopper_pearson(successes: int, trials: int, confidence: float) -> Interval:

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bestofn import DiscreteDistribution, cli, save_distribution
+from bestofn import DiscreteDistribution, EstimatorKind, RngStream, cli, percentile, save_distribution
 from bestofn.cli import DEFAULT_SEED, THREADS_ENV, main
+from bestofn.estimators import curve_rows
 from bestofn.io_formats import read_report, report_json_text
 
 
@@ -148,6 +149,26 @@ def test_curve_ci_does_not_depend_on_estimator_order(tmp_path):
     forward, backward = curves
     for kind in kinds:
         assert forward[kind] == backward[kind]
+
+
+@pytest.mark.parametrize("kind, n_max", [("unbiased", 12), ("meanmax-prefix", 12), ("meanmax", 30)])
+def test_curve_ci_reads_every_budget_off_one_resample_matrix(tmp_path, kind, n_max):
+    scores = np.random.default_rng(91).normal(size=12)
+    runs = write_runs(tmp_path, scores)
+    out = tmp_path / "ci.json"
+    assert main(["curve", "--runs", runs, "--estimator", kind, "--n-max", str(n_max), "--ci",
+                 "--resamples", "150", "--confidence", "0.9", "--seed", "77", "-o", str(out)]) == 0
+    stream = {"unbiased": 0, "meanmax": 1, "meanmax-prefix": 2}[kind]
+    gen = RngStream(77, 1).child(stream).generator()
+    estimates = curve_rows(
+        np.sort(scores)[gen.integers(0, 12, size=(150, 12))], EstimatorKind.parse(kind), n_max
+    )
+    alpha = 1.0 - 0.9
+    want = [
+        [percentile(column, alpha / 2.0), percentile(column, 1.0 - alpha / 2.0)]
+        for column in estimates.T
+    ]
+    assert [p["ci"] for p in load_payload(out)["curves"][0]["points"]] == want
 
 
 def test_curve_csv_to_stdout(tmp_path, ten_runs, capsys):
@@ -399,6 +420,23 @@ def test_failure_scan_rejects_non_curves_report(tmp_path, coin_dist, capsys):
                  "--samples", "10", "-o", str(probe_report)]) == 0
     assert main(["failure-scan", "--report", str(probe_report)]) == 2
     assert "curves-sim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", [
+    '{"n": 1, "estimate": 0.5, "ci": [0.9, 0.1]}',
+    '{"n": 1, "estimate": 0.5, "ci": [NaN, 0.9]}',
+    '{"n": 1, "estimate": NaN, "ci": null}',
+])
+def test_impossible_curve_point_is_data_error_naming_the_report(tmp_path, ten_runs, point, capsys):
+    report = tmp_path / "curve.json"
+    assert main(["curve", "--runs", ten_runs, "--n-max", "1", "-o", str(report)]) == 0
+    good = report.read_text(encoding="utf-8")
+    start = good.index('"points":[') + len('"points":[')
+    report.write_text(good[:start] + point + good[good.index("}", start) + 1:], encoding="utf-8")
+    assert main(["failure-scan", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert str(report) in err
+    assert "curve point n=1" in err
 
 
 def test_failure_scan_names_missing_payload_fields(tmp_path, crossing_pair, capsys):

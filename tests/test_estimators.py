@@ -40,7 +40,7 @@ from bestofn import (
     meanmax_v,
     unbiased_u,
 )
-from bestofn.estimators import cumweights, curve_rows, estimate_rows
+from bestofn.estimators import CurvePoint, cumweights, curve_rows, estimate_rows
 
 MEANMAX = EstimatorKind.MEANMAX_V
 UNBIASED = EstimatorKind.UNBIASED_U
@@ -630,6 +630,7 @@ def test_argument_checks_name_their_argument():
         RngStream,
         coverage,
         curves,
+        percentile_bootstrap_curve,
         probe,
     )
     from bestofn.estimators import require_budget
@@ -644,6 +645,9 @@ def test_argument_checks_name_their_argument():
         ("n", lambda: estimate(sample, UNBIASED, 4)),
         ("n", lambda: cumweights(MEANMAX, 3, 0)),
         ("n_max", lambda: expected_max_curve(sample, UNBIASED, 4)),
+        ("n_max", lambda: percentile_bootstrap_curve(sample, UNBIASED, 4, boot)),
+        ("n_max", lambda: percentile_bootstrap_curve(sample, MEANMAX, 0, boot)),
+        ("n_max", lambda: percentile_bootstrap_curve(sample, MEANMAX, -1, boot)),
         ("bandwidth", lambda: KdeSpec(math.inf, 0.0, 1.0)),
         ("bandwidth", lambda: KdeSpec(math.nan, 0.0, 1.0)),
         ("bandwidth", lambda: KdeSpec(0.0, 0.0, 1.0)),
@@ -671,3 +675,19 @@ def test_argument_checks_name_their_argument():
         assert str(info.value) == f"{name} {info.value.detail}"
     assert issubclass(BudgetTooSmallError, ArgumentError)
     assert issubclass(BudgetTooLargeError, ArgumentError)
+
+
+@pytest.mark.parametrize("estimate, ci", [
+    (math.nan, None),
+    (math.inf, (0.0, 1.0)),
+    (0.5, (0.9, 0.1)),
+    (0.5, (math.nan, 0.9)),
+    (0.5, (0.1, math.inf)),
+])
+def test_curve_point_rejects_impossible_values(estimate, ci):
+    with pytest.raises(ValueError, match="curve point n=3"):
+        CurvePoint(3, estimate, ci)
+
+
+def test_curve_point_accepts_degenerate_ci():
+    assert CurvePoint(1, 0.5, (0.5, 0.5)).ci == (0.5, 0.5)

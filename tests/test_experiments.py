@@ -32,10 +32,11 @@ from bestofn import (
     expected_max_curve,
     failure_scan,
     make_envelope,
+    percentile_bootstrap_curve,
     probe,
     true_curve,
 )
-from bestofn import experiments
+from bestofn import experiments, resampling
 from bestofn.experiments import CurveReport, ModelCurves
 from bestofn.io_formats import report_json_text
 
@@ -308,18 +309,27 @@ def test_curves_match_per_sample_curves_bit_for_bit(ten, coin, kind):
         assert model.stderr == tuple((estimates.std(axis=0, ddof=1) / np.sqrt(130)).tolist())
 
 
-@pytest.mark.parametrize("chunk", [1, 1 << 30])
+@pytest.mark.parametrize("chunk", [1, 25, 1 << 30])
 def test_reports_do_not_depend_on_the_sample_chunk(ten, coin, chunk, monkeypatch):
+    sample = draw_sample(ten, 12, RngStream(65))
+    boot = BootstrapConfig(RngStream(66, 1), resamples=40, confidence=0.9)
+
     def run_all():
         probes = [probe(ten, 10, 10, 120, kind, RngStream(63)) for kind in EstimatorKind]
         curve_reports = [
             curves({"ten": ten, "coin": coin}, 10, 120, kind, RngStream(64))
             for kind in (EstimatorKind.MEANMAX_V, EstimatorKind.UNBIASED_U)
         ]
-        return probes, curve_reports
+        coverages = [coverage(ten, 10, 4, 30, boot, kind, RngStream(66)) for kind in EstimatorKind]
+        curve_cis = [
+            [end.tolist() for end in percentile_bootstrap_curve(sample, kind, 12, boot)]
+            for kind in EstimatorKind
+        ]
+        return probes, curve_reports, coverages, curve_cis
 
     default = run_all()
     monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_VALUES", chunk)
+    monkeypatch.setattr(resampling, "_BOOT_CHUNK_VALUES", chunk)
     assert run_all() == default
 
 

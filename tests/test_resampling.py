@@ -7,6 +7,7 @@ feeds each resample through the scalar estimator API one row at a time.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from bestofn import (
     clopper_pearson,
     percentile,
     percentile_bootstrap_ci,
+    percentile_bootstrap_curve,
 )
 
 
@@ -266,6 +268,31 @@ def test_bootstrap_propagates_estimator_errors():
         percentile_bootstrap_ci(
             sample, EstimatorKind.UNBIASED_U, 4, BootstrapConfig(RngStream(1))
         )
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_bootstrap_curve_columns_match_single_budget_intervals(kind):
+    # Same resamples, and curve_blocks agrees with estimate_rows to rounding.
+    sample = ScoreSample(np.random.default_rng(44).normal(size=15))
+    config = BootstrapConfig(RngStream(45, 2), resamples=300, confidence=0.8)
+    lo, hi = percentile_bootstrap_curve(sample, kind, 15, config)
+    for n in range(1, 16):
+        iv = percentile_bootstrap_ci(sample, kind, n, config)
+        assert_allclose([lo[n - 1], hi[n - 1]], [iv.lo, iv.hi], rtol=1e-12)
+    assert (lo <= hi).all()
+
+
+def test_bootstrap_curve_memory_does_not_scale_with_resamples_times_n_max():
+    # 200 resamples x 20000 budgets of estimates would alone take 30.5 MiB.
+    sample = ScoreSample(np.random.default_rng(46).normal(size=50))
+    config = BootstrapConfig(RngStream(47, 1), resamples=200)
+    tracemalloc.start()
+    try:
+        percentile_bootstrap_curve(sample, EstimatorKind.MEANMAX_V, 20000, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_bootstrap_config_validation():
