@@ -23,8 +23,8 @@ resampling uses stream 1, so adding CIs never disturbs the simulated samples.
 the intervals of one curve share their resamples. e is fixed per kind
 (unbiased 0, meanmax 1, meanmax-prefix 2), so a curve's CIs do not depend on
 which other estimators are requested or in what order.
-Worker threads (``--threads``, default from ``BESTOFN_THREADS``) change
-wall-clock time but never results.
+Every battery runs on the calling thread. ``--threads`` (default from
+``BESTOFN_THREADS``) is still accepted and checked, but changes nothing.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ def _add_seed_flag(p: argparse.ArgumentParser) -> None:
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None, metavar="K",
-                   help=f"worker threads; results never depend on this "
-                        f"(default: ${THREADS_ENV} if set, else 1)")
+                   help=f"accepted for compatibility and checked (K >= 1), but ignored: "
+                        f"batteries run on one thread (default: ${THREADS_ENV} if set, else 1)")
 
 
 def cmd_curve(args) -> int:
@@ -236,13 +236,12 @@ def cmd_fit(args) -> int:
 def cmd_probe(args) -> int:
     kind = EstimatorKind.parse(args.estimator)
     n_max = args.n_max if args.n_max is not None else args.B
-    threads = _resolve_threads(args.threads)
 
     dist_id, path = _parse_dist_flag(args.dist)
     dist = load_distribution(path)
     report = run_probe(
         dist, args.B, n_max, args.samples, kind, RngStream(args.seed),
-        threads=threads, dist_id=dist_id, progress=_progress,
+        threads=_resolve_threads(args.threads), dist_id=dist_id, progress=_progress,
     )
     config = {
         "command": "probe",
@@ -260,7 +259,6 @@ def cmd_probe(args) -> int:
 def cmd_coverage(args) -> int:
     kind = EstimatorKind.parse(args.estimator)
     n_max = args.n_max if args.n_max is not None else min(20, args.B)
-    threads = _resolve_threads(args.threads)
 
     dist_id, path = _parse_dist_flag(args.dist)
     dist = load_distribution(path)
@@ -269,7 +267,7 @@ def cmd_coverage(args) -> int:
     )
     report = run_coverage(
         dist, args.B, n_max, args.M, boot, kind, RngStream(args.seed),
-        threads=threads, dist_id=dist_id, progress=_progress,
+        threads=_resolve_threads(args.threads), dist_id=dist_id, progress=_progress,
     )
     config = {
         "command": "coverage",
@@ -288,7 +286,6 @@ def cmd_coverage(args) -> int:
 
 def cmd_curves_sim(args) -> int:
     kind = EstimatorKind.parse(args.estimator)
-    threads = _resolve_threads(args.threads)
 
     named: dict[str, str] = {}
     for raw in args.dist:
@@ -299,7 +296,7 @@ def cmd_curves_sim(args) -> int:
     dists = {name: load_distribution(path) for name, path in named.items()}
     report = run_curves(
         dists, args.B, args.samples, kind, RngStream(args.seed),
-        threads=threads, progress=_progress,
+        threads=_resolve_threads(args.threads), progress=_progress,
     )
     config = {
         "command": "curves-sim",

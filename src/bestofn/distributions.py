@@ -280,5 +280,10 @@ def save_distribution(dist: DiscreteDistribution, path: str | Path) -> None:
 
 
 def load_distribution(path: str | Path) -> DiscreteDistribution:
-    with open(path, encoding="utf-8") as fh:
-        return DiscreteDistribution.from_dict(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return DiscreteDistribution.from_dict(json.load(fh))
+    except (KeyError, TypeError):
+        raise ValueError(f"{path}: expected a JSON object with 'support' and 'mass' lists") from None
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

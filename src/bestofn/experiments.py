@@ -1,16 +1,13 @@
 """Simulation batteries: probing, CI coverage, averaged curves, failure scans.
 
-Every battery is deterministic given its RngStream and is safe to parallelize:
-the randomness for sample i of budget n comes from ``rng.child(n, i)`` (and
-the bootstrap for that sample from ``boot.rng.child(n, i)``), so the result is
-identical whether the work runs on one thread or many. Every battery draws a
-fixed-size chunk of a budget's samples at a time; probe and curves evaluate
-each chunk in one kernel call. Reports are assembled in budget order
-regardless of completion order.
+Every battery is deterministic given its RngStream: sample i of budget n draws
+from ``rng.child(n, i)``, and its bootstrap from ``boot.rng.child(n, i)``. A
+budget's samples are drawn a fixed-size chunk at a time; probe and curves
+evaluate each chunk in one kernel call. Budgets (models, for curves) run in
+order on the calling thread; ``threads`` is checked and otherwise ignored.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -101,6 +98,12 @@ class ModelCurves:
     true: tuple[float, ...]
     stderr: tuple[float, ...]
 
+    def __post_init__(self):
+        for field in ("averaged", "true", "stderr"):
+            values = getattr(self, field)
+            if len(values) != len(self.budgets) or not np.isfinite(values).all():
+                raise ValueError(f"model {self.name!r}: {field} must hold one finite value per budget")
+
 
 @dataclass(frozen=True)
 class CurveReport:
@@ -157,22 +160,14 @@ def _sample_chunks(dist: DiscreteDistribution, B: int, count: int, rng: RngStrea
 
 
 def _run_ordered(worker, items, threads: int | None, progress: ProgressFn | None, label: str):
-    """Map worker over items, preserving order; optionally in a thread pool."""
+    """Map worker over items in order, on the calling thread; ``threads`` is only checked."""
     if threads is not None and threads < 1:
         raise ArgumentError("threads", f"must be >= 1, got {threads}")
     results = []
-    total = len(items)
-    if threads is None or threads == 1:
-        for k, item in enumerate(items):
-            results.append(worker(item))
-            if progress is not None:
-                progress(f"{label}: {k + 1}/{total}")
-        return results
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for k, res in enumerate(pool.map(worker, items)):
-            results.append(res)
-            if progress is not None:
-                progress(f"{label}: {k + 1}/{total}")
+    for k, item in enumerate(items):
+        results.append(worker(item))
+        if progress is not None:
+            progress(f"{label}: {k + 1}/{len(items)}")
     return results
 
 

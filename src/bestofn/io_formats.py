@@ -75,7 +75,10 @@ def read_runs(path) -> ScoreSample:
     row 1 does not parse as a number, row 1 is treated as a header. Blank
     lines are skipped.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise RunsFileError(f"{path}: {err}") from None
     scores: list[float] = []
     first_data_row = True
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -387,14 +390,13 @@ def write_report(envelope: ReportEnvelope, path, format: str = "json") -> None:
 
 def read_report(path) -> ReportEnvelope:
     """Read a JSON report back into an envelope with a typed payload."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    version = obj.get("schema_version") if isinstance(obj, dict) else None
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported schema version {version!r} (this build reads {SCHEMA_VERSION!r})"
-        )
     try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        version = obj.get("schema_version") if isinstance(obj, dict) else None
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema version {version!r} "
+                             f"(this build reads {SCHEMA_VERSION!r})")
         envelope = _from_json(ReportEnvelope, obj, "")
         codec = _codec(envelope.payload_kind)
         payload, where = envelope.payload, "payload"

@@ -439,6 +439,46 @@ def test_impossible_curve_point_is_data_error_naming_the_report(tmp_path, ten_ru
     assert "curve point n=1" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.update(true=m["true"][:3]), "true"),
+    (lambda m: m["averaged"].__setitem__(2, float("nan")), "averaged"),
+], ids=["true-cut-short", "averaged-nan"])
+def test_impossible_curves_model_is_data_error_naming_the_report(
+    tmp_path, crossing_pair, edit, message, capsys
+):
+    steady, volatile = crossing_pair
+    report = tmp_path / "r.json"
+    assert main(["curves-sim", "--dist", steady, "--dist", volatile,
+                 "--B", "4", "--samples", "10", "-o", str(report)]) == 0
+    broken = json.loads(report.read_text(encoding="utf-8"))
+    edit(broken["payload"]["models"][1])
+    report.write_text(json.dumps(broken), encoding="utf-8")
+    assert main(["failure-scan", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert str(report) in err
+    assert f"model 'volatile': {message} must hold one finite value per budget" in err
+
+
+@pytest.mark.parametrize("command, content", [
+    (["probe", "--dist"], b'{"mass": [1.0]}'),
+    (["probe", "--dist"], b"[0.0, 1.0]"),
+    (["probe", "--dist"], b'{"support": [0.0, 1.0], "mass": [0.5,'),
+    (["probe", "--dist"], b'{"support": ["low", 1.0], "mass": [0.5, 0.5]}'),
+    (["probe", "--dist"], b'{"support": [1.0, 0.0], "mass": [0.5, 0.5]}'),
+    (["curves-sim", "--dist"], b'{"support": [1.0, 0.0], "mass": [0.5, 0.5]}'),
+    (["curve", "--runs"], b"score\n0.5\n\xff\xfe\n"),
+    (["failure-scan", "--report"], b'{"schema_version": "1", \xff}'),
+    (["failure-scan", "--report"], b'{"schema_version": "1",'),
+], ids=["dist-without-support", "dist-top-level-list", "dist-malformed-json", "dist-string-support",
+        "dist-decreasing-support", "curves-sim-dist-decreasing-support", "runs-not-utf8",
+        "report-not-utf8", "report-malformed-json"])
+def test_bad_input_file_is_data_error_naming_the_file(tmp_path, command, content, capsys):
+    path = tmp_path / "input.bad"
+    path.write_bytes(content)
+    assert main([*command, str(path)]) == 1
+    assert str(path) in capsys.readouterr().err
+
+
 def test_failure_scan_names_missing_payload_fields(tmp_path, crossing_pair, capsys):
     steady, volatile = crossing_pair
     report = tmp_path / "r.json"
@@ -625,7 +665,7 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     code = (
-        "import sys, bestofn.cli; print('scipy.stats' in sys.modules); "
+        "import sys, bestofn.cli; print('scipy.stats' in sys.modules or 'concurrent.futures' in sys.modules); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     result = subprocess.run(

@@ -6,6 +6,7 @@ The underestimate probabilities for the two-point coin distribution are
 computed exactly by enumerating the binomial count of ones.
 """
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -364,6 +365,26 @@ def test_batteries_do_not_depend_on_the_thread_count(sizes, samples, kind, seed)
             for r in reports
         ]
         assert texts[0] == texts[1]
+
+
+def test_batteries_run_on_the_calling_thread(ten, coin, monkeypatch):
+    kernels = ("estimate_rows", "percentile_bootstrap_ci", "curve_rows")
+    seen = {name: set() for name in kernels}
+
+    def recorder(name, kernel):
+        def record(*args, **kwargs):
+            seen[name].add(threading.get_ident())
+            return kernel(*args, **kwargs)
+        return record
+
+    for name in kernels:
+        monkeypatch.setattr(experiments, name, recorder(name, getattr(experiments, name)))
+    kind = EstimatorKind.MEANMAX_V
+    boot = BootstrapConfig(RngStream(4, 1), resamples=16, confidence=0.9)
+    probe(ten, 6, 6, 20, kind, RngStream(4), threads=3)
+    coverage(ten, 6, 6, 10, boot, kind, RngStream(4), threads=3)
+    curves({"ten": ten, "coin": coin, "again": ten}, 6, 20, kind, RngStream(4), threads=3)
+    assert seen == {name: {threading.get_ident()} for name in kernels}
 
 
 # ---------------------------------------------------------------------------
