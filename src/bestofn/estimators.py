@@ -206,7 +206,7 @@ def cumweights(kind: EstimatorKind, size: int, n: int) -> np.ndarray:
         return (np.arange(1, size, dtype=float) / size) ** n
     j = np.arange(size, 1, -1, dtype=float)
     ratios = np.maximum(j - n, 0.0) / j
-    return np.cumprod(ratios)[::-1]
+    return np.multiply.accumulate(ratios)[::-1]
 
 
 def estimate_rows(draws: np.ndarray, kind: EstimatorKind, n: int) -> np.ndarray:
@@ -223,7 +223,7 @@ def estimate_rows(draws: np.ndarray, kind: EstimatorKind, n: int) -> np.ndarray:
     """
     cum = cumweights(kind, draws.shape[-1], n)
     rows = np.sort(draws[..., :n] if kind is EstimatorKind.MEANMAX_PREFIX else draws, axis=-1)
-    return rows[..., -1] - np.vecdot(np.diff(rows, axis=-1), cum)
+    return rows[..., -1] - np.vecdot(rows[..., 1:] - rows[..., :-1], cum)
 
 
 def meanmax_v(sample: ScoreSample, n: int) -> float:
@@ -337,7 +337,8 @@ def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
         return
     size = draws.shape[-1]
     top = draws.max(axis=-1, keepdims=True)
-    gaps = np.diff(np.sort(draws, axis=-1), axis=-1)[..., None, :]  # keeps no sorted copy
+    gaps = np.sort(draws, axis=-1)
+    gaps = (gaps[..., 1:] - gaps[..., :-1])[..., None, :]  # keeps no sorted copy
     j = np.arange(1, size, dtype=float)
     rows_per_block = max(1, _BLOCK_VALUES // max(1, gaps.size))
     last = 1.0
@@ -349,7 +350,7 @@ def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
         else:
             block = np.repeat((j / size)[None, :], stop - start, axis=0)
         block[0] *= last
-        np.cumprod(block, axis=0, out=block)
+        np.multiply.accumulate(block, axis=0, out=block)
         last = block[-1].copy()
         yield start, top - (gaps * block).sum(axis=-1)
 

@@ -1,10 +1,12 @@
 """Simulation batteries: probing, CI coverage, averaged curves, failure scans.
 
-Every battery is deterministic given its RngStream: sample i of budget n draws
-from ``rng.child(n, i)``, and its bootstrap from ``boot.rng.child(n, i)``. A
-budget's samples are drawn a fixed-size chunk at a time; probe and curves
-evaluate each chunk in one kernel call. Budgets (models, for curves) run in
-order on the calling thread; ``threads`` is checked and otherwise ignored.
+probe, coverage and curves run one engine, :func:`_per_sample`: sample i of
+budget n (model m, for curves) draws from ``rng.child(n, i)``, a chunk of
+samples per call, and the battery maps each chunk to one value per sample: an
+underestimate flag, a bootstrap-CI hit or a full curve. Probe and coverage
+tally their flags into the same rows (:func:`_tally`). Budgets (models, for
+curves) run in order on the calling thread; ``threads`` is checked and
+otherwise ignored.
 """
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ from .resampling import BootstrapConfig, Interval, clopper_pearson, percentile_b
 
 _PROPORTION_CI_CONFIDENCE = 0.95
 
-# probe and curves draw and evaluate about this many score values per kernel
-# call, so memory does not grow with the sample count; results do not depend on it.
+# The batteries draw and evaluate about this many score values per call, so
+# memory does not grow with the sample count; results do not depend on it.
 _SAMPLE_CHUNK_VALUES = 1 << 10
 
 ProgressFn = Callable[[str], None]
@@ -144,19 +146,38 @@ class FailureScanReport:
     inversions: tuple[Inversion, ...]
 
 
-def _check_battery_args(B: int, n_max: int, kind: EstimatorKind) -> None:
+def _check_battery_args(B: int, n_max: int, kind: EstimatorKind, count: int, count_name: str) -> None:
     if B < 1:
         raise ArgumentError("B", f"must be >= 1, got {B}")
     require_budget(n_max, B, budget_is_bounded(kind), "n_max")
+    if count < 1:
+        raise ArgumentError(count_name, f"must be >= 1, got {count}")
 
 
-def _sample_chunks(dist: DiscreteDistribution, B: int, count: int, rng: RngStream, key: int):
-    """Yield ``(start, rows)``: ``count`` size-B samples, sample i drawn from
-    ``rng.child(key, i)``, about _SAMPLE_CHUNK_VALUES score values at a time."""
+def _per_sample(dist: DiscreteDistribution, B: int, count: int, rng: RngStream, key: int, evaluate):
+    """``evaluate(rows, start)`` of ``count`` size-B samples, stacked along the
+    sample axis: sample i is drawn from ``rng.child(key, i)``, about
+    _SAMPLE_CHUNK_VALUES score values per call, and ``rows[k]`` is sample start+k."""
     per_chunk = max(1, _SAMPLE_CHUNK_VALUES // B)
+    out = None
     for start in range(0, count, per_chunk):
         streams = [rng.child(key, i) for i in range(start, min(start + per_chunk, count))]
-        yield start, draw_rows(dist, B, streams)
+        values = evaluate(draw_rows(dist, B, streams), start)
+        if out is None:
+            out = np.empty((count,) + values.shape[1:], values.dtype)
+        out[start : start + len(values)] = values
+    return out
+
+
+def _tally(row_type, flags) -> tuple:
+    """One (n, hits, samples, share, Clopper-Pearson) row per budget n = 1, 2, ...
+    from that budget's per-sample hit flags."""
+    rows = []
+    for n, hit in enumerate(flags, 1):
+        c = int(np.count_nonzero(hit))
+        ci = clopper_pearson(c, hit.size, _PROPORTION_CI_CONFIDENCE)
+        rows.append(row_type(n, c, hit.size, c / hit.size, ci))
+    return tuple(rows)
 
 
 def _run_ordered(worker, items, threads: int | None, progress: ProgressFn | None, label: str):
@@ -192,29 +213,16 @@ def probe(
     Ties count as neither under- nor over-estimate. Each row carries a
     Clopper-Pearson 95% interval for the proportion.
     """
-    _check_battery_args(B, n_max, kind)
-    if num_samples < 1:
-        raise ArgumentError("samples", f"must be >= 1, got {num_samples}")
+    _check_battery_args(B, n_max, kind, num_samples, "samples")
     truth = true_curve(dist, n_max)
 
-    def run_budget(n: int) -> int:
-        return sum(
-            int(np.count_nonzero(estimate_rows(rows, kind, n) < truth[n - 1]))
-            for _, rows in _sample_chunks(dist, B, num_samples, rng, n)
+    def run_budget(n: int) -> np.ndarray:
+        return _per_sample(
+            dist, B, num_samples, rng, n, lambda rows, _: estimate_rows(rows, kind, n) < truth[n - 1]
         )
 
-    budgets = list(range(1, n_max + 1))
-    counts = _run_ordered(run_budget, budgets, threads, progress, "probe")
-    rows = tuple(
-        ProbeRow(
-            n=n,
-            underestimates=c,
-            samples=num_samples,
-            proportion=c / num_samples,
-            ci=clopper_pearson(c, num_samples, _PROPORTION_CI_CONFIDENCE),
-        )
-        for n, c in zip(budgets, counts)
-    )
+    flags = _run_ordered(run_budget, range(1, n_max + 1), threads, progress, "probe")
+    rows = _tally(ProbeRow, flags)
     return ProbeReport(rows=rows, B=B, kind=kind, dist_id=dist_id, seed=rng.seed, stream=rng.stream)
 
 
@@ -237,38 +245,26 @@ def coverage(
     each sample's estimate, and records the fraction of intervals containing
     the exact expected maximum (closed intervals, endpoint hits count).
     Sample i of budget n draws from ``rng.child(n, i)`` and its bootstrap
-    from ``boot.rng.child(n, i)``.
+    from ``boot.rng.child(n, i)``, one call per sample: its resamples alone
+    already fill a bootstrap chunk, so stacking samples would gain nothing.
     """
-    _check_battery_args(B, n_max, kind)
-    if M < 1:
-        raise ArgumentError("M", f"must be >= 1, got {M}")
+    _check_battery_args(B, n_max, kind, M, "M")
     truth = true_curve(dist, n_max)
 
-    def run_budget(n: int) -> int:
-        hits = 0
-        for start, rows in _sample_chunks(dist, B, M, rng, n):
-            for i, row in enumerate(rows, start):
-                ci = percentile_bootstrap_ci(
+    def run_budget(n: int) -> np.ndarray:
+        def covers(rows: np.ndarray, start: int) -> np.ndarray:
+            return np.array([
+                percentile_bootstrap_ci(
                     ScoreSample(row), kind, n, replace(boot, rng=boot.rng.child(n, i))
-                )
-                if ci.contains(truth[n - 1]):
-                    hits += 1
-        return hits
+                ).contains(truth[n - 1])
+                for i, row in enumerate(rows, start)
+            ])
 
-    budgets = list(range(1, n_max + 1))
-    hit_counts = _run_ordered(run_budget, budgets, threads, progress, "coverage")
-    rows = tuple(
-        CoverageRow(
-            n=n,
-            hits=h,
-            samples=M,
-            ecp=h / M,
-            ci=clopper_pearson(h, M, _PROPORTION_CI_CONFIDENCE),
-        )
-        for n, h in zip(budgets, hit_counts)
-    )
+        return _per_sample(dist, B, M, rng, n, covers)
+
+    flags = _run_ordered(run_budget, range(1, n_max + 1), threads, progress, "coverage")
     return CoverageReport(
-        rows=rows,
+        rows=_tally(CoverageRow, flags),
         B=B,
         resamples=boot.resamples,
         nominal=boot.confidence,
@@ -299,17 +295,13 @@ def curves(
     """
     if not dists:
         raise ValueError("at least one distribution is required")
-    _check_battery_args(B, B, kind)
-    if num_samples < 1:
-        raise ArgumentError("samples", f"must be >= 1, got {num_samples}")
+    _check_battery_args(B, B, kind, num_samples, "samples")
     budgets = tuple(range(1, B + 1))
 
     def run_model(item: tuple[int, str]) -> ModelCurves:
         m, name = item
         dist = dists[name]
-        estimates = np.empty((num_samples, B), dtype=float)
-        for start, rows in _sample_chunks(dist, B, num_samples, rng, m):
-            estimates[start : start + len(rows)] = curve_rows(rows, kind, B)
+        estimates = _per_sample(dist, B, num_samples, rng, m, lambda rows, _: curve_rows(rows, kind, B))
         averaged = estimates.mean(axis=0)
         if num_samples > 1:
             stderr = estimates.std(axis=0, ddof=1) / np.sqrt(num_samples)

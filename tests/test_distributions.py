@@ -32,6 +32,7 @@ from bestofn import (
     true_curve,
 )
 from bestofn.distributions import draw_rows
+from bestofn.fixtures import FIXTURE_NAMES, load_fixture
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +198,19 @@ def test_true_curve_matches_pointwise(uniform_123):
     assert curve.shape == (8,)
     for i, n in enumerate(range(1, 9)):
         assert_allclose(curve[i], exact_expected_max(uniform_123, n), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["lattice", *FIXTURE_NAMES])
+def test_true_curve_is_exact_expected_max_bit_for_bit(name):
+    # A matrix-vector product over all budgets rounds its rows in groups, which
+    # would make truth[n - 1] depend on n_max; each budget needs the one formula.
+    if name == "lattice":
+        dist = DiscreteDistribution(np.arange(10) / 10, np.full(10, 0.1))
+    else:
+        dist = load_fixture(name)
+    for n_max in (1, 2, 7, 25, 60):
+        want = np.array([exact_expected_max(dist, n) for n in range(1, n_max + 1)])
+        assert true_curve(dist, n_max).tobytes() == want.tobytes()
 
 
 def test_budget_below_one_rejected(uniform_123):

@@ -33,6 +33,7 @@ from bestofn import (
     expected_max_curve,
     failure_scan,
     make_envelope,
+    percentile_bootstrap_ci,
     percentile_bootstrap_curve,
     probe,
     true_curve,
@@ -55,6 +56,11 @@ def coin():
 @pytest.fixture
 def ten():
     return DiscreteDistribution(np.arange(1.0, 11.0), np.full(10, 0.1))
+
+
+@pytest.fixture
+def lattice():
+    return DiscreteDistribution(np.arange(10) / 10, np.full(10, 0.1))
 
 
 @pytest.fixture
@@ -295,6 +301,39 @@ def test_probe_counts_match_a_per_sample_loop(ten, kind):
             for i in range(150)
         )
         assert row.underestimates == want
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_coverage_hits_match_a_per_sample_loop(lattice, kind, monkeypatch):
+    monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_VALUES", 30)  # three samples per chunk
+    rng = RngStream(67, 2)
+    boot = BootstrapConfig(RngStream(67, 3), resamples=50, confidence=0.9)
+    rep = coverage(lattice, 10, 10, 40, boot, kind, rng)
+    truth = true_curve(lattice, 10)
+    for row in rep.rows:
+        want = sum(
+            percentile_bootstrap_ci(
+                draw_sample(lattice, 10, rng.child(row.n, i)),
+                kind,
+                row.n,
+                replace(boot, rng=boot.rng.child(row.n, i)),
+            ).contains(truth[row.n - 1])
+            for i in range(40)
+        )
+        assert row.hits == want
+    assert {row.hits for row in rep.rows} != {40}
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_battery_rows_do_not_depend_on_n_max(lattice, kind):
+    # At n = 1 the mean of ten lattice draws often equals the truth exactly,
+    # so a truth that rounds differently with n_max changes these counts.
+    boot = BootstrapConfig(RngStream(3, 1), resamples=200)
+    full_probe = probe(lattice, 10, 10, 400, kind, RngStream(3)).rows
+    full_coverage = coverage(lattice, 10, 10, 100, boot, kind, RngStream(3)).rows
+    for k in (1, 3):
+        assert probe(lattice, 10, k, 400, kind, RngStream(3)).rows == full_probe[:k]
+        assert coverage(lattice, 10, k, 100, boot, kind, RngStream(3)).rows == full_coverage[:k]
 
 
 @pytest.mark.parametrize("kind", [EstimatorKind.MEANMAX_V, EstimatorKind.UNBIASED_U])
