@@ -9,7 +9,9 @@ exit 2. Most flags are therefore checked after the input files are read,
 so a missing or malformed input is reported first: ``probe`` with a
 missing ``--dist`` file and ``--B 0`` exits 1. ``curve`` checks its
 bootstrap flags before reading the runs, and every requested estimator's
-budget before computing any curve.
+budget before computing any curve. ``fit`` passes on only the flags given,
+over the preset or ``KdeSpec()``: ``fit_kde`` owns every default, and its
+data errors are prefixed with the runs file.
 
 The root seed defaults to the fixed constant 1729 so bare
 invocations are reproducible; every report embeds the config needed to
@@ -30,9 +32,9 @@ Every battery runs on the calling thread. ``--threads`` (default from
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from .distributions import (
@@ -42,7 +44,6 @@ from .distributions import (
     fit_kde,
     load_distribution,
     save_distribution,
-    scott_bandwidth,
 )
 from .estimators import (
     ArgumentError,
@@ -96,6 +97,14 @@ def _resolve_threads(flag_value: int | None) -> int | None:
             "threads", f"defaults to {THREADS_ENV}, which must be a positive integer, got {raw!r}"
         )
     return value
+
+
+def _bandwidth_flag(raw: str) -> float | str:
+    """A number, or a rule name left for KdeSpec to check."""
+    try:
+        return float(raw)
+    except ValueError:
+        return raw
 
 
 def _progress(msg: str) -> None:
@@ -190,40 +199,16 @@ def cmd_curve(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    preset = KDE_PRESETS[args.preset] if args.preset else None
-    bins = args.bins if args.bins is not None else (preset.bins if preset else 511)
-    raw_bw = args.bandwidth if args.bandwidth is not None else (
-        preset.bandwidth if preset else "scott"
-    )
-    try:
-        bandwidth: float | str = float(raw_bw)
-    except ValueError:
-        bandwidth = raw_bw  # a rule name; KdeSpec accepts only 'scott'
-
     sample = read_runs(args.runs)
-    # Resolve the numeric bandwidth first: default support edges sit three
-    # bandwidths beyond the observed score range. A rule name KdeSpec
-    # rejects gets Scott's width here, so that KdeSpec can name it.
-    h = scott_bandwidth(sample) if isinstance(bandwidth, str) else bandwidth
-    if bandwidth == "scott" and h == 0.0:
-        raise ValueError(
-            f"scores in {args.runs} are constant; Scott's rule gives bandwidth 0, "
-            f"pass an explicit --bandwidth"
-        )
-    if preset:
-        lo, hi = preset.support_lo, preset.support_hi
-    else:
-        lo, hi = sample.min - 3.0 * h, sample.max + 3.0 * h
-        if math.isfinite(h) and not (math.isfinite(lo) and math.isfinite(hi)):
-            if args.support_lo is None or args.support_hi is None:
-                raise ArgumentError(
-                    "bandwidth", f"{h!r} puts the default support, 3 bandwidths beyond the "
-                    "scores, past the float range; pass --support-lo and --support-hi"
-                )
-    lo = lo if args.support_lo is None else args.support_lo
-    hi = hi if args.support_hi is None else args.support_hi
-
-    dist = fit_kde(sample, KdeSpec(bandwidth=bandwidth, support_lo=lo, support_hi=hi, bins=bins))
+    given = {f: getattr(args, f) for f in ("bandwidth", "support_lo", "support_hi", "bins")
+             if getattr(args, f) is not None}
+    spec = replace(KDE_PRESETS[args.preset] if args.preset else KdeSpec(), **given)
+    try:
+        dist = fit_kde(sample, spec)
+    except ArgumentError:
+        raise
+    except ValueError as err:
+        raise ValueError(f"{args.runs}: {err}") from None
     if args.output is not None:
         save_distribution(dist, args.output)
     else:
@@ -392,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", required=True, metavar="CSV",
                    help="runs file with a score column")
     p.add_argument("--preset", choices=sorted(KDE_PRESETS), default=None,
-                   help="published KDE hyperparameters: bandwidth, support, and bins only "
-                        "(default: none)")
-    p.add_argument("--bandwidth", default=None, metavar="H",
+                   help="published KDE bandwidth, support, and bins; a flag that is given "
+                        "overrides the preset's value (default: none)")
+    p.add_argument("--bandwidth", type=_bandwidth_flag, default=None, metavar="H",
                    help="kernel bandwidth, a positive number or 'scott' (default: scott)")
     p.add_argument("--support-lo", type=float, default=None, metavar="X",
                    help="support lower edge (default: min score minus 3 bandwidths)")

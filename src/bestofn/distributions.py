@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -139,12 +139,14 @@ class KdeSpec:
 
     ``bandwidth`` is either a finite positive width in score units or the string
     ``"scott"`` for the one-dimensional normal-reference rule
-    h = std(runs, ddof=1) * B**(-1/5).
+    h = std(runs, ddof=1) * B**(-1/5). A support edge left as ``None`` sits
+    three bandwidths beyond the lowest or highest score; :func:`fit_kde`
+    resolves it. Only the values given are checked here.
     """
 
-    bandwidth: float | str
-    support_lo: float
-    support_hi: float
+    bandwidth: float | str = "scott"
+    support_lo: float | None = None
+    support_hi: float | None = None
     bins: int = 511
 
     def __post_init__(self):
@@ -155,9 +157,10 @@ class KdeSpec:
                 "bandwidth", f"must be a finite positive number or 'scott', got {self.bandwidth!r}"
             )
         for name in ("support_lo", "support_hi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ArgumentError(name, f"must be finite, got {getattr(self, name)}")
-        if not self.support_lo < self.support_hi:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ArgumentError(name, f"must be finite, got {value}")
+        if None not in (self.support_lo, self.support_hi) and not self.support_lo < self.support_hi:
             raise ArgumentError(
                 "support_lo", f"must be below support_hi = {self.support_hi}, got {self.support_lo}"
             )
@@ -168,10 +171,10 @@ class KdeSpec:
 # Published KDE parameters for the four reference models (bandwidth via
 # Scott's rule on the original runs, which are not redistributable).
 KDE_PRESETS: dict[str, KdeSpec] = {
-    "mlp": KdeSpec(bandwidth=0.0049, support_lo=0.72, support_hi=0.82, bins=511),
-    "lstm": KdeSpec(bandwidth=0.059, support_lo=-0.18, support_hi=1.08, bins=511),
-    "glove": KdeSpec(bandwidth=0.018, support_lo=0.46, support_hi=0.97, bins=511),
-    "elmo": KdeSpec(bandwidth=0.041, support_lo=0.39, support_hi=0.99, bins=511),
+    "mlp": KdeSpec(bandwidth=0.0049, support_lo=0.72, support_hi=0.82),
+    "lstm": KdeSpec(bandwidth=0.059, support_lo=-0.18, support_hi=1.08),
+    "glove": KdeSpec(bandwidth=0.018, support_lo=0.46, support_hi=0.97),
+    "elmo": KdeSpec(bandwidth=0.041, support_lo=0.39, support_hi=0.99),
 }
 
 
@@ -182,27 +185,43 @@ def scott_bandwidth(runs: ScoreSample) -> float:
     return float(np.std(runs.sorted_values, ddof=1) * runs.size ** (-0.2))
 
 
+_KDE_BLOCK_VALUES = 1 << 16
+
+
 def fit_kde(runs: ScoreSample, spec: KdeSpec) -> DiscreteDistribution:
     """Discretized Gaussian KDE over the run scores.
 
     One Gaussian kernel per run value with shared bandwidth, evaluated at the
     centers of ``bins`` equal-width bins spanning the support, then
     renormalized to a probability mass function (implicit truncation at the
-    support edges).
+    support edges). The bandwidth and any missing support edge are resolved
+    here. About _KDE_BLOCK_VALUES kernel values are alive at a time, and each
+    bin sums its own row, so the masses do not depend on the block size.
     """
-    if isinstance(spec.bandwidth, str):
+    if spec.bandwidth == "scott":
         h = scott_bandwidth(runs)
         if h <= 0:
             raise ValueError(
-                "Scott's rule gives zero bandwidth for a constant sample; "
-                "pass an explicit bandwidth instead"
+                "scores are constant; Scott's rule gives bandwidth 0, pass an explicit --bandwidth"
             )
     else:
         h = float(spec.bandwidth)
+    lo = runs.min - 3.0 * h if spec.support_lo is None else spec.support_lo
+    hi = runs.max + 3.0 * h if spec.support_hi is None else spec.support_hi
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ArgumentError(
+            "bandwidth", f"{h!r} puts the default support, 3 bandwidths beyond the "
+            "scores, past the float range; pass --support-lo and --support-hi"
+        )
+    spec = replace(spec, support_lo=lo, support_hi=hi)  # checks lo < hi
     edges = np.linspace(spec.support_lo, spec.support_hi, spec.bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    z = (centers[:, None] - runs.sorted_values[None, :]) / h
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (runs.size * h * np.sqrt(2.0 * np.pi))
+    rows = max(1, _KDE_BLOCK_VALUES // runs.size)
+    density = np.empty(spec.bins)
+    for start in range(0, spec.bins, rows):
+        z = (centers[start:start + rows, None] - runs.sorted_values) / h
+        density[start:start + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+    density /= runs.size * h * np.sqrt(2.0 * np.pi)
     total = density.sum()
     if not np.isfinite(total) or total <= 0:
         raise ValueError(

@@ -102,17 +102,8 @@ def crossing_volatile_runs() -> np.ndarray:
     )
 
 
-def _probe_spec(runs: np.ndarray) -> KdeSpec:
-    bandwidth = 0.006
-    return KdeSpec(
-        bandwidth=bandwidth,
-        support_lo=float(runs.min() - 3 * bandwidth),
-        support_hi=float(runs.max() + 3 * bandwidth),
-    )
-
-
 _BUILDERS = {
-    PROBE_SKEWED: lambda: fit_kde(ScoreSample(probe_runs()), _probe_spec(probe_runs())),
+    PROBE_SKEWED: lambda: fit_kde(ScoreSample(probe_runs()), KdeSpec(bandwidth=0.006)),
     CROSSING_STEADY: lambda: fit_kde(
         ScoreSample(crossing_steady_runs()),
         KdeSpec(bandwidth=0.0025, support_lo=0.801, support_hi=0.861),

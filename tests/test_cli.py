@@ -4,15 +4,26 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bestofn import DiscreteDistribution, EstimatorKind, RngStream, cli, percentile, save_distribution
+from bestofn import (
+    KDE_PRESETS,
+    DiscreteDistribution,
+    EstimatorKind,
+    KdeSpec,
+    RngStream,
+    cli,
+    fit_kde,
+    percentile,
+    save_distribution,
+)
 from bestofn.cli import DEFAULT_SEED, THREADS_ENV, main
 from bestofn.estimators import curve_rows
-from bestofn.io_formats import read_report, report_json_text
+from bestofn.io_formats import read_report, read_runs, report_json_text
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +251,42 @@ def test_fit_scott_on_constant_scores_is_data_error(tmp_path, capsys):
 def test_fit_inverted_support_is_usage_error(tmp_path, ten_runs):
     assert main(["fit", "--runs", ten_runs, "--support-lo", "1.0",
                  "--support-hi", "0.0"]) == 2
+
+
+FIT_FLAG_SETS = [
+    ([], {}),
+    (["--preset", "glove"], {}),
+    (["--preset", "mlp", "--bins", "64"], {"bins": 64}),
+    (["--bandwidth", "0.05", "--bins", "16"], {"bandwidth": 0.05, "bins": 16}),
+    (["--bandwidth", "0.05", "--support-lo", "-0.2"], {"bandwidth": 0.05, "support_lo": -0.2}),
+    (["--support-hi", "1.5"], {"support_hi": 1.5}),
+    (["--preset", "elmo", "--bandwidth", "scott"], {"bandwidth": "scott"}),
+    (["--preset", "lstm", "--support-lo", "0.1"], {"support_lo": 0.1}),
+]
+
+
+@pytest.mark.parametrize("flags, given", FIT_FLAG_SETS,
+                         ids=[" ".join(f) or "none" for f, _ in FIT_FLAG_SETS])
+def test_fit_passes_on_only_the_flags_given(tmp_path, ten_runs, flags, given):
+    out = tmp_path / "cli.json"
+    assert main(["fit", "--runs", ten_runs, *flags, "-o", str(out)]) == 0
+    preset = KDE_PRESETS[flags[1]] if flags[:1] == ["--preset"] else None
+    expected = tmp_path / "library.json"
+    save_distribution(fit_kde(read_runs(ten_runs), replace(preset or KdeSpec(), **given)), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("values, flags, detail", [
+    ([0.5, 0.5, 0.5, 0.5], [], "--bandwidth"),
+    ([0.6, 0.7, 0.8], ["--support-lo", "100", "--support-hi", "101", "--bandwidth", "0.001"],
+     "mass vanishes"),
+], ids=["constant scores", "vanishing mass"])
+def test_fit_data_errors_name_the_runs_file(tmp_path, values, flags, detail, capsys):
+    runs = write_runs(tmp_path, values, name="scores-42.csv")
+    assert main(["fit", "--runs", runs, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bestofn: error: {runs}: ")
+    assert detail in err
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +642,11 @@ BAD_FLAGS = [
     (["fit", "--runs", "RUNS", "--bandwidth", "1e308"], "--bandwidth"),
     (["fit", "--runs", "RUNS", "--support-lo=-inf"], "--support-lo"),
     (["fit", "--runs", "RUNS", "--support-hi=inf"], "--support-hi"),
+    (["fit", "--runs", "RUNS", "--bandwidth", "1e308", "--support-lo", "0"], "--bandwidth"),
+    (["fit", "--runs", "RUNS", "--bandwidth", "-1"], "--bandwidth"),
+    (["fit", "--runs", "RUNS", "--bandwidth", "nan"], "--bandwidth"),
+    (["fit", "--runs", "RUNS", "--support-lo", "5"], "--support-lo"),
+    (["fit", "--runs", "RUNS", "--preset", "mlp", "--support-lo", "0.9"], "--support-lo"),
     (["probe", "--dist", "DIST", "--threads", "0"], "--threads"),
 ]
 

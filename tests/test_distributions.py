@@ -10,6 +10,7 @@ difference formula the library uses.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import chisquare
 
 from bestofn import (
+    ArgumentError,
     DiscreteDistribution,
     KDE_PRESETS,
     KdeSpec,
@@ -31,6 +33,7 @@ from bestofn import (
     scott_bandwidth,
     true_curve,
 )
+from bestofn import distributions
 from bestofn.distributions import draw_rows
 from bestofn.fixtures import FIXTURE_NAMES, load_fixture
 
@@ -400,6 +403,56 @@ def test_kde_spec_validation():
         KdeSpec(0.1, 0.0, 1.0, bins=1)
     with pytest.raises(ValueError):
         KdeSpec("silverman", 0.0, 1.0)
+
+
+def test_kde_spec_defaults():
+    spec = KdeSpec()
+    assert (spec.bandwidth, spec.support_lo, spec.support_hi, spec.bins) == ("scott", None, None, 511)
+    # Only the values given are checked: one edge alone is never out of order.
+    assert KdeSpec(support_lo=5.0).support_hi is None
+
+
+def test_kde_default_edges_sit_three_bandwidths_beyond_the_scores():
+    runs = ScoreSample(np.random.default_rng(29).normal(0.5, 0.1, size=30))
+    h = scott_bandwidth(runs)
+    pairs = [
+        (KdeSpec(bins=64), KdeSpec(h, runs.min - 3.0 * h, runs.max + 3.0 * h, bins=64)),
+        (KdeSpec(0.05, support_hi=2.0, bins=8), KdeSpec(0.05, runs.min - 3.0 * 0.05, 2.0, bins=8)),
+    ]
+    for default, explicit in pairs:
+        assert fit_kde(runs, default).to_dict() == fit_kde(runs, explicit).to_dict()
+
+
+def test_kde_resolved_edges_are_checked():
+    runs = ScoreSample([0.4, 0.6])
+    with pytest.raises(ArgumentError) as err:
+        fit_kde(runs, KdeSpec(0.05, support_lo=5.0))
+    assert err.value.name == "support_lo"
+    with pytest.raises(ArgumentError) as err:
+        fit_kde(runs, KdeSpec(1e308, support_lo=0.0))
+    assert err.value.name == "bandwidth"
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 300])
+def test_kde_masses_do_not_depend_on_the_block_size(size, monkeypatch):
+    runs = ScoreSample(np.random.default_rng(30).normal(0.5, 0.2, size=size))
+    spec = KdeSpec(0.05, -0.5, 1.5, bins=37)
+    whole = fit_kde(runs, spec).mass
+    for rows in (1, 3, 36):
+        monkeypatch.setattr(distributions, "_KDE_BLOCK_VALUES", rows * size)
+        assert np.array_equal(fit_kde(runs, spec).mass, whole)
+
+
+def test_kde_memory_does_not_grow_with_bins_times_runs():
+    # One (bins, B) kernel matrix would take 511 * 20000 * 8 bytes (78 MiB).
+    runs = ScoreSample(np.random.default_rng(31).normal(0.5, 0.1, size=20_000))
+    tracemalloc.start()
+    try:
+        fit_kde(runs, KdeSpec(0.01, 0.0, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_kde_output_always_valid():
