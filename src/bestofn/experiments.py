@@ -156,12 +156,13 @@ def _check_battery_args(B: int, n_max: int, kind: EstimatorKind, count: int, cou
 
 def _per_sample(dist: DiscreteDistribution, B: int, count: int, rng: RngStream, key: int, evaluate):
     """``evaluate(rows, start)`` of ``count`` size-B samples, stacked along the
-    sample axis: sample i is drawn from ``rng.child(key, i)``, about
+    sample axis: sample i is drawn from ``rng.child(key, i)``, each chunk's
+    streams derived in one :meth:`RngStream.children` pass, about
     _SAMPLE_CHUNK_VALUES score values per call, and ``rows[k]`` is sample start+k."""
     per_chunk = max(1, _SAMPLE_CHUNK_VALUES // B)
     out = None
     for start in range(0, count, per_chunk):
-        streams = [rng.child(key, i) for i in range(start, min(start + per_chunk, count))]
+        streams = rng.children(key, start, min(start + per_chunk, count))
         values = evaluate(draw_rows(dist, B, streams), start)
         if out is None:
             out = np.empty((count,) + values.shape[1:], values.dtype)
@@ -253,11 +254,10 @@ def coverage(
 
     def run_budget(n: int) -> np.ndarray:
         def covers(rows: np.ndarray, start: int) -> np.ndarray:
+            streams = boot.rng.children(n, start, start + len(rows))
             return np.array([
-                percentile_bootstrap_ci(
-                    ScoreSample(row), kind, n, replace(boot, rng=boot.rng.child(n, i))
-                ).contains(truth[n - 1])
-                for i, row in enumerate(rows, start)
+                percentile_bootstrap_ci(ScoreSample(row), kind, n, replace(boot, rng=s)).contains(truth[n - 1])
+                for row, s in zip(rows, streams)
             ])
 
         return _per_sample(dist, B, M, rng, n, covers)

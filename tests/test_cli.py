@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -274,6 +275,20 @@ def test_fit_passes_on_only_the_flags_given(tmp_path, ten_runs, flags, given):
     expected = tmp_path / "library.json"
     save_distribution(fit_kde(read_runs(ten_runs), replace(preset or KdeSpec(), **given)), expected)
     assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("size", [1, 10, 1000])
+def test_fit_huge_bandwidth_gives_a_flat_mass(tmp_path, size):
+    runs = write_runs(tmp_path, np.random.default_rng(94).uniform(0.6, 0.9, size=size))
+    out = tmp_path / "flat.json"
+    args = ["fit", "--runs", runs, "--bandwidth", "1e308", "--support-lo", "0", "--support-hi", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*args, "--bins", "16", "-o", str(out)]) == 0
+    mass = np.array(json.loads(out.read_text())["mass"])
+    assert mass.size == 16
+    assert np.array_equal(mass, np.full(16, mass[0]))
+    assert mass.sum() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("values, flags, detail", [
@@ -728,6 +743,15 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert stats_loaded == "False"
     # Only the batteries' Clopper-Pearson intervals need scipy, imported on use.
     assert scipy_modules == "[]"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    code = "import sys, bestofn.cli; print('numpy.random' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path):

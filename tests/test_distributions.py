@@ -10,6 +10,7 @@ difference formula the library uses.
 
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -340,6 +341,70 @@ def test_child_streams_are_distinct_and_reproducible():
     assert len(seen) == 20
     # Multi-index derivation is order-sensitive.
     assert parent.child(1, 2).stream != parent.child(2, 1).stream
+
+
+# (seed, stream, child path, child stream word, first draw_rows values on the
+# support 0..1023), computed with the pure-Python SplitMix64 and one Philox
+# generator per stream; the layout must not move.
+RNG_LAYOUT = [
+    (2**63 + 5, 3, (7,), 7758145696617331093, [843, 418, 252, 232]),
+    (11, 2**64 - 1, (0,), 3303439293501059696, [586, 771, 394, 695]),
+    (11, 4, (-1,), 185357629498840571, [396, 948, 804, 381]),
+    (11, 4, (2**32 + 9,), 128089313494330113, [503, 417, 477, 13]),
+    (2**64 - 2, 2**63, (3, -4, 2**40), 103742241970049418, [937, 359, 898, 419]),
+    (20260, 0, (2, 5), 1272775598306162778, [673, 140, 793, 358]),
+]
+
+
+def reference_child_stream(stream, *indices):
+    """The child stream word in Python-int SplitMix64, masked to 64 bits by hand."""
+    mask = (1 << 64) - 1
+
+    def splitmix64(x):
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        return x ^ (x >> 31)
+
+    h = stream & mask
+    for i in indices:
+        h = splitmix64(h ^ splitmix64(i & mask))
+    return h
+
+
+def test_rng_layout_known_answers():
+    dist = DiscreteDistribution(np.arange(1024.0), np.ones(1024))
+    streams = [RngStream(seed, stream).child(*path) for seed, stream, path, _, _ in RNG_LAYOUT]
+    assert [(c.seed, c.stream) for c in streams] == [(s, w) for s, _, _, w, _ in RNG_LAYOUT]
+    rows = draw_rows(dist, 4, streams)
+    assert rows.tolist() == [values for *_, values in RNG_LAYOUT]
+
+
+def test_child_matches_the_python_int_reference():
+    rng = random.Random(2026)
+    for _ in range(200):
+        stream = rng.randrange(-2**64, 2**65)
+        path = [rng.randrange(-2**64, 2**65) for _ in range(rng.randrange(4))]
+        assert RngStream(1, stream).child(*path).stream == reference_child_stream(stream, *path)
+
+
+@pytest.mark.parametrize("key, start, stop", [
+    (3, 0, 0), (3, 5, 5), (3, 7, 2), (3, 5, 6), (0, 0, 40), (-2, -5, 5),
+    (2**40, 2**32 - 2, 2**32 + 3), (1, 2**64 - 3, 2**64 + 3),
+])
+def test_children_equal_the_child_list(key, start, stop):
+    for parent in (RngStream(5), RngStream(2**63 + 1, 2**64 - 1)):
+        assert parent.children(key, start, stop) == [parent.child(key, i) for i in range(start, stop)]
+
+
+def test_draw_rows_mixes_seeds_stream_by_stream(uniform_123):
+    streams = [RngStream(seed, 9).child(i) for seed, i in ((1, 0), (2**63, 0), (1, 1), (7, 0), (1, 0))]
+    rows = draw_rows(uniform_123, 30, streams)
+    for row, rng in zip(rows, streams):
+        u = rng.generator().random(30)
+        assert np.array_equal(row, uniform_123.support[np.searchsorted(uniform_123.cumulative, u)])
+    assert np.array_equal(rows[0], rows[4])
+    assert draw_rows(uniform_123, 30, []).shape == (0, 30)
 
 
 # ---------------------------------------------------------------------------
