@@ -18,9 +18,15 @@ invocations are reproducible; every report embeds the config needed to
 reproduce its payload byte for byte. Progress lines go to standard error
 only; standard output carries the report when ``-o`` is omitted.
 
-Randomness layout: sample draws use stream 0 of the root seed and bootstrap
-resampling uses stream 1, so adding CIs never disturbs the simulated samples.
-``curve --ci`` draws one resample matrix per estimator kind e, from
+Randomness layout ``philox4x64-splitmix64/2``, named with the python, numpy and
+scipy versions in every report's ``provenance`` block: sample draws use stream
+0 of the root seed and bootstrap resampling uses stream 1, so adding CIs never
+disturbs the simulated samples. probe and coverage draw sample i once, from
+child (0, i) of stream 0, and read every budget off it; coverage bootstraps it
+once, from child (0, i) of stream 1. Their rows are therefore positively
+correlated across n, and each row's Clopper-Pearson interval is still exact.
+curves-sim draws sample i of its m-th model from child (m, i). ``curve --ci``
+draws one resample matrix per estimator kind e, from
 ``RngStream(seed, 1).child(e)``, and reads every budget's interval off it, so
 the intervals of one curve share their resamples. e is fixed per kind
 (unbiased 0, meanmax 1, meanmax-prefix 2), so a curve's CIs do not depend on
@@ -397,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=int, default=50, help="size of each simulated sample (default: 50)")
     p.add_argument("--n-max", type=int, default=None, help="largest budget n (default: B)")
     p.add_argument("--samples", type=int, default=1000,
-                   help="simulated samples per budget (default: 1000)")
+                   help="simulated samples, shared by all n (default: 1000)")
     p.add_argument("--estimator", choices=_ESTIMATOR_CHOICES, default="meanmax",
                    help="estimator kind (default: meanmax)")
     _add_seed_flag(p)
@@ -412,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None,
                    help="largest budget n (default: 20, capped at B)")
     p.add_argument("--M", type=int, default=300,
-                   help="simulated samples per budget (default: 300)")
+                   help="simulated samples, shared by all n (default: 300)")
     p.add_argument("--resamples", type=int, default=1000,
                    help="bootstrap resamples per CI (default: 1000)")
     p.add_argument("--confidence", type=float, default=0.95,

@@ -18,6 +18,12 @@ from .estimators import ArgumentError, ScoreSample, require_budget
 
 _MASK64 = (1 << 64) - 1
 
+RNG_LAYOUT_ID = "philox4x64-splitmix64/2"
+"""Names how a seed becomes payloads: the stream derivation of :class:`RngStream`
+and the child keys the batteries and ``curve --ci`` draw from. Any change that
+alters a payload at a fixed seed bumps it. Layout 1 drew a fresh sample set per
+budget in probe and coverage; its reports carry no ``provenance`` block."""
+
 
 def _words(*values: int) -> np.ndarray:
     """Python ints as uint64 words, each taken mod 2**64."""

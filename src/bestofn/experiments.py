@@ -1,12 +1,11 @@
 """Simulation batteries: probing, CI coverage, averaged curves, failure scans.
 
-probe, coverage and curves run one engine, :func:`_per_sample`: sample i of
-budget n (model m, for curves) draws from ``rng.child(n, i)``, a chunk of
-samples per call, and the battery maps each chunk to one value per sample: an
-underestimate flag, a bootstrap-CI hit or a full curve. Probe and coverage
-tally their flags into the same rows (:func:`_tally`). Budgets (models, for
-curves) run in order on the calling thread; ``threads`` is checked and
-otherwise ignored.
+probe, coverage and curves run one engine, :func:`_per_sample`: sample i (of
+model m for curves, else m = 0) draws from ``rng.child(m, i)``, a chunk of
+samples per call, and every budget is read off that one sample's curve. Probe
+and coverage count underestimates and bootstrap-CI hits per budget and tally
+them into the same rows (:func:`_tally`); curves stacks the curves. Chunks run
+in order on the calling thread; ``threads`` is checked and otherwise ignored.
 """
 from __future__ import annotations
 
@@ -22,12 +21,13 @@ from .estimators import (
     EstimatorKind,
     ScoreSample,
     budget_is_bounded,
+    curve_blocks,
     curve_rows,
-    estimate_rows,
     require_budget,
 )
 from .estimators import estimate, expected_max_curve  # noqa: F401  (perfbench wraps them here)
-from .resampling import BootstrapConfig, Interval, clopper_pearson, percentile_bootstrap_ci
+from .resampling import BootstrapConfig, Interval, clopper_pearson, percentile_bootstrap_curve
+from .resampling import percentile_bootstrap_ci  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 _PROPORTION_CI_CONFIDENCE = 0.95
 
@@ -146,51 +146,45 @@ class FailureScanReport:
     inversions: tuple[Inversion, ...]
 
 
-def _check_battery_args(B: int, n_max: int, kind: EstimatorKind, count: int, count_name: str) -> None:
+def _check_battery_args(B: int, n_max: int, kind: EstimatorKind, count: int, count_name: str,
+                        threads: int | None) -> None:
     if B < 1:
         raise ArgumentError("B", f"must be >= 1, got {B}")
     require_budget(n_max, B, budget_is_bounded(kind), "n_max")
     if count < 1:
         raise ArgumentError(count_name, f"must be >= 1, got {count}")
-
-
-def _per_sample(dist: DiscreteDistribution, B: int, count: int, rng: RngStream, key: int, evaluate):
-    """``evaluate(rows, start)`` of ``count`` size-B samples, stacked along the
-    sample axis: sample i is drawn from ``rng.child(key, i)``, each chunk's
-    streams derived in one :meth:`RngStream.children` pass, about
-    _SAMPLE_CHUNK_VALUES score values per call, and ``rows[k]`` is sample start+k."""
-    per_chunk = max(1, _SAMPLE_CHUNK_VALUES // B)
-    out = None
-    for start in range(0, count, per_chunk):
-        streams = rng.children(key, start, min(start + per_chunk, count))
-        values = evaluate(draw_rows(dist, B, streams), start)
-        if out is None:
-            out = np.empty((count,) + values.shape[1:], values.dtype)
-        out[start : start + len(values)] = values
-    return out
-
-
-def _tally(row_type, flags) -> tuple:
-    """One (n, hits, samples, share, Clopper-Pearson) row per budget n = 1, 2, ...
-    from that budget's per-sample hit flags."""
-    rows = []
-    for n, hit in enumerate(flags, 1):
-        c = int(np.count_nonzero(hit))
-        ci = clopper_pearson(c, hit.size, _PROPORTION_CI_CONFIDENCE)
-        rows.append(row_type(n, c, hit.size, c / hit.size, ci))
-    return tuple(rows)
-
-
-def _run_ordered(worker, items, threads: int | None, progress: ProgressFn | None, label: str):
-    """Map worker over items in order, on the calling thread; ``threads`` is only checked."""
     if threads is not None and threads < 1:
         raise ArgumentError("threads", f"must be >= 1, got {threads}")
-    results = []
-    for k, item in enumerate(items):
-        results.append(worker(item))
+
+
+def _run_ordered(worker, items: list[range], progress: ProgressFn | None, label: str) -> None:
+    """Call worker on each range of samples in order, on the calling thread,
+    with one progress line per range saying how many samples are done."""
+    for item in items:
+        worker(item)
         if progress is not None:
-            progress(f"{label}: {k + 1}/{len(items)}")
-    return results
+            progress(f"{label}: {item.stop}/{items[-1].stop} samples")
+
+
+def _per_sample(dist: DiscreteDistribution, B: int, count: int, rng: RngStream, key: int, evaluate,
+                progress: ProgressFn | None, label: str) -> None:
+    """Call ``evaluate(rows, start)`` on ``count`` size-B samples, about
+    _SAMPLE_CHUNK_VALUES score values at a time: ``rows[k]`` is sample start+k,
+    drawn from ``rng.child(key, start+k)``, each chunk's streams derived in one
+    :meth:`RngStream.children` pass."""
+    per_chunk = max(1, _SAMPLE_CHUNK_VALUES // B)
+    chunks = [range(start, min(start + per_chunk, count)) for start in range(0, count, per_chunk)]
+    _run_ordered(lambda c: evaluate(draw_rows(dist, B, rng.children(key, c.start, c.stop)), c.start),
+                 chunks, progress, label)
+
+
+def _tally(row_type, counts: np.ndarray, samples: int) -> tuple:
+    """One (n, hits, samples, share, Clopper-Pearson) row per budget n = 1, 2, ...
+    from that budget's hit count."""
+    return tuple(
+        row_type(n, c, samples, c / samples, clopper_pearson(c, samples, _PROPORTION_CI_CONFIDENCE))
+        for n, c in enumerate(counts.tolist(), 1)
+    )
 
 
 def probe(
@@ -207,23 +201,25 @@ def probe(
 ) -> ProbeReport:
     """Proportion of samples whose estimate falls strictly below the truth.
 
-    For each budget n in 1..n_max, draws ``num_samples`` independent size-B
-    samples from ``dist``, sample i from ``rng.child(n, i)``, evaluates the
-    estimator on each chunk of samples in one call of :func:`estimate_rows`,
-    and counts strict underestimates against the exact expected maximum.
-    Ties count as neither under- nor over-estimate. Each row carries a
-    Clopper-Pearson 95% interval for the proportion.
+    Draws ``num_samples`` size-B samples from ``dist``, sample i from
+    ``rng.child(0, i)``, and counts per budget n in 1..n_max the samples whose
+    estimate, read off the sample's curve (:func:`curve_blocks`), lies strictly
+    below the exact expected maximum; ties count as neither. Each row carries a
+    Clopper-Pearson 95% interval for the proportion. All budgets share the
+    samples, so rows are positively correlated across n; each row's count is
+    still binomial and its interval exact.
     """
-    _check_battery_args(B, n_max, kind, num_samples, "samples")
+    _check_battery_args(B, n_max, kind, num_samples, "samples", threads)
     truth = true_curve(dist, n_max)
+    under = np.zeros(n_max, dtype=np.int64)
 
-    def run_budget(n: int) -> np.ndarray:
-        return _per_sample(
-            dist, B, num_samples, rng, n, lambda rows, _: estimate_rows(rows, kind, n) < truth[n - 1]
-        )
+    def count_under(rows: np.ndarray, _start: int) -> None:
+        for start, values in curve_blocks(rows, kind, n_max):
+            stop = start + values.shape[-1]
+            under[start:stop] += np.count_nonzero(values < truth[start:stop], axis=0)
 
-    flags = _run_ordered(run_budget, range(1, n_max + 1), threads, progress, "probe")
-    rows = _tally(ProbeRow, flags)
+    _per_sample(dist, B, num_samples, rng, 0, count_under, progress, "probe")
+    rows = _tally(ProbeRow, under, num_samples)
     return ProbeReport(rows=rows, B=B, kind=kind, dist_id=dist_id, seed=rng.seed, stream=rng.stream)
 
 
@@ -242,29 +238,26 @@ def coverage(
 ) -> CoverageReport:
     """Empirical coverage probability of percentile-bootstrap intervals.
 
-    For each budget n, draws M size-B samples, builds a bootstrap CI around
-    each sample's estimate, and records the fraction of intervals containing
-    the exact expected maximum (closed intervals, endpoint hits count).
-    Sample i of budget n draws from ``rng.child(n, i)`` and its bootstrap
-    from ``boot.rng.child(n, i)``, one call per sample: its resamples alone
-    already fill a bootstrap chunk, so stacking samples would gain nothing.
+    Draws M size-B samples, sample i from ``rng.child(0, i)``, bootstraps each
+    once, from ``boot.rng.child(0, i)``, and reads every budget's interval off
+    those resamples (:func:`percentile_bootstrap_curve`). Each row is the
+    fraction of intervals holding the exact expected maximum (closed: endpoint
+    hits count). All budgets share the samples and resamples, so rows are
+    positively correlated across n; each row's count is still binomial and its
+    Clopper-Pearson interval exact.
     """
-    _check_battery_args(B, n_max, kind, M, "M")
+    _check_battery_args(B, n_max, kind, M, "M", threads)
     truth = true_curve(dist, n_max)
+    hits = np.zeros(n_max, dtype=np.int64)
 
-    def run_budget(n: int) -> np.ndarray:
-        def covers(rows: np.ndarray, start: int) -> np.ndarray:
-            streams = boot.rng.children(n, start, start + len(rows))
-            return np.array([
-                percentile_bootstrap_ci(ScoreSample(row), kind, n, replace(boot, rng=s)).contains(truth[n - 1])
-                for row, s in zip(rows, streams)
-            ])
+    def count_hits(rows: np.ndarray, start: int) -> None:
+        for row, s in zip(rows, boot.rng.children(0, start, start + len(rows))):
+            lo, hi = percentile_bootstrap_curve(ScoreSample(row), kind, n_max, replace(boot, rng=s))
+            hits[:] += (lo <= truth) & (truth <= hi)
 
-        return _per_sample(dist, B, M, rng, n, covers)
-
-    flags = _run_ordered(run_budget, range(1, n_max + 1), threads, progress, "coverage")
+    _per_sample(dist, B, M, rng, 0, count_hits, progress, "coverage")
     return CoverageReport(
-        rows=_tally(CoverageRow, flags),
+        rows=_tally(CoverageRow, hits, M),
         B=B,
         resamples=boot.resamples,
         nominal=boot.confidence,
@@ -295,13 +288,17 @@ def curves(
     """
     if not dists:
         raise ValueError("at least one distribution is required")
-    _check_battery_args(B, B, kind, num_samples, "samples")
+    _check_battery_args(B, B, kind, num_samples, "samples", threads)
     budgets = tuple(range(1, B + 1))
 
-    def run_model(item: tuple[int, str]) -> ModelCurves:
-        m, name = item
+    def run_model(m: int, name: str) -> ModelCurves:
         dist = dists[name]
-        estimates = _per_sample(dist, B, num_samples, rng, m, lambda rows, _: curve_rows(rows, kind, B))
+        estimates = np.empty((num_samples, B))
+
+        def stack(rows: np.ndarray, start: int) -> None:
+            estimates[start : start + len(rows)] = curve_rows(rows, kind, B)
+
+        _per_sample(dist, B, num_samples, rng, m, stack, progress, f"curves {name}")
         averaged = estimates.mean(axis=0)
         if num_samples > 1:
             stderr = estimates.std(axis=0, ddof=1) / np.sqrt(num_samples)
@@ -315,8 +312,7 @@ def curves(
             stderr=tuple(float(x) for x in stderr),
         )
 
-    items = list(enumerate(dists))
-    models = tuple(_run_ordered(run_model, items, threads, progress, "curves"))
+    models = tuple(run_model(m, name) for m, name in enumerate(dists))
     return CurveReport(
         models=models,
         B=B,

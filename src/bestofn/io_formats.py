@@ -26,6 +26,7 @@ import enum
 import functools
 import json
 import math
+import sys
 import types
 import typing
 from dataclasses import dataclass
@@ -34,6 +35,9 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 from xml.etree import ElementTree as ET
 
+import numpy as np
+
+from .distributions import RNG_LAYOUT_ID
 from .estimators import EstimatorKind, ExpectedMaxCurve, KsBoundReport, ScoreSample
 from .experiments import CoverageReport, CurveReport, FailureScanReport, ProbeReport
 from .resampling import Interval
@@ -116,11 +120,25 @@ def write_runs(sample: ScoreSample, path) -> None:
 
 
 @dataclass(frozen=True)
+class Provenance:
+    """The library versions and RNG layout (:data:`~bestofn.distributions.RNG_LAYOUT_ID`)
+    that made a payload: numpy does not promise the same ``Generator`` streams across
+    versions. Nothing in it depends on the time or the run."""
+
+    python: str
+    numpy: str
+    scipy: str
+    rng_layout: str
+
+
+@dataclass(frozen=True)
 class ReportEnvelope:
     """A report payload wrapped with everything needed to reproduce it.
 
     ``config`` echoes every parameter and seed that went into the payload;
-    re-running the tool with that config reproduces the payload bit for bit.
+    re-running the tool with that config, at the same ``provenance``,
+    reproduces the payload bit for bit. A report without provenance was
+    made by RNG layout 1 and reads back with ``provenance=None``.
     """
 
     schema_version: str
@@ -129,9 +147,12 @@ class ReportEnvelope:
     config: dict
     payload_kind: str
     payload: object
+    provenance: Provenance | None = None
 
 
 def make_envelope(payload_kind: str, payload, config: dict) -> ReportEnvelope:
+    import scipy  # the bare package: scipy.special and scipy.stats stay unloaded
+
     from . import __version__
 
     return ReportEnvelope(
@@ -141,6 +162,7 @@ def make_envelope(payload_kind: str, payload, config: dict) -> ReportEnvelope:
         config=config,
         payload_kind=payload_kind,
         payload=payload,
+        provenance=Provenance(sys.version.split()[0], np.__version__, scipy.__version__, RNG_LAYOUT_ID),
     )
 
 
@@ -397,6 +419,7 @@ def read_report(path) -> ReportEnvelope:
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {version!r} "
                              f"(this build reads {SCHEMA_VERSION!r})")
+        obj.setdefault("provenance", None)  # made by RNG layout 1
         envelope = _from_json(ReportEnvelope, obj, "")
         codec = _codec(envelope.payload_kind)
         payload, where = envelope.payload, "payload"

@@ -375,7 +375,7 @@ def test_probe_progress_goes_to_stderr(tmp_path, coin_dist, capsys):
                  "--samples", "10", "-o", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "2/2" in captured.err
+    assert captured.err == "probe: 10/10 samples\n"  # one chunk of samples serves both budgets
 
 
 def test_probe_svg_flag_writes_chart_and_sidecar(tmp_path, coin_dist):
@@ -743,6 +743,24 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert stats_loaded == "False"
     # Only the batteries' Clopper-Pearson intervals need scipy, imported on use.
     assert scipy_modules == "[]"
+
+
+def test_curve_report_names_its_provenance_without_loading_scipy_submodules(tmp_path):
+    runs, out = tmp_path / "runs.csv", tmp_path / "curve.json"
+    runs.write_text("score\n0.1\n0.5\n0.9\n")
+    code = (
+        "import sys, bestofn.cli; "
+        f"code = bestofn.cli.main(['curve', '--runs', {str(runs)!r}, '-o', {str(out)!r}]); "
+        "print(code, 'scipy.special' in sys.modules or 'scipy.stats' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "False"]
+    provenance = json.loads(out.read_text())["provenance"]
+    assert provenance["rng_layout"] == "philox4x64-splitmix64/2"
+    assert set(provenance) == {"python", "numpy", "scipy", "rng_layout"}
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

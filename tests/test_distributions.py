@@ -35,7 +35,7 @@ from bestofn import (
     true_curve,
 )
 from bestofn import distributions
-from bestofn.distributions import draw_rows
+from bestofn.distributions import RNG_LAYOUT_ID, draw_rows
 from bestofn.fixtures import FIXTURE_NAMES, load_fixture
 
 
@@ -378,6 +378,13 @@ def test_rng_layout_known_answers():
     assert [(c.seed, c.stream) for c in streams] == [(s, w) for s, _, _, w, _ in RNG_LAYOUT]
     rows = draw_rows(dist, 4, streams)
     assert rows.tolist() == [values for *_, values in RNG_LAYOUT]
+
+
+def test_rng_layout_id_is_pinned():
+    # Reports name the layout that made them. Layout 2 reads every budget of
+    # probe and coverage off sample i = child (0, i); a change that alters
+    # payloads at a fixed seed bumps the id here and in CHANGES.md.
+    assert RNG_LAYOUT_ID == "philox4x64-splitmix64/2"
 
 
 def test_child_matches_the_python_int_reference():

@@ -33,12 +33,12 @@ from bestofn import (
     expected_max_curve,
     failure_scan,
     make_envelope,
-    percentile_bootstrap_ci,
     percentile_bootstrap_curve,
     probe,
     true_curve,
 )
-from bestofn import experiments, resampling
+from bestofn import estimators, experiments, resampling
+from bestofn.estimators import curve_rows
 from bestofn.experiments import CurveReport, ModelCurves
 from bestofn.io_formats import report_json_text
 
@@ -150,10 +150,17 @@ def test_probe_determinism_and_thread_invariance(ten):
     assert base.rows == again.rows == threaded.rows
 
 
-def test_probe_progress_messages(point_mass):
+def test_probe_progress_messages(point_mass, monkeypatch):
+    # One line per chunk of samples, not per budget: budgets share the samples.
+    monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_VALUES", 6)  # two samples per chunk
     messages = []
-    probe(point_mass, 3, 2, 4, EstimatorKind.MEANMAX_V, RngStream(1), progress=messages.append)
-    assert messages[-1].endswith("2/2")
+    probe(point_mass, 3, 2, 5, EstimatorKind.MEANMAX_V, RngStream(1), progress=messages.append)
+    assert messages == ["probe: 2/5 samples", "probe: 4/5 samples", "probe: 5/5 samples"]
+    messages.clear()
+    curves({"pm": point_mass, "again": point_mass}, 3, 3, EstimatorKind.MEANMAX_V, RngStream(1),
+           progress=messages.append)
+    assert messages == ["curves pm: 2/3 samples", "curves pm: 3/3 samples",
+                        "curves again: 2/3 samples", "curves again: 3/3 samples"]
 
 
 def test_probe_validation(coin):
@@ -291,16 +298,14 @@ def test_curves_validation(ten):
 def test_probe_counts_match_a_per_sample_loop(ten, kind):
     # On the ten-point lattice the mean of B = 10 draws often equals the
     # truth at n = 1 exactly, so a count is only right if every estimate
-    # rounds as the single-sample estimate does.
+    # rounds as the single-sample curve does. Sample i serves every budget.
     rng = RngStream(61, 3)
     rep = probe(ten, 10, 10, 150, kind, rng)
     truth = true_curve(ten, 10)
-    for row in rep.rows:
-        want = sum(
-            estimate(draw_sample(ten, 10, rng.child(row.n, i)), kind, row.n) < truth[row.n - 1]
-            for i in range(150)
-        )
-        assert row.underestimates == want
+    want = np.zeros(10, dtype=int)
+    for i in range(150):
+        want += curve_rows(draw_sample(ten, 10, rng.child(0, i)).ingested_values, kind, 10) < truth
+    assert [row.underestimates for row in rep.rows] == want.tolist()
 
 
 @pytest.mark.parametrize("kind", list(EstimatorKind))
@@ -310,17 +315,12 @@ def test_coverage_hits_match_a_per_sample_loop(lattice, kind, monkeypatch):
     boot = BootstrapConfig(RngStream(67, 3), resamples=50, confidence=0.9)
     rep = coverage(lattice, 10, 10, 40, boot, kind, rng)
     truth = true_curve(lattice, 10)
-    for row in rep.rows:
-        want = sum(
-            percentile_bootstrap_ci(
-                draw_sample(lattice, 10, rng.child(row.n, i)),
-                kind,
-                row.n,
-                replace(boot, rng=boot.rng.child(row.n, i)),
-            ).contains(truth[row.n - 1])
-            for i in range(40)
-        )
-        assert row.hits == want
+    want = np.zeros(10, dtype=int)
+    for i in range(40):  # one sample and one bootstrap serve every budget
+        sample = draw_sample(lattice, 10, rng.child(0, i))
+        lo, hi = percentile_bootstrap_curve(sample, kind, 10, replace(boot, rng=boot.rng.child(0, i)))
+        want += (lo <= truth) & (truth <= hi)
+    assert [row.hits for row in rep.rows] == want.tolist()
     assert {row.hits for row in rep.rows} != {40}
 
 
@@ -370,6 +370,8 @@ def test_reports_do_not_depend_on_the_sample_chunk(ten, coin, chunk, monkeypatch
     default = run_all()
     monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_VALUES", chunk)
     monkeypatch.setattr(resampling, "_BOOT_CHUNK_VALUES", chunk)
+    # Curve blocks of one budget, of a few (five, for probe) and of all budgets.
+    monkeypatch.setattr(estimators, "_BLOCK_VALUES", 4 * chunk)
     assert run_all() == default
 
 
@@ -407,7 +409,7 @@ def test_batteries_do_not_depend_on_the_thread_count(sizes, samples, kind, seed)
 
 
 def test_batteries_run_on_the_calling_thread(ten, coin, monkeypatch):
-    kernels = ("estimate_rows", "percentile_bootstrap_ci", "curve_rows")
+    kernels = ("curve_blocks", "percentile_bootstrap_curve", "curve_rows")
     seen = {name: set() for name in kernels}
 
     def recorder(name, kernel):

@@ -1,6 +1,8 @@
 """Tests for runs ingestion, report envelopes, CSV flattening, and SVG charts."""
 
 import json
+import platform
+from dataclasses import replace
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -34,6 +36,7 @@ from bestofn.io_formats import (
     EmptyRunsError,
     MalformedRowError,
     NonFiniteScoreError,
+    Provenance,
     RunsFileError,
     canonical_json,
     envelope_to_jsonable,
@@ -200,6 +203,7 @@ def test_json_round_trip_every_payload_kind(tmp_path):
         assert back.payload == payload
         assert back.config == {"seed": 7, "B": 20}
         assert back.schema_version == env.schema_version
+        assert back.provenance == env.provenance
 
 
 def test_envelope_carries_versions_and_timestamp():
@@ -207,6 +211,30 @@ def test_envelope_carries_versions_and_timestamp():
     assert env.schema_version == "1"
     assert env.tool_version
     assert env.created.endswith("Z")
+
+
+def test_envelope_provenance_names_the_versions_and_rng_layout(tmp_path):
+    import scipy
+
+    env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=1.0, B=1, rows=()), {})
+    assert env.provenance == Provenance(
+        python=platform.python_version(), numpy=np.__version__, scipy=scipy.__version__,
+        rng_layout="philox4x64-splitmix64/2",
+    )
+    path = tmp_path / "r.json"
+    write_report(env, path)
+    assert json.loads(path.read_text())["provenance"]["rng_layout"] == "philox4x64-splitmix64/2"
+    assert read_report(path) == env
+
+
+def test_read_report_accepts_a_report_without_provenance(tmp_path):
+    # Reports of RNG layout 1 predate the block; they still read, with None.
+    env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=0.5, B=2, rows=()), {"seed": 1})
+    obj = envelope_to_jsonable(env)
+    del obj["provenance"]
+    path = tmp_path / "old.json"
+    path.write_text(canonical_json(obj))
+    assert read_report(path) == replace(env, provenance=None)
 
 
 def test_canonical_json_is_sorted_compact_and_newline_terminated():
