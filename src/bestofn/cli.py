@@ -31,8 +31,8 @@ draws one resample matrix per estimator kind e, from
 the intervals of one curve share their resamples. e is fixed per kind
 (unbiased 0, meanmax 1, meanmax-prefix 2), so a curve's CIs do not depend on
 which other estimators are requested or in what order.
-Every battery runs on the calling thread. ``--threads`` (default from
-``BESTOFN_THREADS``) is still accepted and checked, but changes nothing.
+Every battery runs on the calling thread. ``--threads`` is still accepted
+and checked (K >= 1, after the input files are read), but changes nothing.
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ from .distributions import (
 )
 from .estimators import (
     ArgumentError,
-    CurvePoint,
     EstimatorKind,
-    ExpectedMaxCurve,
     KsBoundReport,
     KsBoundRow,
     budget_is_bounded,
@@ -81,7 +79,6 @@ from .resampling import BootstrapConfig, percentile_bootstrap_curve
 from .resampling import percentile_bootstrap_ci  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 DEFAULT_SEED = 1729
-THREADS_ENV = "BESTOFN_THREADS"
 
 _ESTIMATOR_CHOICES = ("meanmax", "meanmax-prefix", "unbiased")
 
@@ -89,20 +86,10 @@ _ESTIMATOR_CHOICES = ("meanmax", "meanmax-prefix", "unbiased")
 _CI_STREAMS = {EstimatorKind.UNBIASED_U: 0, EstimatorKind.MEANMAX_V: 1, EstimatorKind.MEANMAX_PREFIX: 2}
 
 
-def _resolve_threads(flag_value: int | None) -> int | None:
-    """``--threads`` if given, else the positive integer in BESTOFN_THREADS."""
-    raw = os.environ.get(THREADS_ENV)
-    if flag_value is not None or raw is None:
-        return flag_value
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ArgumentError(
-            "threads", f"defaults to {THREADS_ENV}, which must be a positive integer, got {raw!r}"
-        )
-    return value
+def _check_threads(threads: int) -> None:
+    """``--threads`` changes nothing, but a count below one is still a usage error."""
+    if threads < 1:
+        raise ArgumentError("threads", f"must be >= 1, got {threads}")
 
 
 def _bandwidth_flag(raw: str) -> float | str:
@@ -155,9 +142,9 @@ def _add_seed_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None, metavar="K",
-                   help=f"accepted for compatibility and checked (K >= 1), but ignored: "
-                        f"batteries run on one thread (default: ${THREADS_ENV} if set, else 1)")
+    p.add_argument("--threads", type=int, default=1, metavar="K",
+                   help="accepted for compatibility and checked (K >= 1), but ignored: "
+                        "batteries run on one thread (default: 1)")
 
 
 def cmd_curve(args) -> int:
@@ -183,13 +170,8 @@ def cmd_curve(args) -> int:
 
     payload = []
     for kind in kinds:
-        curve = expected_max_curve(sample, kind, n_max)
-        if args.ci:
-            lo, hi = percentile_bootstrap_curve(sample, kind, n_max, boots[kind])
-            points = tuple(map(CurvePoint, range(1, n_max + 1), curve.estimates.tolist(),
-                               zip(lo.tolist(), hi.tolist())))
-            curve = ExpectedMaxCurve(points=points, estimator=kind, sample_size=curve.sample_size)
-        payload.append(curve)
+        ci = percentile_bootstrap_curve(sample, kind, n_max, boots[kind]) if args.ci else None
+        payload.append(expected_max_curve(sample, kind, n_max, ci))
 
     config = {
         "command": "curve",
@@ -230,9 +212,10 @@ def cmd_probe(args) -> int:
 
     dist_id, path = _parse_dist_flag(args.dist)
     dist = load_distribution(path)
+    _check_threads(args.threads)
     report = run_probe(
         dist, args.B, n_max, args.samples, kind, RngStream(args.seed),
-        threads=_resolve_threads(args.threads), dist_id=dist_id, progress=_progress,
+        dist_id=dist_id, progress=_progress,
     )
     config = {
         "command": "probe",
@@ -253,12 +236,13 @@ def cmd_coverage(args) -> int:
 
     dist_id, path = _parse_dist_flag(args.dist)
     dist = load_distribution(path)
+    _check_threads(args.threads)
     boot = BootstrapConfig(
         rng=RngStream(args.seed, 1), resamples=args.resamples, confidence=args.confidence
     )
     report = run_coverage(
         dist, args.B, n_max, args.M, boot, kind, RngStream(args.seed),
-        threads=_resolve_threads(args.threads), dist_id=dist_id, progress=_progress,
+        dist_id=dist_id, progress=_progress,
     )
     config = {
         "command": "coverage",
@@ -285,10 +269,8 @@ def cmd_curves_sim(args) -> int:
             raise ArgumentError("dist", f"name {name!r} given twice; disambiguate with NAME=PATH")
         named[name] = path
     dists = {name: load_distribution(path) for name, path in named.items()}
-    report = run_curves(
-        dists, args.B, args.samples, kind, RngStream(args.seed),
-        threads=_resolve_threads(args.threads), progress=_progress,
-    )
+    _check_threads(args.threads)
+    report = run_curves(dists, args.B, args.samples, kind, RngStream(args.seed), progress=_progress)
     config = {
         "command": "curves-sim",
         "dists": named,

@@ -16,6 +16,7 @@ so memory stays O(B) per sample for any number of budgets (:func:`curve_blocks`)
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -364,14 +365,16 @@ def curve_rows(draws: np.ndarray, kind: EstimatorKind, n_max: int) -> np.ndarray
     return out
 
 
-def expected_max_curve(sample: ScoreSample, kind: EstimatorKind, n_max: int) -> ExpectedMaxCurve:
+def expected_max_curve(sample: ScoreSample, kind: EstimatorKind, n_max: int,
+                       ci: tuple[np.ndarray, np.ndarray] | None = None) -> ExpectedMaxCurve:
     """Expected-maximum estimates for every budget n = 1..n_max.
 
     Evaluated by :func:`curve_rows` in O(B) memory for any n_max; each point
-    agrees with :func:`estimate` at its budget to rounding. Confidence
-    intervals are not attached here; see
-    :func:`bestofn.resampling.percentile_bootstrap_curve`.
+    agrees with :func:`estimate` at its budget to rounding. ``ci``, when
+    given, holds the interval ends (lo, hi) of budgets 1..n_max, as
+    :func:`bestofn.resampling.percentile_bootstrap_curve` returns them.
     """
-    values = curve_rows(sample.ingested_values, kind, n_max)
-    points = tuple(CurvePoint(n=i + 1, estimate=float(v)) for i, v in enumerate(values))
+    values = curve_rows(sample.ingested_values, kind, n_max).tolist()
+    cis = zip(ci[0].tolist(), ci[1].tolist()) if ci is not None else itertools.repeat(None)
+    points = tuple(map(CurvePoint, range(1, n_max + 1), values, cis))
     return ExpectedMaxCurve(points=points, estimator=kind, sample_size=sample.size)

@@ -5,7 +5,7 @@ model m for curves, else m = 0) draws from ``rng.child(m, i)``, a chunk of
 samples per call, and every budget is read off that one sample's curve. Probe
 and coverage count underestimates and bootstrap-CI hits per budget and tally
 them into the same rows (:func:`_tally`); curves stacks the curves. Chunks run
-in order on the calling thread; ``threads`` is checked and otherwise ignored.
+in order on the calling thread.
 """
 from __future__ import annotations
 
@@ -146,15 +146,12 @@ class FailureScanReport:
     inversions: tuple[Inversion, ...]
 
 
-def _check_battery_args(B: int, n_max: int, kind: EstimatorKind, count: int, count_name: str,
-                        threads: int | None) -> None:
+def _check_battery_args(B: int, n_max: int, kind: EstimatorKind, count: int, count_name: str) -> None:
     if B < 1:
         raise ArgumentError("B", f"must be >= 1, got {B}")
     require_budget(n_max, B, budget_is_bounded(kind), "n_max")
     if count < 1:
         raise ArgumentError(count_name, f"must be >= 1, got {count}")
-    if threads is not None and threads < 1:
-        raise ArgumentError("threads", f"must be >= 1, got {threads}")
 
 
 def _run_ordered(worker, items: list[range], progress: ProgressFn | None, label: str) -> None:
@@ -195,7 +192,6 @@ def probe(
     kind: EstimatorKind,
     rng: RngStream,
     *,
-    threads: int | None = None,
     dist_id: str = "",
     progress: ProgressFn | None = None,
 ) -> ProbeReport:
@@ -209,7 +205,7 @@ def probe(
     samples, so rows are positively correlated across n; each row's count is
     still binomial and its interval exact.
     """
-    _check_battery_args(B, n_max, kind, num_samples, "samples", threads)
+    _check_battery_args(B, n_max, kind, num_samples, "samples")
     truth = true_curve(dist, n_max)
     under = np.zeros(n_max, dtype=np.int64)
 
@@ -232,7 +228,6 @@ def coverage(
     kind: EstimatorKind,
     rng: RngStream,
     *,
-    threads: int | None = None,
     dist_id: str = "",
     progress: ProgressFn | None = None,
 ) -> CoverageReport:
@@ -246,7 +241,7 @@ def coverage(
     positively correlated across n; each row's count is still binomial and its
     Clopper-Pearson interval exact.
     """
-    _check_battery_args(B, n_max, kind, M, "M", threads)
+    _check_battery_args(B, n_max, kind, M, "M")
     truth = true_curve(dist, n_max)
     hits = np.zeros(n_max, dtype=np.int64)
 
@@ -275,7 +270,6 @@ def curves(
     kind: EstimatorKind,
     rng: RngStream,
     *,
-    threads: int | None = None,
     progress: ProgressFn | None = None,
 ) -> CurveReport:
     """Average estimated budget-quality curves against exact true curves.
@@ -288,7 +282,7 @@ def curves(
     """
     if not dists:
         raise ValueError("at least one distribution is required")
-    _check_battery_args(B, B, kind, num_samples, "samples", threads)
+    _check_battery_args(B, B, kind, num_samples, "samples")
     budgets = tuple(range(1, B + 1))
 
     def run_model(m: int, name: str) -> ModelCurves:

@@ -77,10 +77,10 @@ def read_runs(path) -> ScoreSample:
     The file holds one score per row, optionally followed by a run id cell,
     which is ignored. A header row is auto-detected: if the first cell of
     row 1 does not parse as a number, row 1 is treated as a header. Blank
-    lines are skipped.
+    lines are skipped, and so is a leading UTF-8 byte-order mark.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise RunsFileError(f"{path}: {err}") from None
     scores: list[float] = []

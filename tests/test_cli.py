@@ -22,7 +22,7 @@ from bestofn import (
     percentile,
     save_distribution,
 )
-from bestofn.cli import DEFAULT_SEED, THREADS_ENV, main
+from bestofn.cli import DEFAULT_SEED, main
 from bestofn.estimators import curve_rows
 from bestofn.io_formats import read_report, read_runs, report_json_text
 
@@ -328,24 +328,6 @@ def test_probe_thread_flag_never_changes_payload(tmp_path, coin_dist):
     assert main(base + ["--threads", "1", "-o", str(out_1)]) == 0
     assert main(base + ["--threads", "3", "-o", str(out_3)]) == 0
     assert load_payload(out_1) == load_payload(out_3)
-
-
-def test_probe_threads_env_var(tmp_path, coin_dist, monkeypatch):
-    base = ["probe", "--dist", coin_dist, "--B", "8", "--n-max", "3",
-            "--samples", "40"]
-    out_env, out_flag = tmp_path / "env.json", tmp_path / "flag.json"
-    monkeypatch.setenv(THREADS_ENV, "2")
-    assert main(base + ["-o", str(out_env)]) == 0
-    monkeypatch.delenv(THREADS_ENV)
-    assert main(base + ["--threads", "2", "-o", str(out_flag)]) == 0
-    assert load_payload(out_env) == load_payload(out_flag)
-
-
-def test_probe_invalid_threads_env_is_usage_error(tmp_path, coin_dist, monkeypatch, capsys):
-    monkeypatch.setenv(THREADS_ENV, "many")
-    code = main(["probe", "--dist", coin_dist, "--B", "4", "--samples", "10"])
-    assert code == 2
-    assert THREADS_ENV in capsys.readouterr().err
 
 
 def test_probe_dist_id_from_name_equals_path(tmp_path, coin_dist):
@@ -663,6 +645,8 @@ BAD_FLAGS = [
     (["fit", "--runs", "RUNS", "--support-lo", "5"], "--support-lo"),
     (["fit", "--runs", "RUNS", "--preset", "mlp", "--support-lo", "0.9"], "--support-lo"),
     (["probe", "--dist", "DIST", "--threads", "0"], "--threads"),
+    (["coverage", "--dist", "DIST", "--threads", "0"], "--threads"),
+    (["curves-sim", "--dist", "DIST", "--threads", "0"], "--threads"),
 ]
 
 
@@ -672,12 +656,6 @@ def test_bad_flag_is_usage_error_naming_it(ten_runs, coin_dist, argv, flag, caps
     argv = [{"RUNS": ten_runs, "DIST": coin_dist}.get(a, a) for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"bestofn: error: {flag} ")
-
-
-def test_zero_threads_env_is_usage_error(coin_dist, monkeypatch, capsys):
-    monkeypatch.setenv(THREADS_ENV, "0")
-    assert main(["probe", "--dist", coin_dist, "--B", "4", "--samples", "10"]) == 2
-    assert THREADS_ENV in capsys.readouterr().err
 
 
 def test_curve_checks_every_budget_before_computing_any(ten_runs, monkeypatch, capsys):
@@ -692,6 +670,12 @@ def test_curve_checks_every_budget_before_computing_any(ten_runs, monkeypatch, c
 
 def test_missing_input_is_reported_before_bad_flags(tmp_path, capsys):
     assert main(["probe", "--dist", str(tmp_path / "nope.json"), "--B", "0"]) == 1
+    assert "nope.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["probe", "coverage", "curves-sim"])
+def test_missing_input_is_reported_before_a_bad_thread_count(tmp_path, command, capsys):
+    assert main([command, "--dist", str(tmp_path / "nope.json"), "--threads", "0"]) == 1
     assert "nope.json" in capsys.readouterr().err
 
 

@@ -665,7 +665,6 @@ def test_argument_checks_name_their_argument():
         ("M", lambda: coverage(dist, 4, 2, 0, boot, MEANMAX, rng)),
         ("B", lambda: curves({"d": dist}, 0, 5, MEANMAX, rng)),
         ("samples", lambda: curves({"d": dist}, 4, 0, MEANMAX, rng)),
-        ("threads", lambda: probe(dist, 4, 2, 5, MEANMAX, rng, threads=0)),
         ("cdf_at_max", lambda: ks_lower_bound(sample, 1.2, 1)),
     ]
     for name, call in cases:

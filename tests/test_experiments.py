@@ -146,8 +146,7 @@ def test_probe_bias_grows_with_budget(ten):
 def test_probe_determinism_and_thread_invariance(ten):
     base = probe(ten, 8, 5, 60, EstimatorKind.MEANMAX_V, RngStream(9, 0))
     again = probe(ten, 8, 5, 60, EstimatorKind.MEANMAX_V, RngStream(9, 0))
-    threaded = probe(ten, 8, 5, 60, EstimatorKind.MEANMAX_V, RngStream(9, 0), threads=4)
-    assert base.rows == again.rows == threaded.rows
+    assert base.rows == again.rows
 
 
 def test_probe_progress_messages(point_mass, monkeypatch):
@@ -219,11 +218,11 @@ def test_coverage_rows_are_consistent(coin):
 
 
 def test_coverage_determinism_and_thread_invariance(ten):
-    def run(threads):
+    def run():
         boot = BootstrapConfig(RngStream(5, 1), resamples=80)
-        return coverage(ten, 6, 4, 25, boot, EstimatorKind.MEANMAX_V, RngStream(5, 0), threads=threads)
+        return coverage(ten, 6, 4, 25, boot, EstimatorKind.MEANMAX_V, RngStream(5, 0))
 
-    assert run(None).rows == run(1).rows == run(3).rows
+    assert run().rows == run().rows
 
 
 def test_coverage_validation(coin):
@@ -273,13 +272,10 @@ def test_curves_grids_and_monotonicity(ten, coin):
 
 
 def test_curves_determinism_and_thread_invariance(ten, coin):
-    def run(threads):
-        return curves(
-            {"ten": ten, "coin": coin}, 7, 60, EstimatorKind.UNBIASED_U,
-            RngStream(8, 0), threads=threads,
-        )
+    def run():
+        return curves({"ten": ten, "coin": coin}, 7, 60, EstimatorKind.UNBIASED_U, RngStream(8, 0))
 
-    assert run(None).models == run(1).models == run(4).models
+    assert run().models == run().models
 
 
 def test_curves_validation(ten):
@@ -290,7 +286,7 @@ def test_curves_validation(ten):
 
 
 # ---------------------------------------------------------------------------
-# Stacked evaluation and thread-count independence
+# Stacked evaluation and reruns
 # ---------------------------------------------------------------------------
 
 
@@ -382,24 +378,18 @@ def test_reports_do_not_depend_on_the_sample_chunk(ten, coin, chunk, monkeypatch
     st.sampled_from(list(EstimatorKind)),
     st.integers(0, 2**32),
 )
-def test_batteries_do_not_depend_on_the_thread_count(sizes, samples, kind, seed):
+def test_batteries_rerun_byte_for_byte(sizes, samples, kind, seed):
     B, n_max = sizes
     ten = DiscreteDistribution(np.arange(1.0, 11.0), np.full(10, 0.1))
     coin = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
     boot = BootstrapConfig(RngStream(seed, 1), resamples=16, confidence=0.9)
     batteries = {
-        "probe": lambda threads: probe(
-            ten, B, n_max, samples, kind, RngStream(seed), threads=threads
-        ),
-        "coverage": lambda threads: coverage(
-            ten, B, n_max, samples, boot, kind, RngStream(seed), threads=threads
-        ),
-        "curves": lambda threads: curves(
-            {"ten": ten, "coin": coin}, B, samples, kind, RngStream(seed), threads=threads
-        ),
+        "probe": lambda: probe(ten, B, n_max, samples, kind, RngStream(seed)),
+        "coverage": lambda: coverage(ten, B, n_max, samples, boot, kind, RngStream(seed)),
+        "curves": lambda: curves({"ten": ten, "coin": coin}, B, samples, kind, RngStream(seed)),
     }
     for payload_kind, run in batteries.items():
-        reports = [run(None), run(3)]
+        reports = [run(), run()]
         assert reports[0] == reports[1]
         texts = [
             report_json_text(replace(make_envelope(payload_kind, r, {"seed": seed}), created=""))
@@ -422,9 +412,9 @@ def test_batteries_run_on_the_calling_thread(ten, coin, monkeypatch):
         monkeypatch.setattr(experiments, name, recorder(name, getattr(experiments, name)))
     kind = EstimatorKind.MEANMAX_V
     boot = BootstrapConfig(RngStream(4, 1), resamples=16, confidence=0.9)
-    probe(ten, 6, 6, 20, kind, RngStream(4), threads=3)
-    coverage(ten, 6, 6, 10, boot, kind, RngStream(4), threads=3)
-    curves({"ten": ten, "coin": coin, "again": ten}, 6, 20, kind, RngStream(4), threads=3)
+    probe(ten, 6, 6, 20, kind, RngStream(4))
+    coverage(ten, 6, 6, 10, boot, kind, RngStream(4))
+    curves({"ten": ten, "coin": coin, "again": ten}, 6, 20, kind, RngStream(4))
     assert seen == {name: {threading.get_ident()} for name in kernels}
 
 

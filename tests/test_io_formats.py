@@ -67,6 +67,15 @@ def test_read_runs_headerless(tmp_path):
     assert np.array_equal(sample.ingested_values, [0.5, 0.7, 0.6])
 
 
+def test_read_runs_keeps_the_first_score_after_a_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with a BOM; it must not turn row 1 into a header.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf0.5\n0.7\n0.9\n")
+    assert read_runs(path).ingested_values.tolist() == [0.5, 0.7, 0.9]
+    path.write_bytes(b"\xef\xbb\xbfscore,run_id\n0.5,a\n0.7,b\n")
+    assert read_runs(path).ingested_values.tolist() == [0.5, 0.7]
+
+
 def test_read_runs_skips_blank_lines(tmp_path):
     sample = read_runs(runs_file(tmp_path, "score\n0.5\n\n0.7\n\n"))
     assert sample.size == 2
