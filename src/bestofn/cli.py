@@ -11,11 +11,19 @@ missing ``--dist`` file and ``--B 0`` exits 1. ``curve`` checks its
 bootstrap flags before reading the runs, and every requested estimator's
 budget before computing any curve. ``fit`` passes on only the flags given,
 over the preset or ``KdeSpec()``: ``fit_kde`` owns every default, and its
-data errors are prefixed with the runs file.
+data errors are prefixed with the runs file. ``--svg`` is checked before
+anything runs: neither the chart nor its ``.csv`` sidecar may be the ``-o``
+report.
 
-The root seed defaults to the fixed constant 1729 so bare
-invocations are reproducible; every report embeds the config needed to
-reproduce its payload byte for byte. Progress lines go to standard error
+The root seed defaults to the fixed constant 1729 so bare invocations are
+reproducible. A report's ``config`` is its command line: every flag that
+can change a payload byte, as parsed and keyed by its argparse dest, with
+the defaults the command resolved (``n_max``, curve's ``estimator`` list,
+failure-scan's model names). ``-o``, ``--format``, ``--svg`` and
+``--threads`` are left out. It replays as ``bestofn <command>`` followed by
+``--<key with _ spelled -> <value>`` per key: a list repeats its flag,
+``true`` is a bare flag, and ``null`` and ``false`` are omitted. The
+replayed payload is byte-identical. Progress lines go to standard error
 only; standard output carries the report when ``-o`` is omitted.
 
 Randomness layout ``philox4x64-splitmix64/2``, named with the python, numpy and
@@ -41,6 +49,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 from typing import Sequence
 
 from .distributions import (
@@ -82,6 +91,9 @@ DEFAULT_SEED = 1729
 
 _ESTIMATOR_CHOICES = ("meanmax", "meanmax-prefix", "unbiased")
 
+# Flags that change no payload byte, so no report's config names them.
+_NOT_CONFIG = frozenset({"func", "output", "format", "svg", "threads"})
+
 # The bootstrap child stream of each estimator kind under ``curve --ci``.
 _CI_STREAMS = {EstimatorKind.UNBIASED_U: 0, EstimatorKind.MEANMAX_V: 1, EstimatorKind.MEANMAX_PREFIX: 2}
 
@@ -113,6 +125,23 @@ def _parse_dist_flag(raw: str) -> tuple[str, str]:
         return name, path
     stem = os.path.splitext(os.path.basename(raw))[0]
     return stem, raw
+
+
+def _config(args, **resolved) -> dict:
+    """Every payload-relevant flag as parsed, keyed by its dest, updated with
+    the values the command resolved (a default it filled in, a name it parsed)."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    config.update(resolved)
+    return config
+
+
+def _check_svg(args) -> None:
+    """``--svg`` writes PATH and its ``.csv`` sidecar; neither may be the ``-o`` report."""
+    svg = getattr(args, "svg", None)
+    if svg and args.output is not None:
+        chart = Path(svg).resolve()
+        if Path(args.output).resolve() in (chart, chart.with_suffix(".csv")):
+            raise ArgumentError("svg", f"{svg!r} or its .csv sidecar would overwrite -o {args.output!r}")
 
 
 def _deliver(envelope, args) -> int:
@@ -173,16 +202,7 @@ def cmd_curve(args) -> int:
         ci = percentile_bootstrap_curve(sample, kind, n_max, boots[kind]) if args.ci else None
         payload.append(expected_max_curve(sample, kind, n_max, ci))
 
-    config = {
-        "command": "curve",
-        "runs": args.runs,
-        "estimators": [str(k) for k in kinds],
-        "n_max": n_max,
-        "ci": bool(args.ci),
-        "resamples": args.resamples if args.ci else None,
-        "confidence": args.confidence if args.ci else None,
-        "seed": args.seed,
-    }
+    config = _config(args, estimator=[str(k) for k in kinds], n_max=n_max)
     return _deliver(make_envelope("curve", tuple(payload), config), args)
 
 
@@ -217,17 +237,7 @@ def cmd_probe(args) -> int:
         dist, args.B, n_max, args.samples, kind, RngStream(args.seed),
         dist_id=dist_id, progress=_progress,
     )
-    config = {
-        "command": "probe",
-        "dist": path,
-        "dist_id": dist_id,
-        "B": args.B,
-        "n_max": n_max,
-        "samples": args.samples,
-        "estimator": str(kind),
-        "seed": args.seed,
-    }
-    return _deliver(make_envelope("probe", report, config), args)
+    return _deliver(make_envelope("probe", report, _config(args, n_max=n_max)), args)
 
 
 def cmd_coverage(args) -> int:
@@ -244,19 +254,7 @@ def cmd_coverage(args) -> int:
         dist, args.B, n_max, args.M, boot, kind, RngStream(args.seed),
         dist_id=dist_id, progress=_progress,
     )
-    config = {
-        "command": "coverage",
-        "dist": path,
-        "dist_id": dist_id,
-        "B": args.B,
-        "n_max": n_max,
-        "M": args.M,
-        "resamples": args.resamples,
-        "confidence": args.confidence,
-        "estimator": str(kind),
-        "seed": args.seed,
-    }
-    return _deliver(make_envelope("coverage", report, config), args)
+    return _deliver(make_envelope("coverage", report, _config(args, n_max=n_max)), args)
 
 
 def cmd_curves_sim(args) -> int:
@@ -271,15 +269,7 @@ def cmd_curves_sim(args) -> int:
     dists = {name: load_distribution(path) for name, path in named.items()}
     _check_threads(args.threads)
     report = run_curves(dists, args.B, args.samples, kind, RngStream(args.seed), progress=_progress)
-    config = {
-        "command": "curves-sim",
-        "dists": named,
-        "B": args.B,
-        "samples": args.samples,
-        "estimator": str(kind),
-        "seed": args.seed,
-    }
-    return _deliver(make_envelope("curves", report, config), args)
+    return _deliver(make_envelope("curves", report, _config(args)), args)
 
 
 def cmd_failure_scan(args) -> int:
@@ -309,12 +299,7 @@ def cmd_failure_scan(args) -> int:
         kind=report.kind,
         inversions=tuple(run_failure_scan(report, model_a, model_b)),
     )
-    config = {
-        "command": "failure-scan",
-        "report": args.report,
-        "model_a": model_a,
-        "model_b": model_b,
-    }
+    config = _config(args, model_a=model_a, model_b=model_b)
     return _deliver(make_envelope("failure_scan", payload, config), args)
 
 
@@ -326,13 +311,7 @@ def cmd_ks_bound(args) -> int:
         for n in range(1, args.n_max + 1)
     )
     payload = KsBoundReport(cdf_at_max=args.cdf_at_max, B=sample.size, rows=rows)
-    config = {
-        "command": "ks-bound",
-        "runs": args.runs,
-        "cdf_at_max": args.cdf_at_max,
-        "n_max": args.n_max,
-    }
-    return _deliver(make_envelope("ks_bound", payload, config), args)
+    return _deliver(make_envelope("ks_bound", payload, _config(args)), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,6 +434,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
+        _check_svg(args)
         return args.func(args)
     except ArgumentError as err:
         print(f"bestofn: error: --{err.name.replace('_', '-')} {err.detail}", file=sys.stderr)

@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .distributions import DiscreteDistribution, KdeSpec, fit_kde, load_distribution, save_distribution
 from .estimators import ScoreSample
@@ -71,18 +71,18 @@ def gaussian_quantile_runs(weights: list[float], means: list[float], sds: list[f
     parts = []
     for weight, mean, sd in zip(weights, means, sds):
         k = max(1, round(weight * count))
-        parts.append(stats.norm.ppf(_grid(k)) * sd + mean)
+        parts.append(ndtri(_grid(k)) * sd + mean)
     return np.concatenate(parts)
 
 
 def probe_runs() -> np.ndarray:
     """Synthetic run scores behind the ``probe-skewed`` fixture."""
     return np.concatenate([
-        stats.norm.ppf(_grid(110)) * 0.10 + 0.35,
-        stats.norm.ppf(_grid(282)) * 0.030 + 0.62,
+        ndtri(_grid(110)) * 0.10 + 0.35,
+        ndtri(_grid(282)) * 0.030 + 0.62,
         0.64 + _grid(50) * (0.795 - 0.64),
-        stats.norm.ppf(_grid(50)) * 0.004 + 0.80,
-        0.806 + 0.02 * stats.lognorm.ppf(_grid(8), 1.5),
+        ndtri(_grid(50)) * 0.004 + 0.80,
+        0.806 + 0.02 * np.exp(1.5 * ndtri(_grid(8))),
     ])
 
 

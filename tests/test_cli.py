@@ -24,7 +24,7 @@ from bestofn import (
 )
 from bestofn.cli import DEFAULT_SEED, main
 from bestofn.estimators import curve_rows
-from bestofn.io_formats import read_report, read_runs, report_json_text
+from bestofn.io_formats import canonical_json, read_report, read_runs, report_json_text
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +369,17 @@ def test_probe_svg_flag_writes_chart_and_sidecar(tmp_path, coin_dist):
     assert (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("report, chart", [("out.csv", "out.svg"), ("same.svg", "same.svg")])
+def test_svg_that_would_overwrite_the_report_is_usage_error(
+    tmp_path, ten_runs, monkeypatch, report, chart, capsys
+):
+    monkeypatch.chdir(tmp_path)  # a relative -o and an absolute --svg name the same file
+    assert main(["curve", "--runs", ten_runs, "-o", report, "--svg", str(tmp_path / chart)]) == 2
+    assert capsys.readouterr().err.startswith("bestofn: error: --svg ")
+    assert not (tmp_path / report).exists()
+    assert not (tmp_path / chart).exists()
+
+
 # ---------------------------------------------------------------------------
 # coverage
 # ---------------------------------------------------------------------------
@@ -574,7 +585,7 @@ def real_reports(tmp_path_factory):
         "curve-ci": ["curve", "--runs", runs, "--n-max", "5", "--ci", "--resamples", "50"],
         "probe": ["probe", "--dist", coin, "--B", "6", "--n-max", "4", "--samples", "30"],
         "coverage": ["coverage", "--dist", coin, "--B", "6", "--n-max", "3", "--M", "10",
-                     "--resamples", "30"],
+                     "--resamples", "30", "--threads", "2"],
         "curves-sim": ["curves-sim", "--dist", steady, "--dist", volatile, "--B", "10",
                        "--samples", "200"],
         "failure-scan": ["failure-scan", "--report", str(tmp / "curves-sim.json")],
@@ -590,6 +601,34 @@ def real_reports(tmp_path_factory):
 def test_report_bytes_survive_read_and_rewrite(real_reports, name):
     path = real_reports[name]
     assert report_json_text(read_report(path)).encode("utf-8") == path.read_bytes()
+
+
+def replay_argv(config):
+    """The command line a report's config replays as: ``--key value`` per key,
+    with _ spelled -, a list repeating its flag, true a bare flag, and null and
+    false left out."""
+    argv = [config["command"]]
+    for key, value in config.items():
+        if key == "command" or value is None or value is False:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        else:
+            for item in value if isinstance(value, list) else [value]:
+                argv += [flag, str(item)]
+    return argv
+
+
+@pytest.mark.parametrize("name", ["curve", "curve-ci", "probe", "coverage", "curves-sim",
+                                  "failure-scan", "ks-bound"])
+def test_report_replays_from_its_config_alone(real_reports, tmp_path, name):
+    first = json.loads(real_reports[name].read_text())
+    out = tmp_path / "replay.json"
+    assert main([*replay_argv(first["config"]), "-o", str(out)]) == 0
+    again = json.loads(out.read_text())
+    assert canonical_json(again["payload"]) == canonical_json(first["payload"])
+    assert again["config"] == first["config"]
 
 
 # ---------------------------------------------------------------------------
@@ -717,16 +756,19 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_cli_import_leaves_scipy_stats_unloaded():
     code = (
         "import sys, bestofn.cli; print('scipy.stats' in sys.modules or 'concurrent.futures' in sys.modules); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "import bestofn.fixtures; print('scipy.stats' in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
     )
     assert result.returncode == 0, result.stderr
-    stats_loaded, scipy_modules = result.stdout.split("\n")[:2]
+    stats_loaded, scipy_modules, fixtures_load_stats = result.stdout.split("\n")[:3]
     assert stats_loaded == "False"
     # Only the batteries' Clopper-Pearson intervals need scipy, imported on use.
     assert scipy_modules == "[]"
+    # The fixture recipes need only scipy.special's normal quantile.
+    assert fixtures_load_stats == "False"
 
 
 def test_curve_report_names_its_provenance_without_loading_scipy_submodules(tmp_path):
