@@ -11,9 +11,10 @@ missing ``--dist`` file and ``--B 0`` exits 1. ``curve`` checks its
 bootstrap flags before reading the runs, and every requested estimator's
 budget before computing any curve. ``fit`` passes on only the flags given,
 over the preset or ``KdeSpec()``: ``fit_kde`` owns every default, and its
-data errors are prefixed with the runs file. ``--svg`` is checked before
-anything runs: neither the chart nor its ``.csv`` sidecar may be the ``-o``
-report.
+data errors are prefixed with the runs file. Paths are checked before
+anything runs: no file a command writes (``-o``, ``--svg`` and the chart's
+``.csv`` sidecar) may be one it reads (``--runs``, each ``--dist``,
+``--report``) or another it writes.
 
 The root seed defaults to the fixed constant 1729 so bare invocations are
 reproducible. A report's ``config`` is its command line: every flag that
@@ -62,6 +63,7 @@ from .distributions import (
 )
 from .estimators import (
     ArgumentError,
+    CurveSet,
     EstimatorKind,
     KsBoundReport,
     KsBoundRow,
@@ -135,13 +137,26 @@ def _config(args, **resolved) -> dict:
     return config
 
 
-def _check_svg(args) -> None:
-    """``--svg`` writes PATH and its ``.csv`` sidecar; neither may be the ``-o`` report."""
+def _check_paths(args) -> None:
+    """No file the command writes (``-o``, ``--svg`` and its ``.csv`` sidecar) may be
+    a file it reads (``--runs``, each ``--dist``, ``--report``) or another it writes."""
+    dists = getattr(args, "dist", None) or []
+    dists = [dists] if isinstance(dists, str) else dists
+    reads = [("runs", getattr(args, "runs", None)), ("report", getattr(args, "report", None))]
+    reads += [("dist", _parse_dist_flag(raw)[1]) for raw in dists]
     svg = getattr(args, "svg", None)
-    if svg and args.output is not None:
-        chart = Path(svg).resolve()
-        if Path(args.output).resolve() in (chart, chart.with_suffix(".csv")):
-            raise ArgumentError("svg", f"{svg!r} or its .csv sidecar would overwrite -o {args.output!r}")
+    writes = [("output", args.output, repr(args.output)), ("svg", svg, repr(svg))]
+    if svg:
+        sidecar = str(Path(svg).with_suffix(".csv"))
+        writes.append(("svg", sidecar, f"{svg!r} (its sidecar {sidecar!r})"))
+    taken = {Path(path).resolve(): f"--{flag} {path!r}" for flag, path in reads if path}
+    for flag, path, what in writes:
+        if path is None:
+            continue
+        resolved = Path(path).resolve()
+        if resolved in taken:
+            raise ArgumentError(flag, f"{what} would overwrite {taken[resolved]}")
+        taken[resolved] = f"--{flag} {what}"
 
 
 def _deliver(envelope, args) -> int:
@@ -180,7 +195,7 @@ def cmd_curve(args) -> int:
     names = args.estimator or ["unbiased"]
     kinds = []
     for name in names:
-        kind = EstimatorKind.parse(name)
+        kind = EstimatorKind(name)
         if kind not in kinds:
             kinds.append(kind)
     boots = {k: BootstrapConfig(RngStream(args.seed, 1).child(_CI_STREAMS[k]), args.resamples,
@@ -197,13 +212,13 @@ def cmd_curve(args) -> int:
             file=sys.stderr,
         )
 
-    payload = []
+    curves = []
     for kind in kinds:
         ci = percentile_bootstrap_curve(sample, kind, n_max, boots[kind]) if args.ci else None
-        payload.append(expected_max_curve(sample, kind, n_max, ci))
+        curves.append(expected_max_curve(sample, kind, n_max, ci))
 
     config = _config(args, estimator=[str(k) for k in kinds], n_max=n_max)
-    return _deliver(make_envelope("curve", tuple(payload), config), args)
+    return _deliver(make_envelope("curve", CurveSet(tuple(curves)), config), args)
 
 
 def cmd_fit(args) -> int:
@@ -227,7 +242,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    kind = EstimatorKind.parse(args.estimator)
+    kind = EstimatorKind(args.estimator)
     n_max = args.n_max if args.n_max is not None else args.B
 
     dist_id, path = _parse_dist_flag(args.dist)
@@ -241,7 +256,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    kind = EstimatorKind.parse(args.estimator)
+    kind = EstimatorKind(args.estimator)
     n_max = args.n_max if args.n_max is not None else min(20, args.B)
 
     dist_id, path = _parse_dist_flag(args.dist)
@@ -258,7 +273,7 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_curves_sim(args) -> int:
-    kind = EstimatorKind.parse(args.estimator)
+    kind = EstimatorKind(args.estimator)
 
     named: dict[str, str] = {}
     for raw in args.dist:
@@ -296,7 +311,7 @@ def cmd_failure_scan(args) -> int:
         model_a=model_a,
         model_b=model_b,
         B=report.B,
-        kind=report.kind,
+        estimator=report.estimator,
         inversions=tuple(run_failure_scan(report, model_a, model_b)),
     )
     config = _config(args, model_a=model_a, model_b=model_b)
@@ -434,7 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        _check_svg(args)
+        _check_paths(args)
         return args.func(args)
     except ArgumentError as err:
         print(f"bestofn: error: --{err.name.replace('_', '-')} {err.detail}", file=sys.stderr)

@@ -65,9 +65,9 @@ class RngStream:
             h = _splitmix64(h ^ word)
         return RngStream(self.seed, int(h[0]))
 
-    def children(self, key: int, start: int, stop: int) -> list["RngStream"]:
-        """``[self.child(key, i) for i in range(start, stop)]``, mixed in one pass."""
-        h = _words(self.child(key).stream)
+    def children(self, start: int, stop: int) -> list["RngStream"]:
+        """``[self.child(i) for i in range(start, stop)]``, mixed in one pass."""
+        h = _words(self.stream)
         indices = _words(start) + np.arange(max(0, stop - start), dtype=np.uint64)
         return [RngStream(self.seed, w) for w in _splitmix64(h ^ _splitmix64(indices)).tolist()]
 

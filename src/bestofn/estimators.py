@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -117,33 +118,42 @@ class EstimatorKind(enum.Enum):
     MEANMAX_PREFIX = "meanmax-prefix"
     UNBIASED_U = "unbiased"
 
-    @classmethod
-    def parse(cls, name: str) -> "EstimatorKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        known = ", ".join(k.value for k in cls)
-        raise ValueError(f"unknown estimator {name!r}; expected one of: {known}")
-
     def __str__(self) -> str:
         return self.value
 
 
 @dataclass(frozen=True)
+class Interval:
+    """Closed real interval [lo, hi]."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"interval endpoints must be finite, got ({self.lo}, {self.hi})")
+        if self.lo > self.hi:
+            raise ValueError(f"interval lo ({self.lo}) exceeds hi ({self.hi})")
+
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+
+@dataclass(frozen=True)
 class CurvePoint:
-    """One budget of a curve; ``ci``, when present, is (lo, hi)."""
+    """One budget of a curve, with its confidence interval when one was computed."""
 
     n: int
     estimate: float
-    ci: tuple[float, float] | None = None
+    ci: Interval | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.estimate):
             raise ValueError(f"curve point n={self.n}: estimate must be finite, got {self.estimate}")
-        if self.ci is not None and not (
-            math.isfinite(self.ci[0]) and math.isfinite(self.ci[1]) and self.ci[0] <= self.ci[1]
-        ):
-            raise ValueError(f"curve point n={self.n}: CI must be finite with lo <= hi, got {self.ci}")
 
 
 @dataclass(frozen=True)
@@ -167,17 +177,23 @@ class ExpectedMaxCurve:
             raise ValueError("curve budgets must be strictly increasing")
 
     @property
-    def budgets(self) -> np.ndarray:
-        return np.array([p.n for p in self.points], dtype=int)
-
-    @property
     def estimates(self) -> np.ndarray:
         return np.array([p.estimate for p in self.points], dtype=float)
 
 
+@dataclass(frozen=True)
+class CurveSet:
+    """The ``curve`` report's payload: one curve per requested estimator."""
+
+    curves: tuple[ExpectedMaxCurve, ...]
+
+
 def require_budget(n: int, size: int, bounded: bool, name: str = "n") -> None:
-    """Reject a budget n < 1, or n > B = ``size`` for a ``bounded`` estimator
-    (see :func:`budget_is_bounded`); ``name`` is the argument n came from."""
+    """Reject a budget that is not an integer (``bool`` included), n < 1, or
+    n > B = ``size`` for a ``bounded`` estimator (see :func:`budget_is_bounded`);
+    ``name`` is the argument n came from."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ArgumentError(name, f"must be an integer, got {n!r}")
     if n < 1:
         raise BudgetTooSmallError(name, f"must be >= 1, got {n}")
     if bounded and n > size:
@@ -311,7 +327,7 @@ def ks_lower_bound(sample: ScoreSample, true_cdf_at_sample_max: float, n: int = 
     require_budget(n, sample.size, bounded=False)
     if not 0.0 <= true_cdf_at_sample_max <= 1.0:
         raise ArgumentError("cdf_at_max", f"must lie in [0, 1], got {true_cdf_at_sample_max}")
-    return 1.0 - true_cdf_at_sample_max**n
+    return float(1.0 - true_cdf_at_sample_max**n)
 
 
 _BLOCK_VALUES = 1 << 16
@@ -375,6 +391,6 @@ def expected_max_curve(sample: ScoreSample, kind: EstimatorKind, n_max: int,
     :func:`bestofn.resampling.percentile_bootstrap_curve` returns them.
     """
     values = curve_rows(sample.ingested_values, kind, n_max).tolist()
-    cis = zip(ci[0].tolist(), ci[1].tolist()) if ci is not None else itertools.repeat(None)
+    cis = map(Interval, ci[0].tolist(), ci[1].tolist()) if ci is not None else itertools.repeat(None)
     points = tuple(map(CurvePoint, range(1, n_max + 1), values, cis))
     return ExpectedMaxCurve(points=points, estimator=kind, sample_size=sample.size)

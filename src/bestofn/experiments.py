@@ -19,6 +19,7 @@ from .distributions import draw_sample  # noqa: F401  (perfbench/tracer.py wraps
 from .estimators import (
     ArgumentError,
     EstimatorKind,
+    Interval,
     ScoreSample,
     budget_is_bounded,
     curve_blocks,
@@ -26,7 +27,7 @@ from .estimators import (
     require_budget,
 )
 from .estimators import estimate, expected_max_curve  # noqa: F401  (perfbench wraps them here)
-from .resampling import BootstrapConfig, Interval, clopper_pearson, percentile_bootstrap_curve
+from .resampling import BootstrapConfig, clopper_pearson, percentile_bootstrap_curve
 from .resampling import percentile_bootstrap_ci  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 _PROPORTION_CI_CONFIDENCE = 0.95
@@ -59,7 +60,7 @@ class ProbeReport:
 
     rows: tuple[ProbeRow, ...]
     B: int
-    kind: EstimatorKind
+    estimator: EstimatorKind
     dist_id: str
     seed: int
     stream: int
@@ -84,7 +85,7 @@ class CoverageReport:
     B: int
     resamples: int
     nominal: float
-    kind: EstimatorKind
+    estimator: EstimatorKind
     dist_id: str
     seed: int
     stream: int
@@ -114,7 +115,7 @@ class CurveReport:
     models: tuple[ModelCurves, ...]
     B: int
     num_samples: int
-    kind: EstimatorKind
+    estimator: EstimatorKind
     seed: int
     stream: int
 
@@ -142,7 +143,7 @@ class FailureScanReport:
     model_a: str
     model_b: str
     B: int
-    kind: EstimatorKind
+    estimator: EstimatorKind
     inversions: tuple[Inversion, ...]
 
 
@@ -171,7 +172,8 @@ def _per_sample(dist: DiscreteDistribution, B: int, count: int, rng: RngStream, 
     :meth:`RngStream.children` pass."""
     per_chunk = max(1, _SAMPLE_CHUNK_VALUES // B)
     chunks = [range(start, min(start + per_chunk, count)) for start in range(0, count, per_chunk)]
-    _run_ordered(lambda c: evaluate(draw_rows(dist, B, rng.children(key, c.start, c.stop)), c.start),
+    keyed = rng.child(key)
+    _run_ordered(lambda c: evaluate(draw_rows(dist, B, keyed.children(c.start, c.stop)), c.start),
                  chunks, progress, label)
 
 
@@ -216,7 +218,7 @@ def probe(
 
     _per_sample(dist, B, num_samples, rng, 0, count_under, progress, "probe")
     rows = _tally(ProbeRow, under, num_samples)
-    return ProbeReport(rows=rows, B=B, kind=kind, dist_id=dist_id, seed=rng.seed, stream=rng.stream)
+    return ProbeReport(rows=rows, B=B, estimator=kind, dist_id=dist_id, seed=rng.seed, stream=rng.stream)
 
 
 def coverage(
@@ -244,9 +246,10 @@ def coverage(
     _check_battery_args(B, n_max, kind, M, "M")
     truth = true_curve(dist, n_max)
     hits = np.zeros(n_max, dtype=np.int64)
+    boot_streams = boot.rng.child(0)
 
     def count_hits(rows: np.ndarray, start: int) -> None:
-        for row, s in zip(rows, boot.rng.children(0, start, start + len(rows))):
+        for row, s in zip(rows, boot_streams.children(start, start + len(rows))):
             lo, hi = percentile_bootstrap_curve(ScoreSample(row), kind, n_max, replace(boot, rng=s))
             hits[:] += (lo <= truth) & (truth <= hi)
 
@@ -256,7 +259,7 @@ def coverage(
         B=B,
         resamples=boot.resamples,
         nominal=boot.confidence,
-        kind=kind,
+        estimator=kind,
         dist_id=dist_id,
         seed=rng.seed,
         stream=rng.stream,
@@ -311,7 +314,7 @@ def curves(
         models=models,
         B=B,
         num_samples=num_samples,
-        kind=kind,
+        estimator=kind,
         seed=rng.seed,
         stream=rng.stream,
     )

@@ -1,8 +1,10 @@
 """File formats: runs CSV ingestion, report envelopes, and SVG chart emission.
 
-Each payload kind has one codec in ``_CODECS``: its payload type, CSV header
-and rows, and chart. JSON encoding and decoding follow the payload's
-dataclass fields and are written once for all kinds.
+Each payload kind has one codec in ``_CODECS``: its payload dataclass, CSV
+header and rows, and chart. JSON encoding and decoding are written once for
+all kinds: a dataclass is an object whose keys are its field names, a tuple
+a list, an enum its value, and an :class:`~bestofn.estimators.Interval`
+``[lo, hi]``.
 
 Report JSON is canonical: keys sorted, no whitespace, floats in shortest
 round-trip decimal form, one trailing newline. Two runs with the same seed
@@ -38,9 +40,8 @@ from xml.etree import ElementTree as ET
 import numpy as np
 
 from .distributions import RNG_LAYOUT_ID
-from .estimators import EstimatorKind, ExpectedMaxCurve, KsBoundReport, ScoreSample
+from .estimators import CurveSet, Interval, KsBoundReport, ScoreSample
 from .experiments import CoverageReport, CurveReport, FailureScanReport, ProbeReport
-from .resampling import Interval
 
 SCHEMA_VERSION = "1"
 """Incremented on any breaking change to the envelope or payload layout;
@@ -48,27 +49,8 @@ readers reject schema versions they do not know."""
 
 
 class RunsFileError(ValueError):
-    """Base for problems with a runs CSV file."""
-
-
-class MalformedRowError(RunsFileError):
-    """A row that does not parse as `score[,run_id]`."""
-
-    def __init__(self, path, line: int, detail: str):
-        super().__init__(f"{path}: line {line}: {detail}")
-        self.line = line
-
-
-class NonFiniteScoreError(RunsFileError):
-    """A score cell that parses but is NaN or infinite."""
-
-    def __init__(self, path, line: int, raw: str):
-        super().__init__(f"{path}: line {line}: score {raw!r} is not finite")
-        self.line = line
-
-
-class EmptyRunsError(RunsFileError):
-    """A runs file with no data rows."""
+    """A runs CSV file that cannot be read: not UTF-8, a row that does not parse
+    as ``score[,run_id]``, a score that is NaN or infinite, or no data rows."""
 
 
 def read_runs(path) -> ScoreSample:
@@ -91,7 +73,7 @@ def read_runs(path) -> ScoreSample:
             continue
         cells = [c.strip() for c in line.split(",")]
         if len(cells) > 2:
-            raise MalformedRowError(path, lineno, f"expected 1 or 2 cells, got {len(cells)}")
+            raise RunsFileError(f"{path}: line {lineno}: expected 1 or 2 cells, got {len(cells)}")
         if first_data_row:
             first_data_row = False
             try:
@@ -101,14 +83,12 @@ def read_runs(path) -> ScoreSample:
         try:
             value = float(cells[0])
         except ValueError:
-            raise MalformedRowError(
-                path, lineno, f"score cell {cells[0]!r} is not a number"
-            ) from None
+            raise RunsFileError(f"{path}: line {lineno}: score cell {cells[0]!r} is not a number") from None
         if not math.isfinite(value):
-            raise NonFiniteScoreError(path, lineno, cells[0])
+            raise RunsFileError(f"{path}: line {lineno}: score {cells[0]!r} is not finite")
         scores.append(value)
     if not scores:
-        raise EmptyRunsError(f"{path}: no data rows")
+        raise RunsFileError(f"{path}: no data rows")
     return ScoreSample(scores)
 
 
@@ -155,6 +135,7 @@ def make_envelope(payload_kind: str, payload, config: dict) -> ReportEnvelope:
 
     from . import __version__
 
+    _codec(payload_kind)  # an unknown kind could be written but never read back
     return ReportEnvelope(
         schema_version=SCHEMA_VERSION,
         tool_version=__version__,
@@ -167,17 +148,10 @@ def make_envelope(payload_kind: str, payload, config: dict) -> ReportEnvelope:
 
 
 @functools.cache
-def _fields(cls: type) -> tuple[tuple[str, str, object], ...]:
-    """(attribute, JSON key, type hint) for each field of a dataclass.
-
-    Every field keeps its name as its key, except ``kind``, which is
-    written as ``estimator``.
-    """
+def _fields(cls: type) -> tuple[tuple[str, object], ...]:
+    """(name, type hint) for each field of a dataclass; the name is its JSON key."""
     hints = typing.get_type_hints(cls)
-    return tuple(
-        (f.name, "estimator" if f.name == "kind" else f.name, hints[f.name])
-        for f in dataclasses.fields(cls)
-    )
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), dict: (dict,)}
@@ -192,8 +166,8 @@ def _encoder(cls: type) -> Callable:
     if cls is Interval:
         return lambda ci: [ci.lo, ci.hi]
     if dataclasses.is_dataclass(cls):
-        keys = [(name, key) for name, key, _ in _fields(cls)]
-        return lambda obj: {key: _to_json(getattr(obj, name)) for name, key in keys}
+        names = [name for name, _ in _fields(cls)]
+        return lambda obj: {name: _to_json(getattr(obj, name)) for name in names}
     if issubclass(cls, tuple):
         return lambda items: [_to_json(x) for x in items]
     if issubclass(cls, enum.Enum):
@@ -215,20 +189,26 @@ def _field(obj, key: str, where: str) -> tuple[object, str]:
     return obj[key], path
 
 
+def _build(cls: type, where: str, *args, **kwargs):
+    """``cls(*args, **kwargs)``, its rejection of a decoded value reported under ``where``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as err:
+        raise ValueError(f"{where or 'report'}: {err}") from None
+
+
 def _from_json(hint, value, where: str):
     """Rebuild a value of type ``hint`` from its JSON form.
 
     ``where`` is the value's path in the report, such as
-    ``payload.models[0].true``; a missing or ill-typed field is reported
-    under its path.
+    ``payload.models[0].true``; a missing or ill-typed field, or a value
+    its type rejects, is reported under its path.
     """
     if hint is Interval:
-        return Interval(*_from_json(tuple[float, float], value, where))
+        return _build(Interval, where, *_from_json(tuple[float, float], value, where))
     if dataclasses.is_dataclass(hint):
-        return hint(**{
-            name: _from_json(field_hint, *_field(value, key, where))
-            for name, key, field_hint in _fields(hint)
-        })
+        fields = {name: _from_json(h, *_field(value, name, where)) for name, h in _fields(hint)}
+        return _build(hint, where, **fields)
     args = typing.get_args(hint)
     if isinstance(hint, types.UnionType):  # X | None
         return None if value is None else _from_json(args[0], value, where)
@@ -240,8 +220,8 @@ def _from_json(hint, value, where: str):
         elif len(value) != len(args):
             raise ValueError(f"{where} must be a list of {len(args)} values")
         return tuple(_from_json(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-    if hint is EstimatorKind:
-        return EstimatorKind.parse(_from_json(str, value, where))
+    if isinstance(hint, enum.EnumMeta):
+        return _build(hint, where, _from_json(str, value, where))
     if hint is not object and (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[hint])):
         raise ValueError(f"{where} must be of type {hint.__name__}, got {type(value).__name__}")
     return value
@@ -261,12 +241,12 @@ class _Series:
     band: tuple[tuple[float, ...], tuple[float, ...]] | None = None  # (los, his)
 
 
-def _curve_chart(curves: tuple[ExpectedMaxCurve, ...]):
+def _curve_chart(report: CurveSet):
     series = []
-    for c in curves:
+    for c in report.curves:
         band = None
         if all(p.ci is not None for p in c.points):
-            band = (tuple(p.ci[0] for p in c.points), tuple(p.ci[1] for p in c.points))
+            band = (tuple(p.ci.lo for p in c.points), tuple(p.ci.hi for p in c.points))
         xs = tuple(float(p.n) for p in c.points)
         series.append(_Series(str(c.estimator), xs, tuple(p.estimate for p in c.points), band=band))
     return series, "expected max score", None, None
@@ -277,7 +257,7 @@ def _rate_chart(report, rate: str, y_label: str, reference: float):
     rows = report.rows
     xs, ys = tuple(float(r.n) for r in rows), tuple(getattr(r, rate) for r in rows)
     band = (tuple(r.ci.lo for r in rows), tuple(r.ci.hi for r in rows))
-    series = _Series(str(report.kind), xs, ys, band=band)
+    series = _Series(str(report.estimator), xs, ys, band=band)
     return [series], y_label, reference, (0.0, 1.0)
 
 
@@ -299,31 +279,27 @@ def _ks_chart(report: KsBoundReport):
 class _Codec(NamedTuple):
     """How one payload kind is decoded, flattened to CSV and charted.
 
-    JSON encoding follows the payload's dataclass fields and needs nothing
-    per kind; decoding follows the type hint ``payload_type``. A payload
-    that is a bare tuple sits in JSON under the key ``wrap``. ``chart``
-    returns (series, y label, y of a dashed reference line or None,
-    y bounds or None to fit the data).
+    JSON encoding and decoding follow the payload dataclass ``payload_type``
+    and need nothing per kind. ``chart`` returns (series, y label, y of a
+    dashed reference line or None, y bounds or None to fit the data).
     """
 
-    payload_type: object
+    payload_type: type
     header: tuple[str, ...]
     rows: Callable[[object], Iterable[list]]
     chart: Callable[[object], tuple] | None
-    wrap: str | None = None
 
 
 _CODECS = {
     "curve": _Codec(
-        tuple[ExpectedMaxCurve, ...],
+        CurveSet,
         ("estimator", "n", "estimate", "ci_lo", "ci_hi"),
-        lambda curves: (
-            [str(c.estimator), p.n, p.estimate, *(p.ci or (None, None))]
-            for c in curves
+        lambda rep: (
+            [str(c.estimator), p.n, p.estimate, *((p.ci.lo, p.ci.hi) if p.ci else (None, None))]
+            for c in rep.curves
             for p in c.points
         ),
         _curve_chart,
-        wrap="curves",
     ),
     "probe": _Codec(
         ProbeReport,
@@ -371,11 +347,7 @@ def _codec(kind: str) -> _Codec:
 
 
 def envelope_to_jsonable(envelope: ReportEnvelope) -> dict:
-    obj = _to_json(envelope)
-    wrap = _codec(envelope.payload_kind).wrap
-    if wrap:
-        obj["payload"] = {wrap: obj["payload"]}
-    return obj
+    return _to_json(envelope)
 
 
 def canonical_json(obj) -> str:
@@ -421,11 +393,7 @@ def read_report(path) -> ReportEnvelope:
                              f"(this build reads {SCHEMA_VERSION!r})")
         obj.setdefault("provenance", None)  # made by RNG layout 1
         envelope = _from_json(ReportEnvelope, obj, "")
-        codec = _codec(envelope.payload_kind)
-        payload, where = envelope.payload, "payload"
-        if codec.wrap:
-            payload, where = _field(payload, codec.wrap, where)
-        payload = _from_json(codec.payload_type, payload, where)
+        payload = _from_json(_codec(envelope.payload_kind).payload_type, envelope.payload, "payload")
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     return dataclasses.replace(envelope, payload=payload)

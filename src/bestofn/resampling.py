@@ -8,37 +8,15 @@ must stay vanilla. Clopper-Pearson intervals are exact beta quantiles from
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .distributions import RngStream
-from .estimators import ArgumentError, EstimatorKind, ScoreSample, budget_is_bounded
+from .estimators import ArgumentError, EstimatorKind, Interval, ScoreSample, budget_is_bounded
 from .estimators import curve_blocks, estimate_rows, require_budget
 from .estimators import estimate  # noqa: F401  (perfbench/tracer.py wraps it here)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed real interval [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval endpoints must be finite, got ({self.lo}, {self.hi})")
-        if self.lo > self.hi:
-            raise ValueError(f"interval lo ({self.lo}) exceeds hi ({self.hi})")
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving ``bestofn.cli.main`` in process."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from bestofn import (
     KDE_PRESETS,
     DiscreteDistribution,
     EstimatorKind,
+    Interval,
     KdeSpec,
     RngStream,
     cli,
@@ -173,7 +175,7 @@ def test_curve_ci_reads_every_budget_off_one_resample_matrix(tmp_path, kind, n_m
     stream = {"unbiased": 0, "meanmax": 1, "meanmax-prefix": 2}[kind]
     gen = RngStream(77, 1).child(stream).generator()
     estimates = curve_rows(
-        np.sort(scores)[gen.integers(0, 12, size=(150, 12))], EstimatorKind.parse(kind), n_max
+        np.sort(scores)[gen.integers(0, 12, size=(150, 12))], EstimatorKind(kind), n_max
     )
     alpha = 1.0 - 0.9
     want = [
@@ -380,6 +382,57 @@ def test_svg_that_would_overwrite_the_report_is_usage_error(
     assert not (tmp_path / chart).exists()
 
 
+@pytest.mark.parametrize("argv, flag, other", [
+    (["curve", "--runs", "scores.csv", "--svg", "scores.svg", "-o", "r.json"], "--svg", "--runs"),
+    (["curve", "--runs", "scores.csv", "-o", "{tmp}/scores.csv"], "--output", "--runs"),
+    (["fit", "--runs", "scores.csv", "-o", "scores.csv"], "--output", "--runs"),
+    (["ks-bound", "--runs", "{tmp}/scores.csv", "--cdf-at-max", "0.9", "--svg", "scores.svg"],
+     "--svg", "--runs"),
+    (["probe", "--dist", "coin=coin.json", "-o", "{tmp}/coin.json"], "--output", "--dist"),
+    (["coverage", "--dist", "coin.json", "--svg", "{tmp}/coin.json"], "--svg", "--dist"),
+    (["curves-sim", "--dist", "coin.json", "--dist", "sim.json", "-o", "sim.json"], "--output", "--dist"),
+    (["failure-scan", "--report", "sim.json", "-o", "sim.json"], "--output", "--report"),
+    (["curve", "--runs", "scores.csv", "--svg", "chart.csv"], "--svg", "--svg"),
+], ids=["curve-sidecar-runs", "curve-output-runs", "fit-output-runs", "ks-bound-sidecar-runs",
+        "probe-output-dist", "coverage-svg-dist", "curves-sim-output-dist",
+        "failure-scan-output-report", "curve-sidecar-chart"])
+def test_output_that_would_overwrite_an_input_or_output_is_usage_error(
+    tmp_path, monkeypatch, argv, flag, other, capsys
+):
+    # Relative and absolute spellings of one file are the same file.
+    monkeypatch.chdir(tmp_path)
+    write_runs(tmp_path, np.random.default_rng(95).uniform(0.6, 0.9, size=8), "scores.csv")
+    write_dist(tmp_path, [0.0, 1.0], [0.5, 0.5], "coin.json")
+    assert main(["curves-sim", "--dist", "coin.json", "--B", "3", "--samples", "5", "-o", "sim.json"]) == 0
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bestofn: error: {flag} ") and f"would overwrite {other} " in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("name", ["curve", "curve-ci", "probe", "coverage", "curves-sim",
+                                  "failure-scan", "ks-bound"])
+def test_payload_json_keys_are_the_dataclass_field_names(real_reports, name):
+    def check(obj, value, where):
+        if isinstance(value, Interval):
+            assert obj == [value.lo, value.hi], where
+        elif dataclasses.is_dataclass(value):
+            names = [f.name for f in dataclasses.fields(value)]
+            assert sorted(obj) == sorted(names), where
+            for key in names:
+                check(obj[key], getattr(value, key), f"{where}.{key}")
+        elif isinstance(value, tuple):
+            assert len(obj) == len(value), where
+            for i, (o, v) in enumerate(zip(obj, value)):
+                check(o, v, f"{where}[{i}]")
+
+    payload = read_report(real_reports[name]).payload
+    assert dataclasses.is_dataclass(payload)
+    check(json.loads(real_reports[name].read_text())["payload"], payload, "payload")
+
+
 # ---------------------------------------------------------------------------
 # coverage
 # ---------------------------------------------------------------------------
@@ -477,21 +530,24 @@ def test_failure_scan_rejects_non_curves_report(tmp_path, coin_dist, capsys):
     assert "curves-sim" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("point", [
-    '{"n": 1, "estimate": 0.5, "ci": [0.9, 0.1]}',
-    '{"n": 1, "estimate": 0.5, "ci": [NaN, 0.9]}',
-    '{"n": 1, "estimate": NaN, "ci": null}',
-])
-def test_impossible_curve_point_is_data_error_naming_the_report(tmp_path, ten_runs, point, capsys):
+@pytest.mark.parametrize("point, message", [
+    ('{"n": 1, "estimate": 0.5, "ci": [0.9, 0.1]}',
+     "payload.curves[0].points[0].ci: interval lo (0.9) exceeds hi (0.1)"),
+    ('{"n": 1, "estimate": 0.5, "ci": [NaN, 0.9]}',
+     "payload.curves[0].points[0].ci: interval endpoints must be finite, got (nan, 0.9)"),
+    ('{"n": 1, "estimate": NaN, "ci": null}',
+     "payload.curves[0].points[0]: curve point n=1: estimate must be finite, got nan"),
+], ids=['{"n": 1, "estimate": 0.5, "ci": [0.9, 0.1]}', '{"n": 1, "estimate": 0.5, "ci": [NaN, 0.9]}',
+        '{"n": 1, "estimate": NaN, "ci": null}'])
+def test_impossible_curve_point_is_data_error_naming_the_report(tmp_path, ten_runs, point, message,
+                                                                capsys):
     report = tmp_path / "curve.json"
     assert main(["curve", "--runs", ten_runs, "--n-max", "1", "-o", str(report)]) == 0
     good = report.read_text(encoding="utf-8")
     start = good.index('"points":[') + len('"points":[')
     report.write_text(good[:start] + point + good[good.index("}", start) + 1:], encoding="utf-8")
     assert main(["failure-scan", "--report", str(report)]) == 1
-    err = capsys.readouterr().err
-    assert str(report) in err
-    assert "curve point n=1" in err
+    assert capsys.readouterr().err == f"bestofn: error: {report}: {message}\n"
 
 
 @pytest.mark.parametrize("edit, message", [

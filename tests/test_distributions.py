@@ -401,7 +401,8 @@ def test_child_matches_the_python_int_reference():
 ])
 def test_children_equal_the_child_list(key, start, stop):
     for parent in (RngStream(5), RngStream(2**63 + 1, 2**64 - 1)):
-        assert parent.children(key, start, stop) == [parent.child(key, i) for i in range(start, stop)]
+        keyed = parent.child(key)
+        assert keyed.children(start, stop) == [parent.child(key, i) for i in range(start, stop)]
 
 
 def test_draw_rows_mixes_seeds_stream_by_stream(uniform_123):

@@ -30,6 +30,7 @@ from bestofn import (
     BudgetTooSmallError,
     EmptySampleError,
     EstimatorKind,
+    Interval,
     ScoreSample,
     ecdf_pow,
     estimate,
@@ -676,12 +677,57 @@ def test_argument_checks_name_their_argument():
     assert issubclass(BudgetTooLargeError, ArgumentError)
 
 
+def _budget_calls():
+    """Every public function that takes a budget, as (argument name, call of one budget)."""
+    from bestofn import (
+        BootstrapConfig,
+        DiscreteDistribution,
+        RngStream,
+        coverage,
+        exact_expected_max,
+        mc_expected_max,
+        percentile_bootstrap_ci,
+        percentile_bootstrap_curve,
+        probe,
+        true_curve,
+    )
+
+    sample = ScoreSample([0.1, 0.5, 0.9, 0.3])
+    coin = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
+    boot = BootstrapConfig(RngStream(1, 1), resamples=10)
+    return {
+        "meanmax_v": ("n", lambda n: meanmax_v(sample, n)),
+        "unbiased_u": ("n", lambda n: unbiased_u(sample, n)),
+        "meanmax_prefix": ("n", lambda n: meanmax_prefix(sample, n)),
+        "estimate": ("n", lambda n: estimate(sample, MEANMAX, n)),
+        "ecdf_pow": ("n", lambda n: ecdf_pow(sample, 0.5, n)),
+        "ks_lower_bound": ("n", lambda n: ks_lower_bound(sample, 0.9, n)),
+        "expected_max_curve": ("n_max", lambda n: expected_max_curve(sample, UNBIASED, n)),
+        "exact_expected_max": ("n", lambda n: exact_expected_max(coin, n)),
+        "true_curve": ("n_max", lambda n: true_curve(coin, n)),
+        "mc_expected_max": ("n", lambda n: mc_expected_max(coin, n, 10, RngStream(1))),
+        "percentile_bootstrap_ci": ("n", lambda n: percentile_bootstrap_ci(sample, UNBIASED, n, boot)),
+        "percentile_bootstrap_curve": ("n_max", lambda n: percentile_bootstrap_curve(sample, UNBIASED, n, boot)),
+        "probe": ("n_max", lambda n: probe(coin, 4, n, 5, MEANMAX, RngStream(1))),
+        "coverage": ("n_max", lambda n: coverage(coin, 4, n, 3, boot, MEANMAX, RngStream(1))),
+    }
+
+
+@pytest.mark.parametrize("function", sorted(_budget_calls()))
+def test_a_budget_must_be_an_integer(function):
+    from bestofn import ArgumentError
+
+    name, call = _budget_calls()[function]
+    for bad in (2.5, 2.0, np.float64(2.0), True, np.bool_(True), "2"):
+        with pytest.raises(ArgumentError, match="must be an integer, got") as info:
+            call(bad)
+        assert info.value.name == name
+    assert type(call(np.int64(2))) is type(call(2))  # numpy integers are integers
+
+
 @pytest.mark.parametrize("estimate, ci", [
     (math.nan, None),
-    (math.inf, (0.0, 1.0)),
-    (0.5, (0.9, 0.1)),
-    (0.5, (math.nan, 0.9)),
-    (0.5, (0.1, math.inf)),
+    (math.inf, Interval(0.0, 1.0)),
 ])
 def test_curve_point_rejects_impossible_values(estimate, ci):
     with pytest.raises(ValueError, match="curve point n=3"):
@@ -689,4 +735,4 @@ def test_curve_point_rejects_impossible_values(estimate, ci):
 
 
 def test_curve_point_accepts_degenerate_ci():
-    assert CurvePoint(1, 0.5, (0.5, 0.5)).ci == (0.5, 0.5)
+    assert CurvePoint(1, 0.5, Interval(0.5, 0.5)).ci == Interval(0.5, 0.5)

@@ -99,7 +99,7 @@ def test_probe_point_mass_never_underestimates(point_mass):
 def test_probe_rows_are_consistent(coin):
     rep = probe(coin, 6, 4, 80, EstimatorKind.UNBIASED_U, RngStream(2, 1))
     assert rep.B == 6
-    assert rep.kind is EstimatorKind.UNBIASED_U
+    assert rep.estimator is EstimatorKind.UNBIASED_U
     assert (rep.seed, rep.stream) == (2, 1)
     for row in rep.rows:
         assert row.samples == 80
@@ -432,7 +432,7 @@ def report_from_curves(budgets, a_avg, a_true, b_avg, b_true):
         ),
         B=len(budgets),
         num_samples=1,
-        kind=EstimatorKind.MEANMAX_V,
+        estimator=EstimatorKind.MEANMAX_V,
         seed=0,
         stream=0,
     )
@@ -496,7 +496,7 @@ def test_failure_scan_errors():
             ModelCurves("a", (1, 2), (0.1, 0.2), (0.1, 0.2), (0.0, 0.0)),
             ModelCurves("b", (1, 3), (0.1, 0.2), (0.1, 0.2), (0.0, 0.0)),
         ),
-        B=2, num_samples=1, kind=EstimatorKind.MEANMAX_V, seed=0, stream=0,
+        B=2, num_samples=1, estimator=EstimatorKind.MEANMAX_V, seed=0, stream=0,
     )
     with pytest.raises(ValueError):
         failure_scan(mismatched, "a", "b")

@@ -21,7 +21,7 @@ from bestofn import (
     write_report,
     write_runs,
 )
-from bestofn.estimators import CurvePoint, ExpectedMaxCurve, KsBoundReport, KsBoundRow
+from bestofn.estimators import CurvePoint, CurveSet, ExpectedMaxCurve, KsBoundReport, KsBoundRow
 from bestofn.experiments import (
     CoverageReport,
     CoverageRow,
@@ -33,9 +33,6 @@ from bestofn.experiments import (
     ProbeRow,
 )
 from bestofn.io_formats import (
-    EmptyRunsError,
-    MalformedRowError,
-    NonFiniteScoreError,
     Provenance,
     RunsFileError,
     canonical_json,
@@ -94,26 +91,26 @@ def test_read_runs_realistic_row_count(tmp_path):
 
 
 def test_read_runs_nan_names_line_two(tmp_path):
-    with pytest.raises(NonFiniteScoreError, match="line 2"):
+    with pytest.raises(RunsFileError, match="line 2"):
         read_runs(runs_file(tmp_path, "0.5\nNaN\n0.7\n"))
 
 
 def test_read_runs_infinity_rejected(tmp_path):
-    with pytest.raises(NonFiniteScoreError, match="line 3"):
+    with pytest.raises(RunsFileError, match="line 3"):
         read_runs(runs_file(tmp_path, "score\n0.5\ninf\n"))
 
 
 def test_read_runs_malformed_row(tmp_path):
-    with pytest.raises(MalformedRowError, match="line 2"):
+    with pytest.raises(RunsFileError, match="line 2"):
         read_runs(runs_file(tmp_path, "score\n0.5,x,y\n"))
-    with pytest.raises(MalformedRowError, match="line 3"):
+    with pytest.raises(RunsFileError, match="line 3"):
         read_runs(runs_file(tmp_path, "score\n0.5\nabc\n"))
 
 
 def test_read_runs_empty_file(tmp_path):
-    with pytest.raises(EmptyRunsError):
+    with pytest.raises(RunsFileError):
         read_runs(runs_file(tmp_path, "score\n"))
-    with pytest.raises(EmptyRunsError):
+    with pytest.raises(RunsFileError):
         read_runs(runs_file(tmp_path, "\n\n"))
 
 
@@ -144,13 +141,13 @@ def random_interval(rng):
 
 def random_payloads(rng):
     """One randomized payload per kind, as (kind, payload) pairs."""
-    curve = tuple(
+    curve = CurveSet(tuple(
         ExpectedMaxCurve(
             points=tuple(
                 CurvePoint(
                     n=n,
                     estimate=float(rng.normal()),
-                    ci=None if n % 2 else (float(rng.uniform()), 2.0),
+                    ci=None if n % 2 else Interval(float(rng.uniform()), 2.0),
                 )
                 for n in range(1, 5)
             ),
@@ -158,14 +155,14 @@ def random_payloads(rng):
             sample_size=8,
         )
         for kind in (EstimatorKind.MEANMAX_V, EstimatorKind.UNBIASED_U)
-    )
+    ))
     probe = ProbeReport(
         rows=tuple(
             ProbeRow(n=n, underestimates=int(rng.integers(0, 50)), samples=50,
                      proportion=float(rng.uniform()), ci=random_interval(rng))
             for n in range(1, 6)
         ),
-        B=20, kind=EstimatorKind.MEANMAX_V, dist_id="fixture", seed=7, stream=3,
+        B=20, estimator=EstimatorKind.MEANMAX_V, dist_id="fixture", seed=7, stream=3,
     )
     cov = CoverageReport(
         rows=tuple(
@@ -173,7 +170,7 @@ def random_payloads(rng):
                         ecp=float(rng.uniform()), ci=random_interval(rng))
             for n in range(1, 4)
         ),
-        B=12, resamples=100, nominal=0.95, kind=EstimatorKind.UNBIASED_U,
+        B=12, resamples=100, nominal=0.95, estimator=EstimatorKind.UNBIASED_U,
         dist_id="fixture", seed=8, stream=1,
     )
     curves_rep = CurveReport(
@@ -187,10 +184,10 @@ def random_payloads(rng):
             )
             for name in ("alpha", "beta")
         ),
-        B=10, num_samples=60, kind=EstimatorKind.MEANMAX_V, seed=9, stream=0,
+        B=10, num_samples=60, estimator=EstimatorKind.MEANMAX_V, seed=9, stream=0,
     )
     scan = FailureScanReport(
-        model_a="alpha", model_b="beta", B=10, kind=EstimatorKind.MEANMAX_V,
+        model_a="alpha", model_b="beta", B=10, estimator=EstimatorKind.MEANMAX_V,
         inversions=(Inversion(n=4, true_leader="beta", estimated_leader="alpha"),),
     )
     ks = KsBoundReport(cdf_at_max=0.9, B=50,
@@ -295,7 +292,7 @@ def test_probe_csv_has_header_plus_row_per_n():
                      ci=random_interval(rng))
             for n in range(1, 4)
         ),
-        B=5, kind=EstimatorKind.MEANMAX_V, dist_id="d", seed=1, stream=0,
+        B=5, estimator=EstimatorKind.MEANMAX_V, dist_id="d", seed=1, stream=0,
     )
     text = report_csv_text(make_envelope("probe", probe, {}))
     lines = text.strip().split("\n")
@@ -305,13 +302,13 @@ def test_probe_csv_has_header_plus_row_per_n():
 
 
 def test_curve_csv_blank_ci_cells():
-    curve = (
+    curve = CurveSet((
         ExpectedMaxCurve(
-            points=(CurvePoint(1, 0.5, None), CurvePoint(2, 0.75, (0.6, 0.9))),
+            points=(CurvePoint(1, 0.5, None), CurvePoint(2, 0.75, Interval(0.6, 0.9))),
             estimator=EstimatorKind.UNBIASED_U,
             sample_size=4,
         ),
-    )
+    ))
     text = report_csv_text(make_envelope("curve", curve, {}))
     lines = text.strip().split("\n")
     assert lines[0] == "estimator,n,estimate,ci_lo,ci_hi"
@@ -339,7 +336,7 @@ def test_csv_round_trips_float_cells_exactly():
     probe = ProbeReport(
         rows=(ProbeRow(n=1, underestimates=3, samples=7, proportion=value,
                        ci=Interval(value / 2, value)),),
-        B=2, kind=EstimatorKind.MEANMAX_V, dist_id="", seed=0, stream=0,
+        B=2, estimator=EstimatorKind.MEANMAX_V, dist_id="", seed=0, stream=0,
     )
     text = report_csv_text(make_envelope("probe", probe, {}))
     cell = text.strip().split("\n")[1].split(",")[3]
@@ -405,13 +402,13 @@ def test_chart_band_polygons_follow_cis(tmp_path):
     assert len(polygons) == 1
 
     # A curve payload whose points carry no CIs must not produce bands.
-    bare = (
+    bare = CurveSet((
         ExpectedMaxCurve(
             points=(CurvePoint(1, 0.5, None), CurvePoint(2, 0.7, None)),
             estimator=EstimatorKind.MEANMAX_V,
             sample_size=4,
         ),
-    )
+    ))
     bare_path = tmp_path / "bare.svg"
     emit_plot(make_envelope("curve", bare, {}), bare_path)
     assert [e for e in svg_elements(bare_path) if local_name(e.tag) == "polygon"] == []
@@ -437,7 +434,7 @@ def test_failure_scan_has_no_chart_form(tmp_path):
 def test_charts_from_real_curve(tmp_path):
     sample = ScoreSample(np.random.default_rng(83).normal(size=12))
     curve = expected_max_curve(sample, EstimatorKind.UNBIASED_U, 12)
-    env = make_envelope("curve", (curve,), {"B": 12})
+    env = make_envelope("curve", CurveSet((curve,)), {"B": 12})
     path = tmp_path / "real.svg"
     emit_plot(env, path)
     text = path.read_text(encoding="utf-8")

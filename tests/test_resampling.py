@@ -45,6 +45,8 @@ def test_interval_validation():
         Interval(0.7, 0.3)
     with pytest.raises(ValueError):
         Interval(float("nan"), 0.5)
+    with pytest.raises(ValueError):
+        Interval(0.1, float("inf"))
 
 
 # ---------------------------------------------------------------------------
