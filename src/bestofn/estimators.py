@@ -12,6 +12,11 @@ weighted by partial weight sums c_j(n), on a stack of samples at a time. A
 single budget builds its row of c_j in O(B) (:func:`estimate_rows`); a full
 curve walks n by exact ratio recurrences, a bounded block of rows at a time,
 so memory stays O(B) per sample for any number of budgets (:func:`curve_blocks`).
+At each budget a curve sums only the blocks of 1024 gaps, counted from the
+top, whose plug-in weight reaches 2^-64; the gaps left out move an estimate
+by less than 2^-64 times the sample's range. A full curve then costs
+O(B log B) products plus about 1024 per budget, not B^2. A sample of up to
+1025 scores is one block, and nothing is cut before n is about 44 B.
 """
 from __future__ import annotations
 
@@ -188,14 +193,20 @@ class CurveSet:
     curves: tuple[ExpectedMaxCurve, ...]
 
 
+def require_count(value: int, name: str, too_small: type[ArgumentError] = ArgumentError) -> None:
+    """Reject a ``value`` that is not an integer (``bool`` included) or is below 1,
+    naming the argument ``name`` it came from."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ArgumentError(name, f"must be an integer, got {value!r}")
+    if value < 1:
+        raise too_small(name, f"must be >= 1, got {value}")
+
+
 def require_budget(n: int, size: int, bounded: bool, name: str = "n") -> None:
     """Reject a budget that is not an integer (``bool`` included), n < 1, or
     n > B = ``size`` for a ``bounded`` estimator (see :func:`budget_is_bounded`);
     ``name`` is the argument n came from."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ArgumentError(name, f"must be an integer, got {n!r}")
-    if n < 1:
-        raise BudgetTooSmallError(name, f"must be >= 1, got {n}")
+    require_count(n, name, BudgetTooSmallError)
     if bounded and n > size:
         raise BudgetTooLargeError(
             name,
@@ -331,6 +342,16 @@ def ks_lower_bound(sample: ScoreSample, true_cdf_at_sample_max: float, n: int = 
 
 
 _BLOCK_VALUES = 1 << 16
+_TAIL_VALUES = 1024
+
+
+def _tail_sum(products: np.ndarray) -> np.ndarray:
+    """Sums over the last axis in blocks of _TAIL_VALUES aligned from its end: each
+    block pairwise, and the block sums one after another from the last block back."""
+    total = np.zeros(products.shape[:-1])
+    for stop in range(products.shape[-1], 0, -_TAIL_VALUES):
+        total += products[..., max(0, stop - _TAIL_VALUES) : stop].sum(axis=-1)
+    return total
 
 
 def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
@@ -342,34 +363,55 @@ def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
     n-1 times c_j(n)/c_j(n-1), j/B for the plug-in estimator and
     (j-n+1)/(B-n+1) for the unbiased one. Both start from the shared row j/B
     at n = 1, every unbiased ratio is at most the plug-in one, and no ratio
-    exceeds 1, so equality at n = 1, dominance and monotone curves hold
-    exactly in floating point: each score row sums its non-negative products
-    in the same order for every budget and any stack height. About
-    _BLOCK_VALUES products are alive at a time, each block of weight rows
-    continuing from the previous block's last, so memory stays O(B) per
-    score row for any n_max and results do not depend on the block size.
+    exceeds 1.
+
+    Budget n sums only a tail window of the gaps. They are cut into blocks
+    of _TAIL_VALUES from the top gap j = B-1 down, and a block stays live
+    while the plug-in weight of its top gap, (j/B)^n, is at least 2^-64. No
+    weight in a dead block reaches 2^-64, so the cut moves an estimate by less
+    than 2^-64 times the sample's range. Each live block is summed pairwise
+    and the block sums one after another from the top down; both kinds sum
+    the same blocks in the same order, and the live set only shrinks as n
+    grows. So equality at n = 1, dominance and monotone curves hold exactly
+    in floating point, for any stack height. When B-1 <= _TAIL_VALUES there
+    is one block, which is not cut before n is about 44 B, so each row is one
+    pairwise sum over all its gaps. The ratio recurrence runs only on the
+    live window. About _BLOCK_VALUES products are alive at a time, each
+    block of weight rows continuing from the previous block's last, so memory
+    stays O(B) per score row for any n_max, and results do not depend on the
+    block size.
     """
     if kind is EstimatorKind.MEANMAX_PREFIX:
         yield from ((n - 1, estimate_rows(draws, kind, n)[..., None]) for n in range(1, n_max + 1))
         return
     size = draws.shape[-1]
+    height = math.prod(draws.shape[:-1])
     top = draws.max(axis=-1, keepdims=True)
     gaps = np.sort(draws, axis=-1)
     gaps = (gaps[..., 1:] - gaps[..., :-1])[..., None, :]  # keeps no sorted copy
-    j = np.arange(1, size, dtype=float)
-    rows_per_block = max(1, _BLOCK_VALUES // max(1, gaps.size))
-    last = 1.0
-    for start in range(0, n_max, rows_per_block):
-        stop = min(start + rows_per_block, n_max)
+    # Block b (top gap t = B-1-b*L) is live at budget n while (t/B)^n >= 2^-64.
+    reach = 64.0 / np.log2(size / np.arange(size - 1, 0, -_TAIL_VALUES))
+    last = np.ones(size - 1)
+    start = 0
+    while start < n_max:
+        live = int(np.count_nonzero(reach >= start + 1))
+        width = min(size - 1, live * _TAIL_VALUES)
+        stop = min(n_max, start + max(1, _BLOCK_VALUES // max(1, height * max(1, width))))
+        if live:
+            stop = min(stop, int(reach[live - 1]))  # no block dies inside this block of budgets
+        jw = np.arange(size - width, size, dtype=float)  # the window's gap indices j
         if kind is EstimatorKind.UNBIASED_U:
             m = np.arange(start, stop, dtype=float)[:, None]  # n - 1 for budgets n
-            block = np.maximum(j - m, 0.0) / (size - m)
+            block = jw - m
+            np.maximum(block, 0.0, out=block)
+            block /= size - m
         else:
-            block = np.repeat((j / size)[None, :], stop - start, axis=0)
-        block[0] *= last
+            block = np.repeat((jw / size)[None, :], stop - start, axis=0)
+        block[0] *= last[last.size - width :]
         np.multiply.accumulate(block, axis=0, out=block)
         last = block[-1].copy()
-        yield start, top - (gaps * block).sum(axis=-1)
+        yield start, top - _tail_sum(gaps[..., size - 1 - width :] * block)
+        start = stop
 
 
 def curve_rows(draws: np.ndarray, kind: EstimatorKind, n_max: int) -> np.ndarray:
@@ -386,7 +428,8 @@ def expected_max_curve(sample: ScoreSample, kind: EstimatorKind, n_max: int,
     """Expected-maximum estimates for every budget n = 1..n_max.
 
     Evaluated by :func:`curve_rows` in O(B) memory for any n_max; each point
-    agrees with :func:`estimate` at its budget to rounding. ``ci``, when
+    agrees with :func:`estimate` at its budget to rounding and the tail
+    window's cut of under 2^-64 times the sample's range. ``ci``, when
     given, holds the interval ends (lo, hi) of budgets 1..n_max, as
     :func:`bestofn.resampling.percentile_bootstrap_curve` returns them.
     """

@@ -17,7 +17,6 @@ import numpy as np
 from .distributions import DiscreteDistribution, RngStream, draw_rows, true_curve
 from .distributions import draw_sample  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .estimators import (
-    ArgumentError,
     EstimatorKind,
     Interval,
     ScoreSample,
@@ -25,6 +24,7 @@ from .estimators import (
     curve_blocks,
     curve_rows,
     require_budget,
+    require_count,
 )
 from .estimators import estimate, expected_max_curve  # noqa: F401  (perfbench wraps them here)
 from .resampling import BootstrapConfig, clopper_pearson, percentile_bootstrap_curve
@@ -148,11 +148,9 @@ class FailureScanReport:
 
 
 def _check_battery_args(B: int, n_max: int, kind: EstimatorKind, count: int, count_name: str) -> None:
-    if B < 1:
-        raise ArgumentError("B", f"must be >= 1, got {B}")
+    require_count(B, "B")
     require_budget(n_max, B, budget_is_bounded(kind), "n_max")
-    if count < 1:
-        raise ArgumentError(count_name, f"must be >= 1, got {count}")
+    require_count(count, count_name)
 
 
 def _run_ordered(worker, items: list[range], progress: ProgressFn | None, label: str) -> None:

@@ -41,6 +41,7 @@ from bestofn import (
     meanmax_v,
     unbiased_u,
 )
+from bestofn import estimators
 from bestofn.estimators import CurvePoint, cumweights, curve_rows, estimate_rows
 
 MEANMAX = EstimatorKind.MEANMAX_V
@@ -292,17 +293,24 @@ def test_large_sample_weights_stay_finite():
         assert abs(w.sum() - 1.0) < 1e-9
 
 
+# A tail block this short cuts the gaps of samples of a few dozen scores.
+SHORT_TAIL = 8
+
+
 def test_estimates_match_exact_rationals():
     rng = np.random.default_rng(107)
     values = rng.normal(size=300)
     sample = ScoreSample(values)
     scale = sample.max - sample.min
-    for kind in (MEANMAX, UNBIASED):
-        curve = expected_max_curve(sample, kind, sample.size).estimates
-        for n in (1, 2, 10, 150, 300):
-            want = exact_estimate(values, kind, n)
-            assert abs(estimate(sample, kind, n) - want) <= 1e-12 * scale
-            assert abs(curve[n - 1] - want) <= 1e-12 * scale
+    for tail in (estimators._TAIL_VALUES, SHORT_TAIL):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimators, "_TAIL_VALUES", tail)
+            for kind in (MEANMAX, UNBIASED):
+                curve = expected_max_curve(sample, kind, sample.size).estimates
+                for n in (1, 2, 10, 150, 300):
+                    want = exact_estimate(values, kind, n)
+                    assert abs(estimate(sample, kind, n) - want) <= 1e-12 * scale
+                    assert abs(curve[n - 1] - want) <= 1e-12 * scale
 
 
 def test_curve_memory_does_not_grow_with_budget_count():
@@ -318,9 +326,35 @@ def test_curve_memory_does_not_grow_with_budget_count():
         assert peak < 64 * 2**20
 
 
+def test_full_curve_at_large_sample_size_stays_small_and_exact():
+    # n_max = B = 20,000: the tail window sums about B * _TAIL_VALUES products
+    # rather than B**2, in O(B) memory.
+    values = np.random.default_rng(109).normal(size=20_000)
+    scale = np.ptp(values)
+    for kind in (MEANMAX, UNBIASED):
+        tracemalloc.start()
+        try:
+            curve = curve_rows(values, kind, values.size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        for n in (1, 2, 64):
+            assert abs(curve[n - 1] - exact_estimate(values, kind, n)) <= 1e-12 * scale
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(st.integers(-1000, 1000).map(lambda k: k / 64), min_size=1, max_size=80))
 def test_estimator_invariants_hold_exactly(values):
+    # Once with one tail block (B - 1 <= _TAIL_VALUES) and once with the
+    # gaps cut into short blocks, most of them dead at large n.
+    for tail in (estimators._TAIL_VALUES, SHORT_TAIL):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimators, "_TAIL_VALUES", tail)
+            check_estimator_invariants(values)
+
+
+def check_estimator_invariants(values):
     # Dyadic scores keep every gap exact and the last rounding at the sample
     # maximum far below the tolerance, so the bound below is about the
     # weights alone.
@@ -369,6 +403,32 @@ def test_curve_rows_stack_matches_single_curves_exactly(kind):
     for index in np.ndindex(2, 3):
         single = expected_max_curve(ScoreSample(rows[index]), kind, 17).estimates
         assert np.array_equal(stacked[index], single)
+
+
+@pytest.mark.parametrize("kind", [MEANMAX, UNBIASED])
+def test_cut_curves_do_not_depend_on_budget_blocks_or_stack_height(kind, monkeypatch):
+    # B - 1 = 299 gaps in blocks of 8, so most blocks die as n grows; meanmax
+    # runs on past n = 13,286, where even the top gap's weight (299/300)^n is
+    # below 2**-64 and nothing is left to sum. In the last row 20 scores tie at
+    # a maximum of 0, so the top gaps are 0 and a dead block summed by mistake
+    # would show in the estimate's last bits.
+    monkeypatch.setattr(estimators, "_TAIL_VALUES", SHORT_TAIL)
+    rng = np.random.default_rng(34)
+    rows = np.stack([rng.normal(size=300), rng.standard_cauchy(size=300),
+                     -np.abs(rng.normal(size=300)) * (np.arange(300) % 15 != 0)])
+    n_max = 300 if kind is UNBIASED else 14_000
+    default = curve_rows(rows, kind, n_max)
+    # Blocks of one budget, of a few and of every budget the window allows.
+    for block_values in (1, 5 * rows.size, 1 << 40):
+        monkeypatch.setattr(estimators, "_BLOCK_VALUES", block_values)
+        assert np.array_equal(curve_rows(rows, kind, n_max), default)
+    for row, curve in zip(rows, default):
+        assert np.array_equal(curve_rows(row, kind, n_max), curve)
+        scale = np.ptp(row)
+        for n in (1, 2, 50, 300, n_max):
+            assert abs(curve[n - 1] - estimate_rows(row, kind, n)) <= 1e-12 * scale
+    if kind is MEANMAX:
+        assert np.all(default[:, 13_300:] == rows.max(axis=1, keepdims=True))
 
 
 def test_prefix_curve_rows_follow_ingestion_order():

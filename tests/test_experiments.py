@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import binom
 
 from bestofn import (
+    ArgumentError,
     BootstrapConfig,
     BudgetTooLargeError,
     BudgetTooSmallError,
@@ -285,6 +286,25 @@ def test_curves_validation(ten):
         curves({"ten": ten}, 4, 0, EstimatorKind.MEANMAX_V, RngStream(1))
 
 
+def test_battery_sizes_and_counts_must_be_integers(coin):
+    # A float or bool B, sample count or M is refused by name, before numpy sees it.
+    kind = EstimatorKind.MEANMAX_V
+    boot = BootstrapConfig(RngStream(1), resamples=10)
+    calls = [
+        ("B", 2.5, lambda: probe(coin, 2.5, 2, 5, kind, RngStream(1))),
+        ("B", True, lambda: probe(coin, True, 1, 5, kind, RngStream(1))),
+        ("B", 2.5, lambda: curves({"d": coin}, 2.5, 5, kind, RngStream(1))),
+        ("B", 4.0, lambda: coverage(coin, 4.0, 2, 5, boot, kind, RngStream(1))),
+        ("samples", 5.0, lambda: probe(coin, 4, 2, 5.0, kind, RngStream(1))),
+        ("samples", True, lambda: curves({"d": coin}, 4, True, kind, RngStream(1))),
+        ("M", 2.5, lambda: coverage(coin, 4, 2, 2.5, boot, kind, RngStream(1))),
+    ]
+    for name, got, call in calls:
+        with pytest.raises(ArgumentError) as info:
+            call()
+        assert (info.value.name, str(info.value)) == (name, f"{name} must be an integer, got {got!r}")
+
+
 # ---------------------------------------------------------------------------
 # Stacked evaluation and reruns
 # ---------------------------------------------------------------------------
@@ -368,6 +388,8 @@ def test_reports_do_not_depend_on_the_sample_chunk(ten, coin, chunk, monkeypatch
     monkeypatch.setattr(resampling, "_BOOT_CHUNK_VALUES", chunk)
     # Curve blocks of one budget, of a few (five, for probe) and of all budgets.
     monkeypatch.setattr(estimators, "_BLOCK_VALUES", 4 * chunk)
+    # One tail block of any length at least B - 1 (11, for the curve-ci sample).
+    monkeypatch.setattr(estimators, "_TAIL_VALUES", max(11, chunk))
     assert run_all() == default
 
 
