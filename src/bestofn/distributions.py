@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import ArgumentError, ScoreSample, require_budget
+from .estimators import ArgumentError, ScoreSample, require_budget, require_count
 
 _MASK64 = (1 << 64) - 1
 
@@ -184,8 +184,7 @@ class KdeSpec:
             raise ArgumentError(
                 "support_lo", f"must be below support_hi = {self.support_hi}, got {self.support_lo}"
             )
-        if self.bins < 2:
-            raise ArgumentError("bins", f"must be >= 2, got {self.bins}")
+        require_count(self.bins, "bins", least=2)
 
 
 # Published KDE parameters for the four reference models (bandwidth via
@@ -281,8 +280,7 @@ def mc_expected_max(dist: DiscreteDistribution, n: int, iterations: int, rng: Rn
     the result does not depend on internal chunking.
     """
     require_budget(n, dist.size, bounded=False)
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    require_count(iterations, "iterations")
     gen = rng.generator()
     rows_per_chunk = max(1, _MC_CHUNK_VALUES // n)
     total = 0.0
@@ -305,8 +303,7 @@ def draw_rows(dist: DiscreteDistribution, count: int, streams: Sequence[RngStrea
     the stream's (seed, stream) words with the counter at 0 and the buffer
     empty, so a row costs no generator set-up of its own.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    require_count(count, "count")
     u = np.empty((len(streams), count))
     gen = RngStream(0).generator()  # any key: every row re-keys it
     # Counter 0; buffer_pos 4 marks Philox's 4-word output buffer as empty.

@@ -193,13 +193,14 @@ class CurveSet:
     curves: tuple[ExpectedMaxCurve, ...]
 
 
-def require_count(value: int, name: str, too_small: type[ArgumentError] = ArgumentError) -> None:
-    """Reject a ``value`` that is not an integer (``bool`` included) or is below 1,
-    naming the argument ``name`` it came from."""
+def require_count(value: int, name: str, too_small: type[ArgumentError] = ArgumentError,
+                  least: int = 1) -> None:
+    """Reject a ``value`` that is not an integer (``bool`` included) or is below
+    ``least``, naming the argument ``name`` it came from."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ArgumentError(name, f"must be an integer, got {value!r}")
-    if value < 1:
-        raise too_small(name, f"must be >= 1, got {value}")
+    if value < least:
+        raise too_small(name, f"must be >= {least}, got {value}")
 
 
 def require_budget(n: int, size: int, bounded: bool, name: str = "n") -> None:

@@ -16,7 +16,9 @@ Two fixture families ship with the package as JSON files under
 
 Every fixture is the output of :func:`bestofn.distributions.fit_kde`
 applied to a deterministic synthetic run set, so the shipped files can
-be regenerated bit-for-bit with :func:`build_fixture`.
+be regenerated bit-for-bit with :func:`build_fixture`. The recipes import
+``scipy.special.ndtri`` when they run, so loading a shipped fixture needs
+no scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from .distributions import DiscreteDistribution, KdeSpec, fit_kde, load_distribution, save_distribution
 from .estimators import ScoreSample
@@ -68,6 +69,8 @@ def gaussian_quantile_runs(weights: list[float], means: list[float], sds: list[f
     numpy.ndarray
         Concatenated component scores, unsorted.
     """
+    from scipy.special import ndtri
+
     parts = []
     for weight, mean, sd in zip(weights, means, sds):
         k = max(1, round(weight * count))
@@ -77,6 +80,8 @@ def gaussian_quantile_runs(weights: list[float], means: list[float], sds: list[f
 
 def probe_runs() -> np.ndarray:
     """Synthetic run scores behind the ``probe-skewed`` fixture."""
+    from scipy.special import ndtri
+
     return np.concatenate([
         ndtri(_grid(110)) * 0.10 + 0.35,
         ndtri(_grid(282)) * 0.030 + 0.62,

@@ -3,11 +3,12 @@
 The bootstrap here is deliberately the plain percentile method (no BCa or
 studentized variants): the point of the simulation batteries is to measure how
 that method's coverage behaves under a biased estimator, so the method itself
-must stay vanilla. Clopper-Pearson intervals are exact beta quantiles from
-``scipy.special.betaincinv``.
+must stay vanilla. Clopper-Pearson intervals solve their defining binomial
+tail equations in numpy (:func:`clopper_pearson`), so no run path imports scipy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .distributions import RngStream
 from .estimators import ArgumentError, EstimatorKind, Interval, ScoreSample, budget_is_bounded
-from .estimators import curve_blocks, estimate_rows, require_budget
+from .estimators import curve_blocks, estimate_rows, require_budget, require_count
 from .estimators import estimate  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 
@@ -28,8 +29,7 @@ class BootstrapConfig:
     confidence: float = 0.95
 
     def __post_init__(self):
-        if self.resamples < 1:
-            raise ArgumentError("resamples", f"must be >= 1, got {self.resamples}")
+        require_count(self.resamples, "resamples")
         if not 0.0 < self.confidence < 1.0:
             raise ArgumentError(
                 "confidence", f"must lie strictly between 0 and 1, got {self.confidence}"
@@ -104,21 +104,72 @@ def percentile_bootstrap_curve(
 def clopper_pearson(successes: int, trials: int, confidence: float) -> Interval:
     """Exact (Clopper-Pearson) binomial confidence interval for a proportion.
 
-    The bounds are beta quantiles: lo solves I_x(k, m-k+1) = alpha/2 and hi
-    solves I_x(k+1, m-k) = 1 - alpha/2, with lo = 0 at k = 0 and hi = 1 at
-    k = m.
+    With k = ``successes`` of m = ``trials`` and X ~ Binomial(m, p), lo solves
+    P(X >= k; p) = alpha/2 and hi solves P(X <= k; p) = alpha/2, with lo = 0 at
+    k = 0 and hi = 1 at k = m. These are the beta quantiles
+    I_lo(k, m-k+1) = alpha/2 and I_hi(k+1, m-k) = 1 - alpha/2. Each end is
+    solved from its own small tail (:func:`_tail_root`), never as 1 - tail.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= successes <= trials:
-        raise ValueError(f"successes must be in [0, {trials}], got {successes}")
+    require_count(trials, "trials")
+    require_count(successes, "successes", least=0)
+    if successes > trials:
+        raise ArgumentError("successes", f"must be <= trials = {trials}, got {successes}")
     if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    # Imported here, not at module level: only the batteries need it.
-    from scipy.special import betaincinv
-
-    alpha = 1.0 - confidence
+        raise ArgumentError("confidence", f"must lie strictly between 0 and 1, got {confidence}")
     k, m = successes, trials
-    lo = 0.0 if k == 0 else float(betaincinv(k, m - k + 1, alpha / 2.0))
-    hi = 1.0 if k == m else float(betaincinv(k + 1, m - k, 1.0 - alpha / 2.0))
+    target = math.log((1.0 - confidence) / 2.0)
+    i = np.arange(1.0, m + 1)
+    ratios = np.log((m - i + 1) / i)  # log C(m, i) - log C(m, i-1)
+    log_c = float(ratios[:k].sum())  # log C(m, k) = log C(m, m-k)
+    # Y = m - X ~ Binomial(m, 1-p) turns hi's lower tail into an upper one.
+    lo = 0.0 if k == 0 else math.exp(_tail_root(k, m, log_c, ratios[k:], target))
+    hi = 1.0 if k == m else -math.expm1(_tail_root(m - k, m, log_c, ratios[m - k:], target))
     return Interval(lo, hi)
+
+
+def _log1mexp(u: float) -> float:
+    """log(1 - e^u) for u < 0, accurate at both ends."""
+    return math.log(-math.expm1(u)) if u > -math.log(2.0) else math.log1p(-math.exp(u))
+
+
+def _tail_root(k: int, m: int, log_c: float, ratios: np.ndarray, target: float) -> float:
+    """The u = log p < log(k/m) at which log P(X >= k) = ``target`` < log(1/2),
+    X ~ Binomial(m, p), 1 <= k <= m; ``log_c`` is log C(m, k) and ``ratios``
+    holds log C(m, i) - log C(m, i-1) for i = k+1..m.
+
+    h(u) = log P(X >= k) is concave in u (the log of a beta variate has a
+    log-concave density) with slope k pmf(k) / P(X >= k). The tail is summed
+    relative to its first term, which is its largest for p <= k/m, and terms
+    below e^-50 of it at p = k/m are dropped: they are smaller still below k/m.
+    The root lies between the union bound's u, where C(m,k) p^k = e^target, and
+    log(k/m), where the median k gives h >= log(1/2). Newton steps from the
+    union bound climb to it; a step that would leave the bracket bisects it
+    instead, and the search stops when a step moves u by at most one float or
+    the bracket closes to adjacent floats.
+    """
+    rel = np.concatenate(([0.0], np.cumsum(ratios)))  # log pmf(i) - log pmf(k) at p = 1/2
+    steps = np.arange(rel.size, dtype=float)
+    if k < m:
+        keep = np.count_nonzero(rel + steps * math.log(k / (m - k)) > -50.0)
+        rel, steps = rel[:keep], steps[:keep]
+
+    a, b = (target - log_c) / k, math.log(k / m)
+    x = a
+    while True:
+        log_q = _log1mexp(x)
+        tail = float(np.exp(rel + steps * (x - log_q)).sum())  # P(X >= k) / pmf(k)
+        g = log_c + k * x + (m - k) * log_q + math.log(tail) - target
+        if g < 0.0:
+            a = x
+        elif g > 0.0:
+            b = x
+        else:
+            return x
+        nxt = x - g * tail / k
+        if math.nextafter(x, nxt) == nxt:
+            return nxt
+        if not a < nxt < b:
+            nxt = a + (b - a) / 2.0
+            if not a < nxt < b:
+                return x
+        x = nxt

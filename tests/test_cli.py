@@ -821,10 +821,34 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert result.returncode == 0, result.stderr
     stats_loaded, scipy_modules, fixtures_load_stats = result.stdout.split("\n")[:3]
     assert stats_loaded == "False"
-    # Only the batteries' Clopper-Pearson intervals need scipy, imported on use.
+    # Only the envelope's provenance reads scipy, and only the bare package's version.
     assert scipy_modules == "[]"
-    # The fixture recipes need only scipy.special's normal quantile.
+    # The fixture recipes import scipy.special's normal quantile only when they run.
     assert fixtures_load_stats == "False"
+
+
+def test_probe_and_coverage_runs_import_no_scipy_submodule(tmp_path, coin_dist):
+    # scipy.special is blocked outright: any import of it, or of scipy.stats, which
+    # needs it, raises ImportError and turns the run's exit code non-zero.
+    runs = [
+        ["probe", "--dist", coin_dist, "--B", "12", "--n-max", "6", "--samples", "120",
+         "-o", str(tmp_path / "probe.json")],
+        ["coverage", "--dist", coin_dist, "--B", "12", "--n-max", "5", "--M", "40",
+         "--resamples", "200", "-o", str(tmp_path / "coverage.json")],
+    ]
+    code = (
+        "import sys; sys.modules['scipy.special'] = None; import bestofn.cli; "
+        f"print([bestofn.cli.main(argv) for argv in {runs!r}], "
+        "sys.modules['scipy.special'], 'scipy.stats' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 0] None False", result.stderr
+    for name in ("probe", "coverage"):
+        rows = json.loads((tmp_path / f"{name}.json").read_text())["payload"]["rows"]
+        assert all(0.0 <= row["ci"][0] <= row["ci"][1] <= 1.0 for row in rows)
 
 
 def test_curve_report_names_its_provenance_without_loading_scipy_submodules(tmp_path):

@@ -305,6 +305,35 @@ def test_battery_sizes_and_counts_must_be_integers(coin):
         assert (info.value.name, str(info.value)) == (name, f"{name} must be an integer, got {got!r}")
 
 
+def test_counts_outside_the_batteries_must_be_integers(coin):
+    # Successes, trials, resamples, iterations, bins and draw counts are refused by
+    # name when they are floats or bools; a count of 0 successes is fine.
+    from bestofn import KdeSpec, fit_kde, mc_expected_max
+
+    kind = EstimatorKind.MEANMAX_V
+    sample = ScoreSample([0.1, 0.4, 0.9])
+    calls = [
+        ("successes", 2.5, lambda: clopper_pearson(2.5, 10, 0.95)),
+        ("successes", True, lambda: clopper_pearson(True, 10, 0.95)),
+        ("trials", 10.0, lambda: clopper_pearson(3, 10.0, 0.95)),
+        ("resamples", True, lambda: BootstrapConfig(RngStream(1), resamples=True)),
+        ("resamples", 2.5, lambda: percentile_bootstrap_curve(
+            sample, kind, 2, BootstrapConfig(RngStream(1), resamples=2.5))),
+        ("iterations", 2.5, lambda: mc_expected_max(coin, 2, iterations=2.5, rng=RngStream(1))),
+        ("bins", 2.5, lambda: fit_kde(sample, KdeSpec(bins=2.5))),
+        ("count", 2.5, lambda: draw_sample(coin, 2.5, RngStream(1))),
+    ]
+    for name, got, call in calls:
+        with pytest.raises(ArgumentError) as info:
+            call()
+        assert (info.value.name, str(info.value)) == (name, f"{name} must be an integer, got {got!r}")
+    assert clopper_pearson(0, 10, 0.95).lo == 0.0
+    with pytest.raises(ArgumentError, match="successes must be >= 0, got -1"):
+        clopper_pearson(-1, 10, 0.95)
+    with pytest.raises(ArgumentError, match="bins must be >= 2, got 1"):
+        KdeSpec(bins=1)
+
+
 # ---------------------------------------------------------------------------
 # Stacked evaluation and reruns
 # ---------------------------------------------------------------------------

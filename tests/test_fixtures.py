@@ -6,10 +6,15 @@ depend on these exact distributions.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bestofn
 from bestofn import exact_expected_max
 from bestofn.fixtures import (
     CROSSING_STEADY,
@@ -43,6 +48,21 @@ def test_load_fixture_round_trips(name):
     assert canonical_text(dist) == fixture_path(name).read_text(encoding="utf-8")
     assert len(dist.support) == 511
     assert np.all(np.diff(dist.support) > 0)
+
+
+def test_loading_a_fixture_loads_no_scipy():
+    # Only the recipes need scipy.special's normal quantile, and they import it when they run.
+    code = (
+        "import sys; from bestofn.fixtures import FIXTURE_NAMES, fixture_path, load_fixture; "
+        "[(fixture_path(name), load_fixture(name)) for name in FIXTURE_NAMES]; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(bestofn.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_unknown_name_rejected():

@@ -7,6 +7,7 @@ feeds each resample through the scalar estimator API one row at a time.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -174,6 +175,36 @@ def test_clopper_pearson_rejects_bad_input():
         clopper_pearson(1, 0, 0.95)
     with pytest.raises(ValueError):
         clopper_pearson(1, 4, 1.0)
+
+
+def beta_quantile_ends(k, m, confidence):
+    alpha = 1.0 - confidence
+    return (0.0 if k == 0 else betaincinv(k, m - k + 1, alpha / 2.0),
+            1.0 if k == m else betaincinv(k + 1, m - k, 1.0 - alpha / 2.0))
+
+
+@pytest.mark.parametrize("confidence", [0.95, 0.99, 1.0 - 0.001 / 36])
+def test_clopper_pearson_tail_roots_match_beta_quantiles_on_a_grid(confidence):
+    # Every k at m <= 30, and ends, quartiles and random k at larger m.
+    rng = np.random.default_rng(41)
+    grid = [(k, m) for m in range(1, 31) for k in range(m + 1)]
+    for m in (300, 1000, 5000):
+        ks = {0, 1, 2, m // 4, m // 2, 3 * m // 4, m - 2, m - 1, m, *rng.integers(0, m + 1, 12).tolist()}
+        grid += [(k, m) for k in sorted(ks)]
+    for k, m in grid:
+        iv = clopper_pearson(k, m, confidence)
+        assert type(iv.lo) is float and type(iv.hi) is float
+        assert_allclose((iv.lo, iv.hi), beta_quantile_ends(k, m, confidence), rtol=0, atol=1e-12,
+                        err_msg=f"k={k}, m={m}")
+
+
+def test_clopper_pearson_at_a_hundred_thousand_trials_is_accurate_and_quick():
+    k, m = 31_337, 10**5
+    start = time.perf_counter()
+    iv = clopper_pearson(k, m, 0.95)
+    elapsed = time.perf_counter() - start
+    assert_allclose((iv.lo, iv.hi), beta_quantile_ends(k, m, 0.95), rtol=0, atol=1e-11)
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------
