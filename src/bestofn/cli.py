@@ -27,8 +27,8 @@ failure-scan's model names). ``-o``, ``--format``, ``--svg`` and
 replayed payload is byte-identical. Progress lines go to standard error
 only; standard output carries the report when ``-o`` is omitted.
 
-Randomness layout ``philox4x64-splitmix64/2``, named with the python, numpy and
-scipy versions in every report's ``provenance`` block: sample draws use stream
+Randomness layout ``philox4x64-splitmix64/2``, named with the python and numpy
+versions in every report's ``provenance`` block: sample draws use stream
 0 of the root seed and bootstrap resampling uses stream 1, so adding CIs never
 disturbs the simulated samples. probe and coverage draw sample i once, from
 child (0, i) of stream 0, and read every budget off it; coverage bootstraps it

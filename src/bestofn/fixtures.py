@@ -17,8 +17,10 @@ Two fixture families ship with the package as JSON files under
 Every fixture is the output of :func:`bestofn.distributions.fit_kde`
 applied to a deterministic synthetic run set, so the shipped files can
 be regenerated bit-for-bit with :func:`build_fixture`. The recipes import
-``scipy.special.ndtri`` when they run, so loading a shipped fixture needs
-no scipy.
+``scipy.special.ndtri`` when they run, so rebuilding a fixture
+(:func:`build_fixture`, :func:`write_fixture_files`) needs the ``test``
+extra, and loading a shipped one (:func:`fixture_path`,
+:func:`load_fixture`) needs only numpy.
 """
 
 from __future__ import annotations

@@ -101,13 +101,13 @@ def write_runs(sample: ScoreSample, path) -> None:
 
 @dataclass(frozen=True)
 class Provenance:
-    """The library versions and RNG layout (:data:`~bestofn.distributions.RNG_LAYOUT_ID`)
+    """The python and numpy versions and RNG layout (:data:`~bestofn.distributions.RNG_LAYOUT_ID`)
     that made a payload: numpy does not promise the same ``Generator`` streams across
-    versions. Nothing in it depends on the time or the run."""
+    versions. Nothing in it depends on the time or the run. Reports written while
+    the block also named a ``scipy`` version still read: that key is ignored."""
 
     python: str
     numpy: str
-    scipy: str
     rng_layout: str
 
 
@@ -131,8 +131,6 @@ class ReportEnvelope:
 
 
 def make_envelope(payload_kind: str, payload, config: dict) -> ReportEnvelope:
-    import scipy  # the bare package: scipy.special and scipy.stats stay unloaded
-
     from . import __version__
 
     _codec(payload_kind)  # an unknown kind could be written but never read back
@@ -143,7 +141,7 @@ def make_envelope(payload_kind: str, payload, config: dict) -> ReportEnvelope:
         config=config,
         payload_kind=payload_kind,
         payload=payload,
-        provenance=Provenance(sys.version.split()[0], np.__version__, scipy.__version__, RNG_LAYOUT_ID),
+        provenance=Provenance(sys.version.split()[0], np.__version__, RNG_LAYOUT_ID),
     )
 
 

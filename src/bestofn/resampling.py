@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,21 +33,6 @@ class BootstrapConfig:
             raise ArgumentError(
                 "confidence", f"must lie strictly between 0 and 1, got {self.confidence}"
             )
-
-
-def percentile(values: Sequence[float] | np.ndarray, q: float) -> float:
-    """Empirical percentile with linear interpolation between closest ranks.
-
-    With sorted values y_1..y_m and position p = q*(m-1), returns
-    y_{floor(p)+1} + frac(p) * (y_{floor(p)+2} - y_{floor(p)+1}), the
-    "type 7" convention (numpy's default).
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("percentile of an empty sequence is undefined")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    return float(np.quantile(arr, q, method="linear"))
 
 
 _BOOT_CHUNK_VALUES = 1 << 15  # resample values per draw: small enough to stay in cache
@@ -78,12 +62,13 @@ def percentile_bootstrap_ci(
 
     Draws ``config.resamples`` with-replacement resamples of the full sample
     size, evaluates the chosen estimator on each, and returns the empirical
-    (alpha/2, 1-alpha/2) percentiles where alpha = 1 - confidence.
-    Deterministic given ``config.rng``.
+    (alpha/2, 1-alpha/2) percentiles (``np.quantile``'s linear interpolation
+    between closest ranks) where alpha = 1 - confidence. Deterministic given
+    ``config.rng``.
     """
     stats = np.concatenate([estimate_rows(rows, kind, n) for _, rows in _resamples(sample, config)])
-    alpha = 1.0 - config.confidence
-    return Interval(percentile(stats, alpha / 2.0), percentile(stats, 1.0 - alpha / 2.0))
+    q = (1.0 - config.confidence) / 2.0  # alpha / 2
+    return Interval(*np.quantile(stats, (q, 1.0 - q)).tolist())
 
 
 def percentile_bootstrap_curve(

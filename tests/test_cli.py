@@ -21,7 +21,6 @@ from bestofn import (
     RngStream,
     cli,
     fit_kde,
-    percentile,
     save_distribution,
 )
 from bestofn.cli import DEFAULT_SEED, main
@@ -179,7 +178,7 @@ def test_curve_ci_reads_every_budget_off_one_resample_matrix(tmp_path, kind, n_m
     )
     alpha = 1.0 - 0.9
     want = [
-        [percentile(column, alpha / 2.0), percentile(column, 1.0 - alpha / 2.0)]
+        [float(np.quantile(column, alpha / 2.0)), float(np.quantile(column, 1.0 - alpha / 2.0))]
         for column in estimates.T
     ]
     assert [p["ci"] for p in load_payload(out)["curves"][0]["points"]] == want
@@ -821,34 +820,54 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert result.returncode == 0, result.stderr
     stats_loaded, scipy_modules, fixtures_load_stats = result.stdout.split("\n")[:3]
     assert stats_loaded == "False"
-    # Only the envelope's provenance reads scipy, and only the bare package's version.
+    # Importing the CLI loads no scipy module.
     assert scipy_modules == "[]"
     # The fixture recipes import scipy.special's normal quantile only when they run.
     assert fixtures_load_stats == "False"
 
 
-def test_probe_and_coverage_runs_import_no_scipy_submodule(tmp_path, coin_dist):
-    # scipy.special is blocked outright: any import of it, or of scipy.stats, which
-    # needs it, raises ImportError and turns the run's exit code non-zero.
-    runs = [
-        ["probe", "--dist", coin_dist, "--B", "12", "--n-max", "6", "--samples", "120",
-         "-o", str(tmp_path / "probe.json")],
-        ["coverage", "--dist", coin_dist, "--B", "12", "--n-max", "5", "--M", "40",
-         "--resamples", "200", "-o", str(tmp_path / "coverage.json")],
+def test_probe_and_coverage_runs_import_no_scipy_submodule(tmp_path):
+    # scipy is blocked outright: any import of it raises ImportError and turns a
+    # run's exit code non-zero. Every command runs, the batteries on the shipped
+    # fixtures, and loading a fixture needs no scipy either.
+    from bestofn.fixtures import fixture_path
+
+    skewed, steady, volatile = (
+        str(fixture_path(name)) for name in ("probe-skewed", "crossing-steady", "crossing-volatile")
+    )
+    (tmp_path / "runs.csv").write_text(
+        "score\n" + "".join(f"{v!r}\n" for v in np.linspace(0.1, 0.9, 12).tolist())
+    )
+    argvs = [
+        ["fit", "--runs", "runs.csv", "-o", "fit.json"],
+        ["curve", "--runs", "runs.csv", "--estimator", "unbiased", "--estimator", "meanmax",
+         "--estimator", "meanmax-prefix", "--ci", "--resamples", "100", "--svg", "curve.svg",
+         "-o", "curve.json"],
+        ["curve", "--runs", "runs.csv", "--format", "csv", "-o", "curve.csv"],
+        ["probe", "--dist", skewed, "--B", "12", "--n-max", "6", "--samples", "120",
+         "-o", "probe.json"],
+        ["coverage", "--dist", skewed, "--B", "12", "--n-max", "5", "--M", "40",
+         "--resamples", "200", "-o", "coverage.json"],
+        ["curves-sim", "--dist", f"steady={steady}", "--dist", f"volatile={volatile}",
+         "--B", "10", "--samples", "50", "-o", "curves.json"],
+        ["failure-scan", "--report", "curves.json", "-o", "scan.json"],
+        ["ks-bound", "--runs", "runs.csv", "--cdf-at-max", "0.9", "-o", "ks.json"],
     ]
     code = (
-        "import sys; sys.modules['scipy.special'] = None; import bestofn.cli; "
-        f"print([bestofn.cli.main(argv) for argv in {runs!r}], "
-        "sys.modules['scipy.special'], 'scipy.stats' in sys.modules)"
+        "import sys; sys.modules['scipy'] = None; import bestofn.cli, bestofn.fixtures; "
+        f"print([bestofn.cli.main(argv) for argv in {argvs!r}], "
+        "bestofn.fixtures.load_fixture('probe-skewed').support.size > 0)"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), cwd=tmp_path
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[0, 0] None False", result.stderr
+    assert result.stdout.strip() == f"{[0] * len(argvs)} True", result.stderr
     for name in ("probe", "coverage"):
         rows = json.loads((tmp_path / f"{name}.json").read_text())["payload"]["rows"]
         assert all(0.0 <= row["ci"][0] <= row["ci"][1] <= 1.0 for row in rows)
+    assert (tmp_path / "curve.svg").read_text().endswith("</svg>\n")
+    assert (tmp_path / "curve.csv").read_text().startswith("estimator,n,estimate,ci_lo,ci_hi\n")
 
 
 def test_curve_report_names_its_provenance_without_loading_scipy_submodules(tmp_path):
@@ -866,7 +885,7 @@ def test_curve_report_names_its_provenance_without_loading_scipy_submodules(tmp_
     assert result.stdout.split() == ["0", "False"]
     provenance = json.loads(out.read_text())["provenance"]
     assert provenance["rng_layout"] == "philox4x64-splitmix64/2"
-    assert set(provenance) == {"python", "numpy", "scipy", "rng_layout"}
+    assert set(provenance) == {"python", "numpy", "rng_layout"}
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

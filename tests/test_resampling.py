@@ -6,7 +6,6 @@ against a literal reimplementation that draws the same index matrix and
 feeds each resample through the scalar estimator API one row at a time.
 """
 
-import math
 import time
 import tracemalloc
 
@@ -23,7 +22,6 @@ from bestofn import (
     RngStream,
     ScoreSample,
     clopper_pearson,
-    percentile,
     percentile_bootstrap_ci,
     percentile_bootstrap_curve,
 )
@@ -48,55 +46,6 @@ def test_interval_validation():
         Interval(float("nan"), 0.5)
     with pytest.raises(ValueError):
         Interval(0.1, float("inf"))
-
-
-# ---------------------------------------------------------------------------
-# percentile
-# ---------------------------------------------------------------------------
-
-
-def test_percentile_point_values():
-    assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.5
-    assert percentile([10.0, 20.0], 0.25) == 12.5
-
-
-def test_percentile_extremes_are_min_and_max():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        values = rng.normal(size=int(rng.integers(1, 25)))
-        assert percentile(values, 0.0) == values.min()
-        assert percentile(values, 1.0) == values.max()
-
-
-def test_percentile_matches_closest_rank_interpolation():
-    # Hand-rolled linear interpolation between closest ranks.
-    rng = np.random.default_rng(32)
-    for _ in range(20):
-        values = rng.normal(size=int(rng.integers(2, 30)))
-        q = float(rng.uniform())
-        y = np.sort(values)
-        p = q * (len(y) - 1)
-        k = int(math.floor(p))
-        frac = p - k
-        expected = y[k] if k + 1 == len(y) else y[k] + frac * (y[k + 1] - y[k])
-        assert_allclose(percentile(values, q), expected, rtol=1e-12)
-
-
-def test_percentile_monotone_and_permutation_invariant():
-    rng = np.random.default_rng(33)
-    values = rng.normal(size=17)
-    qs = np.linspace(0.0, 1.0, 21)
-    results = [percentile(values, q) for q in qs]
-    assert np.all(np.diff(results) >= 0.0)
-    shuffled = rng.permutation(values)
-    assert all(percentile(values, q) == percentile(shuffled, q) for q in qs)
-
-
-def test_percentile_rejects_bad_input():
-    with pytest.raises(ValueError):
-        percentile([], 0.5)
-    with pytest.raises(ValueError):
-        percentile([1.0], 1.5)
 
 
 # ---------------------------------------------------------------------------
