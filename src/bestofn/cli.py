@@ -57,6 +57,7 @@ from .distributions import (
     KDE_PRESETS,
     KdeSpec,
     RngStream,
+    canonical_json,
     fit_kde,
     load_distribution,
     save_distribution,
@@ -91,7 +92,7 @@ from .resampling import percentile_bootstrap_ci  # noqa: F401  (perfbench/tracer
 
 DEFAULT_SEED = 1729
 
-_ESTIMATOR_CHOICES = ("meanmax", "meanmax-prefix", "unbiased")
+_ESTIMATOR_CHOICES = tuple(str(kind) for kind in EstimatorKind)
 
 # Flags that change no payload byte, so no report's config names them.
 _NOT_CONFIG = frozenset({"func", "output", "format", "svg", "threads"})
@@ -235,8 +236,6 @@ def cmd_fit(args) -> int:
     if args.output is not None:
         save_distribution(dist, args.output)
     else:
-        from .io_formats import canonical_json
-
         sys.stdout.write(canonical_json(dist.to_dict()))
     return 0
 

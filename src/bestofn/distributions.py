@@ -134,7 +134,7 @@ class DiscreteDistribution:
         return float(out) if np.isscalar(x) else out
 
     def mean(self) -> float:
-        return float(self._support @ self._mass)
+        return float((self._support * self._mass).sum())
 
     def max(self) -> float:
         return float(self._support[-1])
@@ -255,11 +255,12 @@ def fit_kde(runs: ScoreSample, spec: KdeSpec) -> DiscreteDistribution:
 
 
 def exact_expected_max(dist: DiscreteDistribution, n: int) -> float:
-    """Exact expected maximum of n i.i.d. draws: sum of v_j * (F(v_j)^n - F(v_{j-1})^n)."""
+    """Exact expected maximum of n i.i.d. draws: sum of v_j * (F(v_j)^n - F(v_{j-1})^n),
+    numpy's pairwise sum and not BLAS, so its bits do not depend on the thread count."""
     require_budget(n, dist.size, bounded=False)
     powered = dist.cumulative**n
     pmf_of_max = np.diff(powered, prepend=0.0)
-    return float(dist.support @ pmf_of_max)
+    return float((dist.support * pmf_of_max).sum())
 
 
 def true_curve(dist: DiscreteDistribution, n_max: int) -> np.ndarray:
@@ -325,10 +326,14 @@ def draw_sample(dist: DiscreteDistribution, count: int, rng: RngStream) -> Score
     return ScoreSample(draw_rows(dist, count, [rng])[0])
 
 
+def canonical_json(obj) -> str:
+    """Canonical JSON text: sorted keys, compact, newline-terminated."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
 def save_distribution(dist: DiscreteDistribution, path: str | Path) -> None:
     """Write the distribution as canonical JSON {mass: [...], support: [...]}."""
-    text = json.dumps(dist.to_dict(), sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(canonical_json(dist.to_dict()), encoding="utf-8")
 
 
 def load_distribution(path: str | Path) -> DiscreteDistribution:

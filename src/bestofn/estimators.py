@@ -247,12 +247,12 @@ def estimate_rows(draws: np.ndarray, kind: EstimatorKind, n: int) -> np.ndarray:
     collapses ties for free, and makes the dominance of the unbiased
     estimator hold exactly in floating point, because the two estimators
     then differ by a sum of non-negative products. A single value has no
-    gaps, and the empty sum leaves its maximum. Each row's sum is a dot
-    product of its own, so its bits do not depend on the stack's height.
+    gaps, and the empty sum leaves its maximum. Rows are summed as a curve sums
+    them (:func:`_tail_sum`), so budget 1 equals the curve's first column.
     """
     cum = cumweights(kind, draws.shape[-1], n)
     rows = np.sort(draws[..., :n] if kind is EstimatorKind.MEANMAX_PREFIX else draws, axis=-1)
-    return rows[..., -1] - np.vecdot(rows[..., 1:] - rows[..., :-1], cum)
+    return rows[..., -1] - _tail_sum((rows[..., 1:] - rows[..., :-1]) * cum)
 
 
 def meanmax_v(sample: ScoreSample, n: int) -> float:
@@ -348,7 +348,8 @@ _TAIL_VALUES = 1024
 
 def _tail_sum(products: np.ndarray) -> np.ndarray:
     """Sums over the last axis in blocks of _TAIL_VALUES aligned from its end: each
-    block pairwise, and the block sums one after another from the last block back."""
+    block pairwise, and the block sums one after another from the last block back.
+    numpy's own sums, never BLAS: no row's bits depend on the stack or thread count."""
     total = np.zeros(products.shape[:-1])
     for stop in range(products.shape[-1], 0, -_TAIL_VALUES):
         total += products[..., max(0, stop - _TAIL_VALUES) : stop].sum(axis=-1)

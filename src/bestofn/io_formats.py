@@ -39,7 +39,7 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from .distributions import RNG_LAYOUT_ID
+from .distributions import RNG_LAYOUT_ID, canonical_json
 from .estimators import CurveSet, Interval, KsBoundReport, ScoreSample
 from .experiments import CoverageReport, CurveReport, FailureScanReport, ProbeReport
 
@@ -346,11 +346,6 @@ def _codec(kind: str) -> _Codec:
 
 def envelope_to_jsonable(envelope: ReportEnvelope) -> dict:
     return _to_json(envelope)
-
-
-def canonical_json(obj) -> str:
-    """Canonical JSON text: sorted keys, compact, newline-terminated."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def report_json_text(envelope: ReportEnvelope) -> str:

@@ -888,6 +888,43 @@ def test_curve_report_names_its_provenance_without_loading_scipy_submodules(tmp_
     assert set(provenance) == {"python", "numpy", "rng_layout"}
 
 
+# Prints the bits of sums long enough that OpenBLAS would split them across its
+# threads (it does above 10,000 terms), then runs the CLI on its arguments.
+THREAD_COUNT_SCRIPT = """
+import sys
+import numpy as np
+from bestofn import (BootstrapConfig, DiscreteDistribution, EstimatorKind, RngStream,
+                     ScoreSample, estimate, percentile_bootstrap_ci, true_curve)
+from bestofn.cli import main
+sample = ScoreSample(np.random.default_rng(11).normal(size=12_000))
+values = [estimate(sample, kind, n) for kind in (EstimatorKind.UNBIASED_U, EstimatorKind.MEANMAX_V)
+          for n in (1, 2, 3, 5, 8)]
+values.append(estimate(sample, EstimatorKind.MEANMAX_PREFIX, 10_005))
+config = BootstrapConfig(RngStream(12), resamples=5)
+ci = percentile_bootstrap_ci(sample, EstimatorKind.UNBIASED_U, 2, config)
+dist = DiscreteDistribution(np.linspace(0.0, 1.0, 12_001), np.random.default_rng(13).random(12_001))
+print(*map(float.hex, values + [ci.lo, ci.hi] + true_curve(dist, 8).tolist()))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count(tmp_path, ten_runs):
+    dist = tmp_path / "fit.json"
+    assert main(["fit", "--runs", ten_runs, "--bins", "20000", "-o", str(dist)]) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"curves{threads}.json"
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        argv = ["curves-sim", "--dist", f"fit={dist}", "--B", "5", "--samples", "3", "-o", str(out)]
+        result = subprocess.run([sys.executable, "-c", THREAD_COUNT_SCRIPT, *argv],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(out.read_text())
+        report.pop("created")
+        outputs.append((result.stdout, canonical_json(report)))
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_import_leaves_numpy_random_unloaded():
     code = "import sys, bestofn.cli; print('numpy.random' in sys.modules)"
     result = subprocess.run(

@@ -385,7 +385,7 @@ def check_estimator_invariants(values):
 
 @pytest.mark.parametrize("kind", list(EstimatorKind))
 def test_estimate_rows_match_single_estimates(kind):
-    # Each row is its own dot product, so a stack of any height gives the
+    # Each row is its own reduction, so a stack of any height gives the
     # single-sample bits.
     rows = np.random.default_rng(31).normal(size=(7, 23))
     for n in (1, 2, 9, 23):
@@ -393,6 +393,12 @@ def test_estimate_rows_match_single_estimates(kind):
         single = [estimate(ScoreSample(row), kind, n) for row in rows]
         assert stacked.shape == (7,)
         assert np.array_equal(stacked, single)
+    # A single budget sums its gaps as a curve does, so at n = 1 it is the
+    # curve's first column bit for bit, within one tail block and across several.
+    rng = np.random.default_rng(33)
+    for size in (2, 5, 9, 17, 50, 500, 1025, 1026, 2000, 20_000):
+        for values in (rng.normal(size=size), rng.standard_cauchy(size=size)):
+            assert estimate(ScoreSample(values), kind, 1) == curve_rows(values, kind, 1)[0], size
 
 
 @pytest.mark.parametrize("kind", [MEANMAX, UNBIASED])

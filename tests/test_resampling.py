@@ -254,11 +254,14 @@ def test_bootstrap_propagates_estimator_errors():
 
 @pytest.mark.parametrize("kind", list(EstimatorKind))
 def test_bootstrap_curve_columns_match_single_budget_intervals(kind):
-    # Same resamples, and curve_blocks agrees with estimate_rows to rounding.
+    # Same resamples, and curve_blocks agrees with estimate_rows to rounding,
+    # exactly at n = 1, where both sum the same gaps times the same weights.
     sample = ScoreSample(np.random.default_rng(44).normal(size=15))
     config = BootstrapConfig(RngStream(45, 2), resamples=300, confidence=0.8)
     lo, hi = percentile_bootstrap_curve(sample, kind, 15, config)
-    for n in range(1, 16):
+    iv = percentile_bootstrap_ci(sample, kind, 1, config)
+    assert (lo[0], hi[0]) == (iv.lo, iv.hi)
+    for n in range(2, 16):
         iv = percentile_bootstrap_ci(sample, kind, n, config)
         assert_allclose([lo[n - 1], hi[n - 1]], [iv.lo, iv.hi], rtol=1e-12)
     assert (lo <= hi).all()
