@@ -326,9 +326,9 @@ def draw_sample(dist: DiscreteDistribution, count: int, rng: RngStream) -> Score
     return ScoreSample(draw_rows(dist, count, [rng])[0])
 
 
-def canonical_json(obj) -> str:
-    """Canonical JSON text: sorted keys, compact, newline-terminated."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+def canonical_json(obj, default=None) -> str:
+    """Canonical JSON text: sorted keys, compact, newline-terminated; ``default`` as in json."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=default) + "\n"
 
 
 def save_distribution(dist: DiscreteDistribution, path: str | Path) -> None:

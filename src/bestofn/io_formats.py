@@ -1,10 +1,11 @@
 """File formats: runs CSV ingestion, report envelopes, and SVG chart emission.
 
 Each payload kind has one codec in ``_CODECS``: its payload dataclass, CSV
-header and rows, and chart. JSON encoding and decoding are written once for
-all kinds: a dataclass is an object whose keys are its field names, a tuple
-a list, an enum its value, and an :class:`~bestofn.estimators.Interval`
-``[lo, hi]``.
+header and rows, and chart. JSON is written once for all kinds, by json
+itself; ``_json_form`` gives it the three kinds of value it cannot write: an
+:class:`~bestofn.estimators.Interval` is ``[lo, hi]``, an enum its value and
+any other dataclass an object keyed by field name. ``_from_json`` reads them
+back and refuses a NaN or infinite float, naming its path.
 
 Report JSON is canonical: keys sorted, no whitespace, floats in shortest
 round-trip decimal form, one trailing newline. Two runs with the same seed
@@ -155,28 +156,6 @@ def _fields(cls: type) -> tuple[tuple[str, object], ...]:
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), dict: (dict,)}
 
 
-@functools.cache
-def _encoder(cls: type) -> Callable:
-    """The JSON encoder for values of ``cls``: an Interval becomes
-    ``[lo, hi]``, a dataclass an object of its fields, a tuple a list and an
-    enum its value. Built once per type, since a curve has thousands of
-    points."""
-    if cls is Interval:
-        return lambda ci: [ci.lo, ci.hi]
-    if dataclasses.is_dataclass(cls):
-        names = [name for name, _ in _fields(cls)]
-        return lambda obj: {name: _to_json(getattr(obj, name)) for name in names}
-    if issubclass(cls, tuple):
-        return lambda items: [_to_json(x) for x in items]
-    if issubclass(cls, enum.Enum):
-        return lambda member: member.value
-    return lambda x: x
-
-
-def _to_json(value):
-    return _encoder(type(value))(value)
-
-
 def _field(obj, key: str, where: str) -> tuple[object, str]:
     """``obj[key]`` and its path in the report."""
     path = f"{where}.{key}" if where else key
@@ -222,7 +201,21 @@ def _from_json(hint, value, where: str):
         return _build(hint, where, _from_json(str, value, where))
     if hint is not object and (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[hint])):
         raise ValueError(f"{where} must be of type {hint.__name__}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, got {value}")
     return value
+
+
+def _json_form(obj):
+    """json's hook for a value it cannot write itself: an Interval becomes
+    ``[lo, hi]``, an enum its value, any other dataclass a dict of its fields."""
+    if isinstance(obj, Interval):
+        return [obj.lo, obj.hi]
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj):
+        return {name: getattr(obj, name) for name, _ in _fields(type(obj))}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +337,8 @@ def _codec(kind: str) -> _Codec:
     return _CODECS[kind]
 
 
-def envelope_to_jsonable(envelope: ReportEnvelope) -> dict:
-    return _to_json(envelope)
-
-
 def report_json_text(envelope: ReportEnvelope) -> str:
-    return canonical_json(envelope_to_jsonable(envelope))
+    return canonical_json(envelope, _json_form)
 
 
 def _cell(x) -> str:
@@ -412,12 +401,13 @@ def _fmt(x: float) -> str:
 
 
 def emit_plot(envelope: ReportEnvelope, path) -> None:
-    """Write a self-contained SVG chart plus a sidecar CSV of the series.
+    """Write a self-contained SVG chart plus a sidecar CSV.
 
     Solid polylines are estimates, dashed polylines are true curves,
     translucent polygons are confidence bands; probe and coverage charts get
     a horizontal reference line (0.5 and the nominal level respectively).
-    The sidecar CSV lands next to the SVG with a ``.csv`` suffix.
+    The sidecar is the report's own CSV, the text ``--format csv`` writes
+    (:func:`report_csv_text`); it lands next to the SVG with a ``.csv`` suffix.
     """
     chart = _codec(envelope.payload_kind).chart
     if chart is None:

@@ -533,9 +533,9 @@ def test_failure_scan_rejects_non_curves_report(tmp_path, coin_dist, capsys):
     ('{"n": 1, "estimate": 0.5, "ci": [0.9, 0.1]}',
      "payload.curves[0].points[0].ci: interval lo (0.9) exceeds hi (0.1)"),
     ('{"n": 1, "estimate": 0.5, "ci": [NaN, 0.9]}',
-     "payload.curves[0].points[0].ci: interval endpoints must be finite, got (nan, 0.9)"),
+     "payload.curves[0].points[0].ci[0] must be finite, got nan"),
     ('{"n": 1, "estimate": NaN, "ci": null}',
-     "payload.curves[0].points[0]: curve point n=1: estimate must be finite, got nan"),
+     "payload.curves[0].points[0].estimate must be finite, got nan"),
 ], ids=['{"n": 1, "estimate": 0.5, "ci": [0.9, 0.1]}', '{"n": 1, "estimate": 0.5, "ci": [NaN, 0.9]}',
         '{"n": 1, "estimate": NaN, "ci": null}'])
 def test_impossible_curve_point_is_data_error_naming_the_report(tmp_path, ten_runs, point, message,
@@ -550,8 +550,10 @@ def test_impossible_curve_point_is_data_error_naming_the_report(tmp_path, ten_ru
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda m: m.update(true=m["true"][:3]), "true"),
-    (lambda m: m["averaged"].__setitem__(2, float("nan")), "averaged"),
+    (lambda m: m.update(true=m["true"][:3]),
+     "model 'volatile': true must hold one finite value per budget"),
+    (lambda m: m["averaged"].__setitem__(2, float("nan")),
+     "payload.models[1].averaged[2] must be finite, got nan"),
 ], ids=["true-cut-short", "averaged-nan"])
 def test_impossible_curves_model_is_data_error_naming_the_report(
     tmp_path, crossing_pair, edit, message, capsys
@@ -566,7 +568,7 @@ def test_impossible_curves_model_is_data_error_naming_the_report(
     assert main(["failure-scan", "--report", str(report)]) == 1
     err = capsys.readouterr().err
     assert str(report) in err
-    assert f"model 'volatile': {message} must hold one finite value per budget" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("command, content", [

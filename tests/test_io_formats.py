@@ -2,6 +2,7 @@
 
 import json
 import platform
+import tracemalloc
 from dataclasses import replace
 from xml.etree import ElementTree as ET
 
@@ -34,9 +35,9 @@ from bestofn.experiments import (
 )
 from bestofn.io_formats import (
     Provenance,
+    ReportEnvelope,
     RunsFileError,
     canonical_json,
-    envelope_to_jsonable,
     report_csv_text,
     report_json_text,
 )
@@ -233,7 +234,7 @@ def test_envelope_provenance_names_the_versions_and_rng_layout(tmp_path):
 def test_read_report_accepts_a_report_without_provenance(tmp_path):
     # Reports of RNG layout 1 predate the block; they still read, with None.
     env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=0.5, B=2, rows=()), {"seed": 1})
-    obj = envelope_to_jsonable(env)
+    obj = json.loads(report_json_text(env))
     del obj["provenance"]
     path = tmp_path / "old.json"
     path.write_text(canonical_json(obj))
@@ -244,7 +245,7 @@ def test_read_report_accepts_a_provenance_that_names_scipy(tmp_path):
     # Reports written while provenance also named the scipy version still read;
     # written again, they carry the three-key block and the same payload bytes.
     env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=0.5, B=2, rows=()), {"seed": 1})
-    obj = envelope_to_jsonable(env)
+    obj = json.loads(report_json_text(env))
     obj["provenance"]["scipy"] = "1.13.0"
     path = tmp_path / "old.json"
     path.write_text(canonical_json(obj))
@@ -274,8 +275,8 @@ def test_same_config_reports_differ_only_in_timestamp():
     payload = KsBoundReport(cdf_at_max=0.9, B=3, rows=(KsBoundRow(n=1, bound=0.1),))
     a = make_envelope("ks_bound", payload, {"seed": 1})
     b = make_envelope("ks_bound", payload, {"seed": 1})
-    dict_a = envelope_to_jsonable(a)
-    dict_b = envelope_to_jsonable(b)
+    dict_a = json.loads(report_json_text(a))
+    dict_b = json.loads(report_json_text(b))
     dict_a.pop("created")
     dict_b.pop("created")
     assert canonical_json(dict_a) == canonical_json(dict_b)
@@ -292,6 +293,114 @@ def test_write_report_rejects_unknown_format(tmp_path):
     env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=1.0, B=1, rows=()), {})
     with pytest.raises(ValueError, match="format"):
         write_report(env, tmp_path / "x.yaml", format="yaml")
+
+
+# One small payload per kind. Together they hold an Interval, a None ci, every
+# enum, nested tuples and a float that needs 17 significant digits.
+GOLDEN_PAYLOADS = {
+    "curve": CurveSet((
+        ExpectedMaxCurve(
+            points=(CurvePoint(1, 0.5, Interval(0.25, 0.75)), CurvePoint(2, 0.1 + 0.2)),
+            estimator=EstimatorKind.MEANMAX_PREFIX,
+            sample_size=2,
+        ),
+    )),
+    "probe": ProbeReport(
+        rows=(ProbeRow(n=1, underestimates=3, samples=4, proportion=0.75, ci=Interval(0.25, 1.0)),),
+        B=4, estimator=EstimatorKind.UNBIASED_U, dist_id="coin", seed=7, stream=1,
+    ),
+    "coverage": CoverageReport(
+        rows=(CoverageRow(n=1, hits=9, samples=10, ecp=0.9, ci=Interval(0.5, 1.0)),),
+        B=4, resamples=100, nominal=0.95, estimator=EstimatorKind.MEANMAX_V,
+        dist_id="coin", seed=7, stream=2,
+    ),
+    "curves": CurveReport(
+        models=(ModelCurves(name="steady", budgets=(1, 2), averaged=(0.5, 0.6),
+                            true=(0.5, 0.625), stderr=(0.0, 0.01)),),
+        B=4, num_samples=10, estimator=EstimatorKind.MEANMAX_V, seed=7, stream=0,
+    ),
+    "failure_scan": FailureScanReport(
+        model_a="steady", model_b="volatile", B=4, estimator=EstimatorKind.MEANMAX_V,
+        inversions=(Inversion(n=2, true_leader="volatile", estimated_leader="steady"),),
+    ),
+    "ks_bound": KsBoundReport(cdf_at_max=0.9, B=4,
+                              rows=(KsBoundRow(n=1, bound=0.1), KsBoundRow(n=2, bound=1 - 0.9**2))),
+}
+
+# The payload text of each kind, pinned: a change in how reports are encoded
+# must not change a byte of them.
+GOLDEN_PAYLOAD_TEXT = {
+    "curve": '{"curves":[{"estimator":"meanmax-prefix","points":[{"ci":[0.25,0.75],"estimate":0.5,'
+             '"n":1},{"ci":null,"estimate":0.30000000000000004,"n":2}],"sample_size":2}]}',
+    "probe": '{"B":4,"dist_id":"coin","estimator":"unbiased","rows":[{"ci":[0.25,1.0],"n":1,'
+             '"proportion":0.75,"samples":4,"underestimates":3}],"seed":7,"stream":1}',
+    "coverage": '{"B":4,"dist_id":"coin","estimator":"meanmax","nominal":0.95,"resamples":100,'
+                '"rows":[{"ci":[0.5,1.0],"ecp":0.9,"hits":9,"n":1,"samples":10}],"seed":7,"stream":2}',
+    "curves": '{"B":4,"estimator":"meanmax","models":[{"averaged":[0.5,0.6],"budgets":[1,2],'
+              '"name":"steady","stderr":[0.0,0.01],"true":[0.5,0.625]}],"num_samples":10,"seed":7,'
+              '"stream":0}',
+    "failure_scan": '{"B":4,"estimator":"meanmax","inversions":[{"estimated_leader":"steady","n":2,'
+                    '"true_leader":"volatile"}],"model_a":"steady","model_b":"volatile"}',
+    "ks_bound": '{"B":4,"cdf_at_max":0.9,"rows":[{"bound":0.1,"n":1},'
+                '{"bound":0.18999999999999995,"n":2}]}',
+}
+
+
+def golden_envelope(kind: str) -> ReportEnvelope:
+    return ReportEnvelope(
+        schema_version="1", tool_version="0.1.0", created="2020-04-28T00:00:00Z",
+        config={"command": "golden", "seed": 7, "confidence": 0.95, "ci": True, "svg": None,
+                "estimator": ["meanmax", "unbiased"]},
+        payload_kind=kind, payload=GOLDEN_PAYLOADS[kind],
+        provenance=Provenance(python="3.11.7", numpy="2.4.6", rng_layout="philox4x64-splitmix64/2"),
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_PAYLOADS))
+def test_report_json_bytes_are_unchanged(kind):
+    assert report_json_text(golden_envelope(kind)) == (
+        '{"config":{"ci":true,"command":"golden","confidence":0.95,"estimator":["meanmax","unbiased"],'
+        '"seed":7,"svg":null},"created":"2020-04-28T00:00:00Z","payload":'
+        + GOLDEN_PAYLOAD_TEXT[kind]
+        + f',"payload_kind":"{kind}","provenance":{{"numpy":"2.4.6","python":"3.11.7",'
+        '"rng_layout":"philox4x64-splitmix64/2"},"schema_version":"1","tool_version":"0.1.0"}\n'
+    )
+
+
+def test_report_encoding_does_not_copy_the_report():
+    # json walks the report's own dataclasses; a dict-and-list copy of a
+    # 100,000-point curve would cost several times the text it encodes to.
+    rng = np.random.default_rng(76)
+    points = tuple(CurvePoint(n, float(v)) for n, v in enumerate(rng.uniform(size=100_000), 1))
+    env = make_envelope("curve", CurveSet((ExpectedMaxCurve(points, EstimatorKind.MEANMAX_V, 50),)),
+                        {})
+    tracemalloc.start()
+    try:
+        text = report_json_text(env)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
+
+
+@pytest.mark.parametrize("kind, field, literal, message", [
+    ("probe", ("rows", 0, "proportion"), "NaN", "payload.rows[0].proportion must be finite, got nan"),
+    ("ks_bound", ("cdf_at_max",), "Infinity", "payload.cdf_at_max must be finite, got inf"),
+    ("coverage", ("rows", 0, "ecp"), "1e999", "payload.rows[0].ecp must be finite, got inf"),
+], ids=["probe-NaN", "ks_bound-Infinity", "coverage-1e999"])
+def test_read_report_refuses_a_float_that_no_report_can_hold(tmp_path, kind, field, literal,
+                                                             message):
+    # json reads NaN, Infinity and an overflowing literal, but none can be written back.
+    obj = json.loads(report_json_text(golden_envelope(kind)))
+    parent = obj["payload"]
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = "@@"
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(obj).replace('"@@"', literal), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_report(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 # ---------------------------------------------------------------------------
