@@ -214,9 +214,12 @@ def cmd_curve(args) -> int:
         )
 
     curves = []
-    for kind in kinds:
-        ci = percentile_bootstrap_curve(sample, kind, n_max, boots[kind]) if args.ci else None
-        curves.append(expected_max_curve(sample, kind, n_max, ci))
+    try:
+        for kind in kinds:
+            ci = percentile_bootstrap_curve(sample, kind, n_max, boots[kind]) if args.ci else None
+            curves.append(expected_max_curve(sample, kind, n_max, ci))
+    except MemoryError:
+        raise ArgumentError("n_max", f"{n_max}: the curve does not fit in memory") from None
 
     config = _config(args, estimator=[str(k) for k in kinds], n_max=n_max)
     return _deliver(make_envelope("curve", CurveSet(tuple(curves)), config), args)

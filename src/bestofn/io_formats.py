@@ -5,7 +5,8 @@ header and rows, and chart. JSON is written once for all kinds, by json
 itself; ``_json_form`` gives it the three kinds of value it cannot write: an
 :class:`~bestofn.estimators.Interval` is ``[lo, hi]``, an enum its value and
 any other dataclass an object keyed by field name. ``_from_json`` reads them
-back and refuses a NaN or infinite float, naming its path.
+back, reads an integer in a float field as a float, and refuses a NaN or
+infinite float, or an integer too large for one, naming its path.
 
 Report JSON is canonical: keys sorted, no whitespace, floats in shortest
 round-trip decimal form, one trailing newline. Two runs with the same seed
@@ -201,6 +202,11 @@ def _from_json(hint, value, where: str):
         return _build(hint, where, _from_json(str, value, where))
     if hint is not object and (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[hint])):
         raise ValueError(f"{where} must be of type {hint.__name__}, got {type(value).__name__}")
+    if hint is float and isinstance(value, int):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{where} must be finite, got an integer too large for a float") from None
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{where} must be finite, got {value}")
     return value

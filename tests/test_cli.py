@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -105,6 +106,24 @@ def test_curve_n_max_above_b_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--n-max 200" in err
     assert "50" in err
+
+
+def test_curve_too_large_to_hold_is_usage_error(tmp_path, capsys, monkeypatch):
+    # Any array of 10**8 or more values is refused as numpy refuses one it
+    # cannot allocate, so the test never asks for the memory.
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if math.prod(np.atleast_1d(shape)) >= 10**8:
+            raise MemoryError(f"Unable to allocate an array of shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+    runs = write_runs(tmp_path, np.random.default_rng(92).uniform(size=50))
+    code = main(["curve", "--runs", runs, "--estimator", "meanmax", "--n-max", "1000000000"])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        "bestofn: error: --n-max 1000000000: the curve does not fit in memory\n")
 
 
 def test_curve_meanmax_extrapolates_with_warning(tmp_path, ten_runs, capsys):
@@ -554,7 +573,9 @@ def test_impossible_curve_point_is_data_error_naming_the_report(tmp_path, ten_ru
      "model 'volatile': true must hold one finite value per budget"),
     (lambda m: m["averaged"].__setitem__(2, float("nan")),
      "payload.models[1].averaged[2] must be finite, got nan"),
-], ids=["true-cut-short", "averaged-nan"])
+    (lambda m: m["averaged"].__setitem__(2, 10**400),
+     "payload.models[1].averaged[2] must be finite, got an integer too large for a float"),
+], ids=["true-cut-short", "averaged-nan", "averaged-huge-integer"])
 def test_impossible_curves_model_is_data_error_naming_the_report(
     tmp_path, crossing_pair, edit, message, capsys
 ):

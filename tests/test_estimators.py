@@ -437,6 +437,63 @@ def test_cut_curves_do_not_depend_on_budget_blocks_or_stack_height(kind, monkeyp
         assert np.all(default[:, 13_300:] == rows.max(axis=1, keepdims=True))
 
 
+def recurrence_curve(rows, kind, n_max):
+    """The closed ratio recurrence with one pairwise sum per budget: row n of
+    weights is the product of the ratio rows of budgets 1..n, taken by
+    ``np.multiply.accumulate``, and each estimate is the maximum minus the
+    weighted gaps. Exact for B - 1 <= _TAIL_VALUES gaps and n_max below the
+    tail window's first cut."""
+    size = rows.shape[-1]
+    j = np.arange(1, size, dtype=float)
+    m = np.arange(n_max, dtype=float)[:, None]  # n - 1 for budgets n
+    if kind is UNBIASED:
+        ratios = np.maximum(j - m, 0.0) / (size - m)
+    else:
+        ratios = np.repeat((j / size)[None, :], n_max, axis=0)
+    weights = np.multiply.accumulate(ratios, axis=0)
+    ordered = np.sort(rows, axis=-1)
+    gaps = ordered[..., 1:] - ordered[..., :-1]
+    out = np.empty(rows.shape[:-1] + (n_max,))
+    for index in np.ndindex(rows.shape[:-1]):
+        out[index] = ordered[index][-1] - (gaps[index] * weights).sum(axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("size", [2, 25, 300, 1025])
+def test_curve_rows_are_the_ratio_recurrence_bit_for_bit(size, monkeypatch):
+    # One tail block, so each budget is one pairwise sum over every gap; the
+    # kernel must take the same product of the same two floats at every weight,
+    # whatever the budget blocks.
+    rng = np.random.default_rng(36)
+    for rows in (rng.normal(size=size), rng.standard_cauchy(size=(3, 4, size))):
+        for kind, n_max in ((UNBIASED, size), (MEANMAX, size), (MEANMAX, 3 * size)):
+            want = recurrence_curve(rows, kind, n_max)
+            for block_values in (1, 1 << 40):
+                monkeypatch.setattr(estimators, "_BLOCK_VALUES", block_values)
+                assert curve_rows(rows, kind, n_max).tobytes() == want.tobytes()
+
+
+def test_budgets_past_every_tail_block_build_no_weight_rows():
+    # On 50 scores the one tail block dies once (49/50)^n < 2**-64, after
+    # n = 2195. The budgets past it sum no gaps, so each is the sample maximum,
+    # and none may cost a row multiply of an empty window.
+    values = np.random.default_rng(37).normal(size=50)
+    live = math.floor(64 / math.log2(50 / 49))
+    multiply = np.multiply
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return multiply(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "multiply", counted)
+        curve = curve_rows(values, MEANMAX, 200_000)
+    assert calls <= live
+    assert np.all(curve[live:] == values.max())
+
+
 def test_prefix_curve_rows_follow_ingestion_order():
     rows = np.random.default_rng(33).normal(size=(4, 9))
     stacked = curve_rows(rows, EstimatorKind.MEANMAX_PREFIX, 9)

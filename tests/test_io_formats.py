@@ -282,6 +282,20 @@ def test_same_config_reports_differ_only_in_timestamp():
     assert canonical_json(dict_a) == canonical_json(dict_b)
 
 
+def test_read_report_reads_an_integer_in_a_float_field_as_a_float(tmp_path):
+    env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=1.0, B=2, rows=(KsBoundRow(1, 0.0),)),
+                        {"seed": 1})
+    obj = json.loads(report_json_text(env))
+    obj["payload"]["cdf_at_max"] = 1
+    obj["payload"]["rows"][0]["bound"] = 0
+    path = tmp_path / "ints.json"
+    path.write_text(canonical_json(obj))
+    back = read_report(path)
+    assert back == env
+    assert type(back.payload.cdf_at_max) is float and type(back.payload.rows[0].bound) is float
+    assert report_json_text(back) == report_json_text(env)
+
+
 def test_read_report_rejects_unknown_schema(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema_version": "99", "payload_kind": "probe"}))
@@ -387,7 +401,9 @@ def test_report_encoding_does_not_copy_the_report():
     ("probe", ("rows", 0, "proportion"), "NaN", "payload.rows[0].proportion must be finite, got nan"),
     ("ks_bound", ("cdf_at_max",), "Infinity", "payload.cdf_at_max must be finite, got inf"),
     ("coverage", ("rows", 0, "ecp"), "1e999", "payload.rows[0].ecp must be finite, got inf"),
-], ids=["probe-NaN", "ks_bound-Infinity", "coverage-1e999"])
+    ("coverage", ("rows", 0, "ecp"), "1" + "0" * 400,
+     "payload.rows[0].ecp must be finite, got an integer too large for a float"),
+], ids=["probe-NaN", "ks_bound-Infinity", "coverage-1e999", "coverage-huge-integer"])
 def test_read_report_refuses_a_float_that_no_report_can_hold(tmp_path, kind, field, literal,
                                                              message):
     # json reads NaN, Infinity and an overflowing literal, but none can be written back.
