@@ -350,8 +350,9 @@ def _tail_sum(products: np.ndarray) -> np.ndarray:
     """Sums over the last axis in blocks of _TAIL_VALUES aligned from its end: each
     block pairwise, and the block sums one after another from the last block back.
     numpy's own sums, never BLAS: no row's bits depend on the stack or thread count."""
-    total = np.zeros(products.shape[:-1])
-    for stop in range(products.shape[-1], 0, -_TAIL_VALUES):
+    size = products.shape[-1]
+    total = products[..., max(0, size - _TAIL_VALUES) :].sum(axis=-1) + 0.0  # zeros + sum's bits
+    for stop in range(size - _TAIL_VALUES, 0, -_TAIL_VALUES):
         total += products[..., max(0, stop - _TAIL_VALUES) : stop].sum(axis=-1)
     return total
 
@@ -378,22 +379,33 @@ def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
     in floating point, for any stack height. When B-1 <= _TAIL_VALUES there
     is one block, which is not cut before n is about 44 B, so each row is one
     pairwise sum over all its gaps. The ratio recurrence runs only on the
-    live window. About _BLOCK_VALUES products are alive at a time, each
-    block of weight rows continuing from the previous block's last, so memory
+    live window. A block of k budgets has k <= _BLOCK_VALUES / max(height,
+    width), so its weight rows and its height x k estimates each stay within
+    about _BLOCK_VALUES values, each block of weight rows continuing from the
+    previous block's last. The gaps are multiplied and summed a chunk of rows
+    at a time, so about _BLOCK_VALUES products are alive at once, and sorted a
+    chunk of rows at a time, so no sorted copy of the stack is kept. Memory
     stays O(B) per score row for any n_max, and results do not depend on the
-    block size. Each weight row is the row before it times its ratio row, one
-    in-place multiply per budget; ``np.multiply.accumulate`` down the budgets
-    gives the same bits but costs about four times as much per value. Past
-    every block's reach the window is empty, and no rows are built.
+    block or chunk sizes. Each weight row is the row before it times its
+    ratio row, one in-place multiply per budget; ``np.multiply.accumulate``
+    down the budgets gives the same bits but costs about four times as much
+    per value. Past every block's reach the window is empty, and no rows are
+    built.
     """
     if kind is EstimatorKind.MEANMAX_PREFIX:
         yield from ((n - 1, estimate_rows(draws, kind, n)[..., None]) for n in range(1, n_max + 1))
         return
     size = draws.shape[-1]
-    height = math.prod(draws.shape[:-1])
-    top = draws.max(axis=-1, keepdims=True)
-    gaps = np.sort(draws, axis=-1)
-    gaps = (gaps[..., 1:] - gaps[..., :-1])[..., None, :]  # keeps no sorted copy
+    rows = draws.reshape(-1, size)
+    height = rows.shape[0]
+    top = np.empty((height, 1))
+    gaps = np.empty((height, size - 1))
+    step = max(1, _BLOCK_VALUES // size)
+    for r in range(0, height, step):
+        ordered = np.sort(rows[r : r + step], axis=-1)
+        top[r : r + step, 0] = ordered[:, -1]  # the maximum as estimate_rows takes it
+        np.subtract(ordered[:, 1:], ordered[:, :-1], out=gaps[r : r + step])
+    ordered = None  # the last sorted chunk is not held while the budgets are summed
     # Block b (top gap t = B-1-b*L) is live at budget n while (t/B)^n >= 2^-64.
     reach = 64.0 / np.log2(size / np.arange(size - 1, 0, -_TAIL_VALUES))
     last = np.ones(size - 1)
@@ -401,26 +413,31 @@ def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
     while start < n_max:
         live = int(np.count_nonzero(reach >= start + 1))
         width = min(size - 1, live * _TAIL_VALUES)
-        stop = min(n_max, start + max(1, _BLOCK_VALUES // max(1, height * max(1, width))))
+        stop = min(n_max, start + max(1, _BLOCK_VALUES // max(1, height, width)))
         if live:
             stop = min(stop, int(reach[live - 1]))  # no block dies inside this block of budgets
-        jw = np.arange(size - width, size, dtype=float)  # the window's gap indices j
-        if kind is EstimatorKind.UNBIASED_U:
-            m = np.arange(start, stop, dtype=float)[:, None]  # n - 1 for budgets n
-            block = jw - m
-            np.maximum(block, 0.0, out=block)
-            block /= size - m
-            ratios = block  # each row is multiplied in place
-        else:
-            block = np.empty((stop - start, width))
-            jw /= size  # the plug-in ratio j/B, the same for every budget
-            ratios = itertools.repeat(jw)
+        values = top.repeat(stop - start, axis=1)
         if width:
+            jw = np.arange(size - width, size, dtype=float)  # the window's gap indices j
+            if kind is EstimatorKind.UNBIASED_U:
+                m = np.arange(start, stop, dtype=float)[:, None]  # n - 1 for budgets n
+                block = jw - m
+                np.maximum(block, 0.0, out=block)
+                block /= size - m
+                ratios = block  # each row is multiplied in place
+            else:
+                block = np.empty((stop - start, width))
+                jw /= size  # the plug-in ratio j/B, the same for every budget
+                ratios = itertools.repeat(jw)
             row = last[last.size - width :]
             for out, ratio in zip(block, ratios):
                 row = np.multiply(row, ratio, out)
-        last = block[-1].copy()
-        yield start, top - _tail_sum(gaps[..., size - 1 - width :] * block)
+            last = block[-1].copy()
+            window = gaps[:, None, size - 1 - width :]
+            chunk = max(1, _BLOCK_VALUES // block.size)  # rows whose products are alive at once
+            for r in range(0, height, chunk):
+                values[r : r + chunk] -= _tail_sum(window[r : r + chunk] * block)
+        yield start, values.reshape(draws.shape[:-1] + (stop - start,))
         start = stop
 
 

@@ -75,14 +75,29 @@ def percentile_bootstrap_curve(
     sample: ScoreSample, kind: EstimatorKind, n_max: int, config: BootstrapConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`percentile_bootstrap_ci`'s ends (lo, hi), to rounding, at budgets 1..n_max, all
-    read off one set of resamples. Each :func:`~bestofn.estimators.curve_blocks` block is
-    reduced to its two percentiles at once, so resamples x n_max estimates are never held."""
+    read off one set of resamples, drawn into one (resamples, B) matrix. Each
+    :func:`~bestofn.estimators.curve_blocks` block of budgets, sized by the larger of the
+    resample count and B - 1 and summed a few rows at a time, is reduced to its two
+    percentiles by one ``np.quantile``, so resamples x n_max estimates are never held.
+    A resample count whose matrix or gaps numpy cannot allocate raises
+    :class:`ArgumentError` naming ``resamples``."""
     require_budget(n_max, sample.size, budget_is_bounded(kind), "n_max")
-    draws = np.concatenate([rows for _, rows in _resamples(sample, config)])
     q = (1.0 - config.confidence) / 2.0  # alpha / 2
     ends = np.empty((2, n_max))
-    for start, values in curve_blocks(draws, kind, n_max):
-        ends[:, start : start + values.shape[-1]] = np.quantile(values, (q, 1.0 - q), axis=0)
+    refused = ArgumentError(
+        "resamples", f"{config.resamples}: the resample matrix does not fit in memory"
+    )
+    try:
+        draws = np.empty((config.resamples, sample.size))
+    except (MemoryError, ValueError):  # numpy refuses a shape past its largest array as ValueError
+        raise refused from None
+    for start, rows in _resamples(sample, config):
+        draws[start : start + len(rows)] = rows
+    try:  # the gaps and each block's estimates also grow with resamples x B
+        for start, values in curve_blocks(draws, kind, n_max):
+            ends[:, start : start + values.shape[-1]] = np.quantile(values, (q, 1.0 - q), axis=0)
+    except MemoryError:
+        raise refused from None
     return ends[0], ends[1]
 
 

@@ -108,22 +108,47 @@ def test_curve_n_max_above_b_is_usage_error(tmp_path, capsys):
     assert "50" in err
 
 
-def test_curve_too_large_to_hold_is_usage_error(tmp_path, capsys, monkeypatch):
-    # Any array of 10**8 or more values is refused as numpy refuses one it
-    # cannot allocate, so the test never asks for the memory.
+def refuse_arrays(monkeypatch, refused):
+    # np.empty refuses each shape that `refused` picks as numpy refuses an
+    # array it cannot allocate, so a test never asks for the memory.
     empty = np.empty
 
     def refusing(shape, *args, **kwargs):
-        if math.prod(np.atleast_1d(shape)) >= 10**8:
+        if refused(tuple(np.atleast_1d(shape))):
             raise MemoryError(f"Unable to allocate an array of shape {shape}")
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", refusing)
+
+
+def test_curve_too_large_to_hold_is_usage_error(tmp_path, capsys, monkeypatch):
+    refuse_arrays(monkeypatch, lambda shape: math.prod(shape) >= 10**8)
     runs = write_runs(tmp_path, np.random.default_rng(92).uniform(size=50))
     code = main(["curve", "--runs", runs, "--estimator", "meanmax", "--n-max", "1000000000"])
     assert code == 2
     assert capsys.readouterr().err.endswith(
         "bestofn: error: --n-max 1000000000: the curve does not fit in memory\n")
+
+
+@pytest.mark.parametrize("many, refused", [
+    # Past numpy's largest array numpy itself refuses the shape, as a ValueError.
+    (10**18, None),
+    # The resample matrix is refused before any resample is drawn.
+    (10**14, lambda shape: math.prod(shape) >= 10**8),
+    # The (1000, 16) resample matrix fits, but its (1000, 15) gaps do not.
+    (1000, lambda shape: shape == (1000, 15)),
+], ids=["past-numpy", "matrix", "gaps"])
+def test_resamples_too_many_to_hold_are_usage_errors(many, refused, tmp_path, capsys, monkeypatch,
+                                                     coin_dist):
+    runs = write_runs(tmp_path, np.random.default_rng(93).uniform(size=16))
+    if refused:
+        refuse_arrays(monkeypatch, refused)
+    commands = (["curve", "--runs", runs, "--ci"],
+                ["coverage", "--dist", coin_dist, "--B", "16", "--M", "3"])
+    for command in commands:
+        assert main([*command, "--resamples", str(many)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"bestofn: error: --resamples {many}: the resample matrix does not fit in memory\n")
 
 
 def test_curve_meanmax_extrapolates_with_warning(tmp_path, ten_runs, capsys):

@@ -494,6 +494,37 @@ def test_budgets_past_every_tail_block_build_no_weight_rows():
     assert np.all(curve[live:] == values.max())
 
 
+@pytest.mark.parametrize("kind", [MEANMAX, UNBIASED])
+def test_tall_stacks_do_not_depend_on_the_row_chunk(kind, monkeypatch):
+    # 1000 rows of 12 scores, far more rows than gaps: a block of budgets is
+    # summed one row at a time, a few rows at a time or all at once.
+    rows = np.random.default_rng(38).standard_cauchy(size=(1000, 12))
+    n_max = 12 if kind is UNBIASED else 40
+    default = curve_rows(rows, kind, n_max)
+    assert default.tobytes() == recurrence_curve(rows, kind, n_max).tobytes()
+    for block_values in (1, 5 * 11, 1 << 40):
+        monkeypatch.setattr(estimators, "_BLOCK_VALUES", block_values)
+        assert curve_rows(rows, kind, n_max).tobytes() == default.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_signed_zero_scores_keep_their_bits_at_n_1(kind):
+    # Tied zeros of opposite signs: a gap +0.0 - (-0.0) is +0.0, but -0.0 - (+0.0)
+    # is -0.0, and np.max may pick another zero than the sorted row's last. A single
+    # budget and a curve's first column must both give the bits of the sorted row's
+    # last value minus (zeros + the pairwise sum), signed zeros included.
+    rng = np.random.default_rng(39)
+    for size in (2, 6, 17, 40):
+        rows = np.where(rng.random((400, size)) < 0.5, 0.0, -0.0)
+        rows[::7, 0] = 0.5
+        ordered = np.sort(rows[:, :1] if kind is EstimatorKind.MEANMAX_PREFIX else rows, axis=-1)
+        gaps = ordered[:, 1:] - ordered[:, :-1]
+        want = ordered[:, -1] - (np.zeros(len(rows)) + (gaps * cumweights(kind, size, 1)).sum(-1))
+        assert np.signbit(want).any() and (want == 0.0).sum() > np.signbit(want).sum()
+        assert estimate_rows(rows, kind, 1).tobytes() == want.tobytes()
+        assert curve_rows(rows, kind, 1)[:, 0].tobytes() == want.tobytes()
+
+
 def test_prefix_curve_rows_follow_ingestion_order():
     rows = np.random.default_rng(33).normal(size=(4, 9))
     stacked = curve_rows(rows, EstimatorKind.MEANMAX_PREFIX, 9)

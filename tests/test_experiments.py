@@ -398,6 +398,8 @@ def test_curves_match_per_sample_curves_bit_for_bit(ten, coin, kind):
 def test_reports_do_not_depend_on_the_sample_chunk(ten, coin, chunk, monkeypatch):
     sample = draw_sample(ten, 12, RngStream(65))
     boot = BootstrapConfig(RngStream(66, 1), resamples=40, confidence=0.9)
+    # 60 rows of 12 scores: more rows than gaps, so blocks of budgets split into row chunks.
+    tall = np.random.default_rng(67).standard_cauchy(size=(3, 20, 12))
 
     def run_all():
         probes = [probe(ten, 10, 10, 120, kind, RngStream(63)) for kind in EstimatorKind]
@@ -410,7 +412,9 @@ def test_reports_do_not_depend_on_the_sample_chunk(ten, coin, chunk, monkeypatch
             [end.tolist() for end in percentile_bootstrap_curve(sample, kind, 12, boot)]
             for kind in EstimatorKind
         ]
-        return probes, curve_reports, coverages, curve_cis
+        tall_curves = [curve_rows(tall, kind, 30 if kind is EstimatorKind.MEANMAX_V else 12).tobytes()
+                       for kind in EstimatorKind]
+        return probes, curve_reports, coverages, curve_cis, tall_curves
 
     default = run_all()
     monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_VALUES", chunk)
