@@ -295,26 +295,70 @@ def mc_expected_max(dist: DiscreteDistribution, n: int, iterations: int, rng: Rn
     return total / iterations
 
 
+# Philox4x64-10 (Salmon et al., SC'11): the two round multipliers, each with
+# its 32-bit halves, and the Weyl key bumps. numpy scalars, not Python ints,
+# cost half as much per call on the kernel's small arrays.
+_PHILOX_M = tuple(tuple(np.uint64(w) for w in (m, m & 0xFFFFFFFF, m >> 32))
+                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# Counter blocks (four uniforms each) computed at a time, whatever the count.
+_PHILOX_SLAB_BLOCKS = 1 << 14
+
+
+def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit halves;
+    ``m`` is a multiplier with its low and high halves."""
+    m, m_lo, m_hi = m
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    t = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
+    u = x_lo * m_hi + (t & _LOW32)
+    return x_hi * m_hi + (t >> _SHIFT32) + (u >> _SHIFT32), x * m
+
+
+def _philox_uniforms(keys: np.ndarray, counters: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out[r, b]`` the four doubles of Philox4x64-10 block
+    (counters[b], 0, 0, 0) under key ``keys[r]``, as numpy's ``Generator.random``
+    makes them. Words that depend on the key or the counter alone stay
+    broadcast, so the first round and a half cost little."""
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    c0, c1, c2, c3 = counters[None, :], zero, zero, zero
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    for j, word in enumerate((c0, c1, c2, c3)):
+        np.multiply(word >> 11, 2.0**-53, out=out[..., j])
+
+
+def uniform_rows(count: int, streams: Sequence[RngStream]) -> np.ndarray:
+    """The first ``count`` uniforms of each ``streams[k].generator()``, one row
+    per stream, bit for bit, computed without a generator: Philox4x64-10
+    blocks 1, 2, ... under each row's key in numpy's uint64 arithmetic, about
+    _PHILOX_SLAB_BLOCKS blocks at a time, so a row costs no generator set-up
+    and the working set does not grow with the count."""
+    require_count(count, "count")
+    blocks = -(-count // 4)
+    keys = np.array([(s.seed & _MASK64, s.stream & _MASK64) for s in streams], dtype=np.uint64)
+    u = np.empty((len(streams), blocks, 4))
+    width = min(blocks, _PHILOX_SLAB_BLOCKS)
+    height = max(1, _PHILOX_SLAB_BLOCKS // blocks)
+    for r in range(0, len(streams), height):
+        for b in range(0, blocks, width):
+            counters = np.arange(b + 1, min(b + width, blocks) + 1, dtype=np.uint64)
+            _philox_uniforms(keys[r:r + height], counters, u[r:r + height, b:b + width])
+    return u.reshape(len(streams), 4 * blocks)[:, :count]
+
+
 def draw_rows(dist: DiscreteDistribution, count: int, streams: Sequence[RngStream]) -> np.ndarray:
     """Draw ``count`` i.i.d. scores per stream by inverse-CDF lookup, one row
-    per stream in draw order: shape (len(streams), count).
-
-    Row k uses the first ``count`` uniforms of ``streams[k].generator()``, but
-    the call builds one generator and, for each stream, re-keys its Philox to
-    the stream's (seed, stream) words with the counter at 0 and the buffer
-    empty, so a row costs no generator set-up of its own.
-    """
-    require_count(count, "count")
-    u = np.empty((len(streams), count))
-    gen = RngStream(0).generator()  # any key: every row re-keys it
-    # Counter 0; buffer_pos 4 marks Philox's 4-word output buffer as empty.
-    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for row, rng in zip(u, streams):
-        state["state"]["key"] = (rng.seed & _MASK64, rng.stream & _MASK64)
-        gen.bit_generator.state = state
-        gen.random(count, out=row)
-    return dist.support[np.searchsorted(dist.cumulative, u, side="left")]
+    per stream in draw order: shape (len(streams), count). Row k maps the
+    uniforms of ``streams[k].generator()``, as :func:`uniform_rows` computes
+    them for all rows at once."""
+    return dist.support[np.searchsorted(dist.cumulative, uniform_rows(count, streams), side="left")]
 
 
 def draw_sample(dist: DiscreteDistribution, count: int, rng: RngStream) -> ScoreSample:

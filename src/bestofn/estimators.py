@@ -197,7 +197,8 @@ def require_count(value: int, name: str, too_small: type[ArgumentError] = Argume
                   least: int = 1) -> None:
     """Reject a ``value`` that is not an integer (``bool`` included) or is below
     ``least``, naming the argument ``name`` it came from."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # A plain int skips the ABC check, the slow part; a bool is never a plain int.
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ArgumentError(name, f"must be an integer, got {value!r}")
     if value < least:
         raise too_small(name, f"must be >= {least}, got {value}")

@@ -34,7 +34,10 @@ _PROPORTION_CI_CONFIDENCE = 0.95
 
 # The batteries draw and evaluate about this many score values per call, so
 # memory does not grow with the sample count; results do not depend on it.
-_SAMPLE_CHUNK_VALUES = 1 << 10
+# A chunk pays fixed costs once (the draw kernel's ~370 numpy calls, its
+# streams, the weight rows of its curves, a progress line); at 2^16 they are
+# small next to the values, and a chunk of scores is still only 512 KiB.
+_SAMPLE_CHUNK_VALUES = 1 << 16
 
 ProgressFn = Callable[[str], None]
 
@@ -165,9 +168,11 @@ def _run_ordered(worker, items: list[range], progress: ProgressFn | None, label:
 def _per_sample(dist: DiscreteDistribution, B: int, count: int, rng: RngStream, key: int, evaluate,
                 progress: ProgressFn | None, label: str) -> None:
     """Call ``evaluate(rows, start)`` on ``count`` size-B samples, about
-    _SAMPLE_CHUNK_VALUES score values at a time: ``rows[k]`` is sample start+k,
-    drawn from ``rng.child(key, start+k)``, each chunk's streams derived in one
-    :meth:`RngStream.children` pass."""
+    _SAMPLE_CHUNK_VALUES score values at a time, with one progress line per
+    chunk: ``rows[k]`` is sample start+k, drawn from ``rng.child(key, start+k)``.
+    Each chunk derives its streams in one :meth:`RngStream.children` pass and
+    draws all its rows in one :func:`draw_rows` call, which loads no numpy
+    generator."""
     per_chunk = max(1, _SAMPLE_CHUNK_VALUES // B)
     chunks = [range(start, min(start + per_chunk, count)) for start in range(0, count, per_chunk)]
     keyed = rng.child(key)

@@ -35,7 +35,7 @@ from bestofn import (
     true_curve,
 )
 from bestofn import distributions
-from bestofn.distributions import RNG_LAYOUT_ID, draw_rows
+from bestofn.distributions import RNG_LAYOUT_ID, draw_rows, uniform_rows
 from bestofn.fixtures import FIXTURE_NAMES, load_fixture
 
 
@@ -405,14 +405,37 @@ def test_children_equal_the_child_list(key, start, stop):
         assert keyed.children(start, stop) == [parent.child(key, i) for i in range(start, stop)]
 
 
-def test_draw_rows_mixes_seeds_stream_by_stream(uniform_123):
-    streams = [RngStream(seed, 9).child(i) for seed, i in ((1, 0), (2**63, 0), (1, 1), (7, 0), (1, 0))]
-    rows = draw_rows(uniform_123, 30, streams)
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 30, 4097])
+@pytest.mark.parametrize("slab", [1, 3, None])
+def test_draw_rows_mixes_seeds_stream_by_stream(uniform_123, count, slab, monkeypatch):
+    # The uint64 Philox kernel against numpy's Philox, whatever the count's
+    # remainder mod 4, however rows and counter blocks split into slabs, and
+    # with key words at both ends of the uint64 range.
+    if slab is not None:
+        monkeypatch.setattr(distributions, "_PHILOX_SLAB_BLOCKS", slab)
+    streams = [RngStream(1, 9).child(0), RngStream(2**63, 9).child(1), RngStream(0, 2**64 - 1),
+               RngStream(2**64 - 1, 0), RngStream(1, 9).child(0)]
+    rows = uniform_rows(count, streams)
+    assert rows.shape == (5, count)
     for row, rng in zip(rows, streams):
-        u = rng.generator().random(30)
-        assert np.array_equal(row, uniform_123.support[np.searchsorted(uniform_123.cumulative, u)])
+        assert np.array_equal(row, rng.generator().random(count))
     assert np.array_equal(rows[0], rows[4])
-    assert draw_rows(uniform_123, 30, []).shape == (0, 30)
+    lookup = uniform_123.support[np.searchsorted(uniform_123.cumulative, rows[1:3])]
+    assert np.array_equal(draw_rows(uniform_123, count, streams[1:3]), lookup)
+    assert draw_rows(uniform_123, count, []).shape == (0, count)
+
+
+def test_draw_memory_does_not_grow_past_the_sample():
+    # The uniforms, their indices and the scores of 2M draws take 45.8 MiB;
+    # the Philox kernel's own words stay within one slab, not 2M of each.
+    dist = DiscreteDistribution(np.arange(1024.0), np.ones(1024))
+    tracemalloc.start()
+    try:
+        draw_sample(dist, 2_000_000, RngStream(3, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 # ---------------------------------------------------------------------------
