@@ -362,8 +362,40 @@ def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
     """Yield ``(start, values)``: estimates of score rows at budgets start+1..start+k, shape
     (..., k), for consecutive blocks covering 1..n_max. Callers check n_max.
 
-    The prefix estimator yields :func:`estimate_rows` one budget at a time.
-    The others walk n by exact ratios: row n of partial weight sums is row
+    The prefix estimator yields :func:`estimate_rows` one budget at a time. The
+    others sort the rows a chunk at a time into their maxima and gaps
+    (:func:`sort_gaps`), so no sorted copy of the stack is kept, and walk the
+    budgets over those (:func:`gap_blocks`).
+    """
+    if kind is EstimatorKind.MEANMAX_PREFIX:
+        yield from ((n - 1, estimate_rows(draws, kind, n)[..., None]) for n in range(1, n_max + 1))
+        return
+    size = draws.shape[-1]
+    rows = draws.reshape(-1, size)
+    height = rows.shape[0]
+    top, gaps = np.empty((height, 1)), np.empty((height, size - 1))
+    step = max(1, _BLOCK_VALUES // size)
+    sort_gaps(((r, rows[r : r + step]) for r in range(0, height, step)), top, gaps)
+    for start, values in gap_blocks(top, gaps, kind, n_max):
+        yield start, values.reshape(draws.shape[:-1] + values.shape[-1:])
+
+
+def sort_gaps(chunks, top: np.ndarray, gaps: np.ndarray) -> None:
+    """Sort each ``(start, rows)`` chunk of score rows into ``top`` (height, 1) and
+    ``gaps`` (height, B - 1): row start+i's maximum and its sorted gaps V_(j+1) - V_(j).
+    Only one sorted chunk is alive at a time, so no sorted copy of the stack is kept."""
+    for start, rows in chunks:
+        ordered = np.sort(rows, axis=-1)
+        stop = start + ordered.shape[0]
+        top[start:stop, 0] = ordered[:, -1]  # the maximum as estimate_rows takes it
+        np.subtract(ordered[:, 1:], ordered[:, :-1], out=gaps[start:stop])
+
+
+def gap_blocks(top: np.ndarray, gaps: np.ndarray, kind: EstimatorKind, n_max: int):
+    """:func:`curve_blocks` over rows already sorted into ``(top, gaps)`` by :func:`sort_gaps`,
+    for the plug-in and unbiased estimators: yield ``(start, values)`` of shape (height, k).
+
+    The budgets are walked by exact ratios: row n of partial weight sums is row
     n-1 times c_j(n)/c_j(n-1), j/B for the plug-in estimator and
     (j-n+1)/(B-n+1) for the unbiased one. Both start from the shared row j/B
     at n = 1, every unbiased ratio is at most the plug-in one, and no ratio
@@ -384,8 +416,7 @@ def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
     width), so its weight rows and its height x k estimates each stay within
     about _BLOCK_VALUES values, each block of weight rows continuing from the
     previous block's last. The gaps are multiplied and summed a chunk of rows
-    at a time, so about _BLOCK_VALUES products are alive at once, and sorted a
-    chunk of rows at a time, so no sorted copy of the stack is kept. Memory
+    at a time, so about _BLOCK_VALUES products are alive at once. Memory
     stays O(B) per score row for any n_max, and results do not depend on the
     block or chunk sizes. Each weight row is the row before it times its
     ratio row, one in-place multiply per budget; ``np.multiply.accumulate``
@@ -393,20 +424,7 @@ def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
     per value. Past every block's reach the window is empty, and no rows are
     built.
     """
-    if kind is EstimatorKind.MEANMAX_PREFIX:
-        yield from ((n - 1, estimate_rows(draws, kind, n)[..., None]) for n in range(1, n_max + 1))
-        return
-    size = draws.shape[-1]
-    rows = draws.reshape(-1, size)
-    height = rows.shape[0]
-    top = np.empty((height, 1))
-    gaps = np.empty((height, size - 1))
-    step = max(1, _BLOCK_VALUES // size)
-    for r in range(0, height, step):
-        ordered = np.sort(rows[r : r + step], axis=-1)
-        top[r : r + step, 0] = ordered[:, -1]  # the maximum as estimate_rows takes it
-        np.subtract(ordered[:, 1:], ordered[:, :-1], out=gaps[r : r + step])
-    ordered = None  # the last sorted chunk is not held while the budgets are summed
+    height, size = gaps.shape[0], gaps.shape[1] + 1
     # Block b (top gap t = B-1-b*L) is live at budget n while (t/B)^n >= 2^-64.
     reach = 64.0 / np.log2(size / np.arange(size - 1, 0, -_TAIL_VALUES))
     last = np.ones(size - 1)
@@ -438,7 +456,7 @@ def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
             chunk = max(1, _BLOCK_VALUES // block.size)  # rows whose products are alive at once
             for r in range(0, height, chunk):
                 values[r : r + chunk] -= _tail_sum(window[r : r + chunk] * block)
-        yield start, values.reshape(draws.shape[:-1] + (stop - start,))
+        yield start, values
         start = stop
 
 

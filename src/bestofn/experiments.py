@@ -27,7 +27,7 @@ from .estimators import (
     require_count,
 )
 from .estimators import estimate, expected_max_curve  # noqa: F401  (perfbench wraps them here)
-from .resampling import BootstrapConfig, clopper_pearson, percentile_bootstrap_curve
+from .resampling import BootstrapConfig, bootstrap_arrays, clopper_pearson, percentile_bootstrap_curve
 from .resampling import percentile_bootstrap_ci  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 _PROPORTION_CI_CONFIDENCE = 0.95
@@ -250,10 +250,11 @@ def coverage(
     truth = true_curve(dist, n_max)
     hits = np.zeros(n_max, dtype=np.int64)
     boot_streams = boot.rng.child(0)
+    arrays = bootstrap_arrays(kind, boot.resamples, B)  # one set, refilled by every bootstrap
 
     def count_hits(rows: np.ndarray, start: int) -> None:
         for row, s in zip(rows, boot_streams.children(start, start + len(rows))):
-            lo, hi = percentile_bootstrap_curve(ScoreSample(row), kind, n_max, replace(boot, rng=s))
+            lo, hi = percentile_bootstrap_curve(ScoreSample(row), kind, n_max, replace(boot, rng=s), arrays)
             hits[:] += (lo <= truth) & (truth <= hi)
 
     _per_sample(dist, B, M, rng, 0, count_hits, progress, "coverage")

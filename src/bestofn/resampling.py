@@ -15,7 +15,8 @@ import numpy as np
 
 from .distributions import RngStream
 from .estimators import ArgumentError, EstimatorKind, Interval, ScoreSample, budget_is_bounded
-from .estimators import curve_blocks, estimate_rows, require_budget, require_count
+from .estimators import curve_blocks, estimate_rows, gap_blocks, sort_gaps
+from .estimators import require_budget, require_count
 from .estimators import estimate  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 
@@ -55,6 +56,31 @@ def _resamples(sample: ScoreSample, config: BootstrapConfig):
         yield start, sample.sorted_values[gen.integers(0, size, size=(rows, size))]
 
 
+def percentile_ends(values: np.ndarray, confidence: float) -> np.ndarray:
+    """``np.quantile(values, (q, 1 - q), axis=0)`` bit for bit, q = (1 - confidence) / 2:
+    numpy's default linear interpolation between ranks floor((n-1) q) and the next one
+    (both the top rank where (n-1) q >= n-1), mixed as numpy mixes them. The ranks come
+    from one partition on the ranks np.quantile partitions on, so even a zero's sign is
+    numpy's; np.quantile would pick them with ``np.unique``, which imports numpy.ma
+    (about 10 ms and 1.3 MiB) on first use.
+    """
+    q = (1.0 - confidence) / 2.0  # alpha / 2
+    size = values.shape[0]
+    virtual = (size - 1) * np.array((q, 1.0 - q))
+    below = np.floor(virtual)
+    above = below + 1.0
+    past = virtual >= size - 1
+    below[past] = above[past] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    ordered = np.partition(values, sorted({0, -1, *below.tolist(), *above.tolist()}), axis=0)
+    a, b = ordered[below], ordered[above]
+    gamma = (virtual - below).reshape((2,) + (1,) * (values.ndim - 1))
+    diff = b - a
+    ends = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=ends, where=gamma >= 0.5)
+    return ends
+
+
 def percentile_bootstrap_ci(
     sample: ScoreSample, kind: EstimatorKind, n: int, config: BootstrapConfig
 ) -> Interval:
@@ -62,42 +88,66 @@ def percentile_bootstrap_ci(
 
     Draws ``config.resamples`` with-replacement resamples of the full sample
     size, evaluates the chosen estimator on each, and returns the empirical
-    (alpha/2, 1-alpha/2) percentiles (``np.quantile``'s linear interpolation
-    between closest ranks) where alpha = 1 - confidence. Deterministic given
-    ``config.rng``.
+    (alpha/2, 1-alpha/2) percentiles (:func:`percentile_ends`) where
+    alpha = 1 - confidence. Deterministic given ``config.rng``.
     """
     stats = np.concatenate([estimate_rows(rows, kind, n) for _, rows in _resamples(sample, config)])
-    q = (1.0 - config.confidence) / 2.0  # alpha / 2
-    return Interval(*np.quantile(stats, (q, 1.0 - q)).tolist())
+    return Interval(*percentile_ends(stats, config.confidence).tolist())
+
+
+def bootstrap_arrays(kind: EstimatorKind, resamples: int, size: int) -> tuple[np.ndarray, ...]:
+    """The empty arrays :func:`percentile_bootstrap_curve` fills with ``resamples`` resamples of
+    ``size`` scores: their maxima (resamples, 1) and sorted gaps (resamples, size - 1), or for
+    the prefix estimator the resamples themselves (resamples, size). Arrays numpy cannot
+    allocate raise :class:`ArgumentError` naming ``resamples``."""
+    try:
+        if kind is EstimatorKind.MEANMAX_PREFIX:
+            return (np.empty((resamples, size)),)
+        return np.empty((resamples, 1)), np.empty((resamples, size - 1))
+    except (MemoryError, ValueError):  # numpy refuses a shape past its largest array as ValueError
+        raise _too_many_resamples(resamples) from None
+
+
+def _too_many_resamples(resamples: int) -> ArgumentError:
+    return ArgumentError("resamples", f"{resamples}: the resample matrix does not fit in memory")
 
 
 def percentile_bootstrap_curve(
-    sample: ScoreSample, kind: EstimatorKind, n_max: int, config: BootstrapConfig
+    sample: ScoreSample, kind: EstimatorKind, n_max: int, config: BootstrapConfig,
+    arrays: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`percentile_bootstrap_ci`'s ends (lo, hi), to rounding, at budgets 1..n_max, all
-    read off one set of resamples, drawn into one (resamples, B) matrix. Each
-    :func:`~bestofn.estimators.curve_blocks` block of budgets, sized by the larger of the
-    resample count and B - 1 and summed a few rows at a time, is reduced to its two
-    percentiles by one ``np.quantile``, so resamples x n_max estimates are never held.
-    A resample count whose matrix or gaps numpy cannot allocate raises
-    :class:`ArgumentError` naming ``resamples``."""
+    read off one set of resamples. The plug-in and unbiased estimators sort each chunk of
+    resamples straight into its maxima and gaps (:func:`~bestofn.estimators.sort_gaps`) and
+    keep no resample; the prefix estimator depends on draw order, so it keeps them all. Each
+    block of budgets, sized by the larger of the resample count and B - 1 and summed a few
+    rows at a time, is reduced to its two percentiles by one :func:`percentile_ends`, so
+    resamples x n_max estimates are never held.
+
+    ``arrays`` are :func:`bootstrap_arrays` for this kind, resample count and sample size
+    (others raise ValueError), overwritten here; a battery passes one set to all its
+    bootstraps, so the allocator does not hand about 1 MiB back to the system and fault it
+    in again for each. Without them the arrays are allocated before any resample is drawn."""
     require_budget(n_max, sample.size, budget_is_bounded(kind), "n_max")
-    q = (1.0 - config.confidence) / 2.0  # alpha / 2
+    arrays = arrays or bootstrap_arrays(kind, config.resamples, sample.size)
+    width = sample.size - (kind is not EstimatorKind.MEANMAX_PREFIX)
+    if arrays[-1].shape != (config.resamples, width):
+        raise ValueError(f"arrays must end in a {(config.resamples, width)} array, "
+                         f"got {arrays[-1].shape}")
     ends = np.empty((2, n_max))
-    refused = ArgumentError(
-        "resamples", f"{config.resamples}: the resample matrix does not fit in memory"
-    )
-    try:
-        draws = np.empty((config.resamples, sample.size))
-    except (MemoryError, ValueError):  # numpy refuses a shape past its largest array as ValueError
-        raise refused from None
-    for start, rows in _resamples(sample, config):
-        draws[start : start + len(rows)] = rows
-    try:  # the gaps and each block's estimates also grow with resamples x B
-        for start, values in curve_blocks(draws, kind, n_max):
-            ends[:, start : start + values.shape[-1]] = np.quantile(values, (q, 1.0 - q), axis=0)
+    if kind is EstimatorKind.MEANMAX_PREFIX:
+        (draws,) = arrays
+        for start, rows in _resamples(sample, config):
+            draws[start : start + len(rows)] = rows
+        blocks = curve_blocks(draws, kind, n_max)
+    else:
+        sort_gaps(_resamples(sample, config), *arrays)
+        blocks = gap_blocks(*arrays, kind, n_max)
+    try:  # each block's estimates, and the prefix estimator's sorts, also grow with resamples
+        for start, values in blocks:
+            ends[:, start : start + values.shape[-1]] = percentile_ends(values, config.confidence)
     except MemoryError:
-        raise refused from None
+        raise _too_many_resamples(config.resamples) from None
     return ends[0], ends[1]
 
 

@@ -151,6 +151,26 @@ def test_resamples_too_many_to_hold_are_usage_errors(many, refused, tmp_path, ca
             f"bestofn: error: --resamples {many}: the resample matrix does not fit in memory\n")
 
 
+def test_resamples_too_many_to_sort_are_usage_errors(tmp_path, capsys, monkeypatch, coin_dist):
+    # The prefix estimator's (1000, 16) resample matrix fits, but its estimates sort
+    # (1000, n) prefixes of it, and those sorts are refused.
+    sort = np.sort
+
+    def refusing(a, *args, **kwargs):
+        if np.ndim(a) == 2 and len(a) == 1000:
+            raise MemoryError(f"Unable to allocate an array of shape {np.shape(a)}")
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", refusing)
+    runs = write_runs(tmp_path, np.random.default_rng(94).uniform(size=16))
+    commands = (["curve", "--runs", runs, "--ci"],
+                ["coverage", "--dist", coin_dist, "--B", "16", "--M", "3"])
+    for command in commands:
+        assert main([*command, "--estimator", "meanmax-prefix", "--resamples", "1000"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "bestofn: error: --resamples 1000: the resample matrix does not fit in memory\n")
+
+
 def test_curve_meanmax_extrapolates_with_warning(tmp_path, ten_runs, capsys):
     out = tmp_path / "out.json"
     code = main(["curve", "--runs", ten_runs, "--estimator", "meanmax",
@@ -997,6 +1017,30 @@ def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[False, False]"
+
+
+NUMPY_MA_SCRIPT = """
+import sys
+from bestofn.cli import main
+runs, dist, curve, coverage = sys.argv[1:]
+assert main(["curve", "--runs", runs, "--estimator", "meanmax", "--estimator", "unbiased",
+             "--estimator", "meanmax-prefix", "--ci", "--resamples", "50", "-o", curve]) == 0
+assert main(["coverage", "--dist", dist, "--B", "10", "--n-max", "3", "--M", "3",
+             "--resamples", "50", "-o", coverage]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_bootstrap_runs_leave_numpy_ma_unloaded(tmp_path, ten_runs, coin_dist):
+    # np.quantile would import numpy.ma (about 10 ms and 1.3 MiB) through np.unique;
+    # the bootstrap reads its percentiles off one np.partition of its own.
+    outputs = [str(tmp_path / "curve.json"), str(tmp_path / "coverage.json")]
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_SCRIPT, ten_runs, coin_dist, *outputs],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path):

@@ -298,36 +298,71 @@ def test_bootstrap_curve_ends_are_the_quantiles_of_the_resampled_curves(kind):
 
 @pytest.mark.parametrize("kind", [EstimatorKind.MEANMAX_V, EstimatorKind.UNBIASED_U])
 def test_bootstrap_curve_of_many_resamples_holds_no_sorted_copy(kind):
-    # 1000 resamples of 500 scores take 3.8 MiB and their gaps 3.8 MiB more; a
-    # sorted copy, a list of resample chunks or one product array per budget
-    # over the whole stack would each add about 3.8 MiB.
+    # 1000 resamples of 500 scores sort straight into their gaps, 3.8 MiB; the
+    # resamples themselves, a sorted copy, a list of resample chunks or one
+    # product array per budget over the whole stack would each add about 3.8 MiB.
     sample = ScoreSample(np.random.default_rng(52).normal(size=500))
     config = BootstrapConfig(RngStream(53, 1), resamples=1000)
-    percentile_bootstrap_curve(ScoreSample([1.0, 2.0]), kind, 2, config)  # imports numpy.ma
     tracemalloc.start()
     try:
         percentile_bootstrap_curve(sample, kind, 50, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9.5 * 2**20
+    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize("kind", [EstimatorKind.MEANMAX_V, EstimatorKind.UNBIASED_U])
 def test_bootstrap_curve_takes_one_quantile_per_block_of_budgets(kind, monkeypatch):
-    # 1000 resamples of 500 scores at n_max = 50: one block holds every budget,
-    # so one np.quantile call reduces the whole curve, not one call per budget.
+    # 1000 resamples of 500 scores at n_max = 50: one block holds every budget, so
+    # one percentile_ends call reduces the whole curve, not one call per budget.
     sample = ScoreSample(np.random.default_rng(54).normal(size=500))
     config = BootstrapConfig(RngStream(55, 1), resamples=1000)
-    quantile, calls = np.quantile, []
+    percentile_ends, calls = resampling.percentile_ends, []
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return quantile(*args, **kwargs)
+        return percentile_ends(*args, **kwargs)
 
-    monkeypatch.setattr(np, "quantile", counting)
+    monkeypatch.setattr(resampling, "percentile_ends", counting)
     percentile_bootstrap_curve(sample, kind, 50, config)
     assert len(calls) == 1
+
+
+def test_bootstrap_curve_refuses_arrays_of_another_shape():
+    # Rows left over in a taller set of arrays would join the percentiles.
+    sample = ScoreSample(np.arange(6.0))
+    config = BootstrapConfig(RngStream(56, 1), resamples=40)
+    for kind in EstimatorKind:
+        for resamples, size in ((41, 6), (40, 5)):
+            arrays = resampling.bootstrap_arrays(kind, resamples, size)
+            with pytest.raises(ValueError, match="arrays must end in"):
+                percentile_bootstrap_curve(sample, kind, 3, config, arrays)
+        arrays = resampling.bootstrap_arrays(kind, 40, 6)
+        want = percentile_bootstrap_curve(sample, kind, 3, config)
+        assert np.array_equal(percentile_bootstrap_curve(sample, kind, 3, config, arrays), want)
+
+
+def percentile_columns(rows):
+    rng = np.random.default_rng(rows)
+    signed_zeros = rng.choice([0.0, -0.0], size=(rows, 2))
+    return np.column_stack([
+        rng.normal(size=rows),
+        np.full(rows, 0.25),  # constant
+        rng.integers(0, 3, size=rows) / 4.0,  # tied
+        signed_zeros,
+        np.where(rng.random(rows) < 0.5, signed_zeros[:, 0], rng.choice([-1.0, 1.0], size=rows)),
+    ])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 999, 1000, 1001])
+@pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.999])
+def test_percentile_ends_are_numpy_quantiles_bit_for_bit(rows, confidence):
+    values = percentile_columns(rows)
+    q = (1.0 - confidence) / 2.0
+    want = np.quantile(values, (q, 1.0 - q), axis=0)
+    assert resampling.percentile_ends(values, confidence).tobytes() == want.tobytes()
+    assert resampling.percentile_ends(values[:, 0], confidence).tobytes() == want[:, 0].tobytes()
 
 
 def test_bootstrap_config_validation():
