@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import ArgumentError, ScoreSample, require_budget, require_count
+from .estimators import ArgumentError, ScoreSample, allocate, require_budget, require_count
 
 _MASK64 = (1 << 64) - 1
 
@@ -49,8 +49,8 @@ class RngStream:
     streams fold integer path indices into the stream word through SplitMix64
     (``stream' = splitmix64(stream XOR splitmix64(index))``, applied left to
     right), so any worker can rebuild its stream from (seed, path) alone.
-    :meth:`children` derives the streams of a run of consecutive last indices
-    in one vectorized pass.
+    :meth:`children` derives the Philox keys of a run of consecutive last
+    indices in one vectorized pass.
     """
 
     seed: int
@@ -65,11 +65,11 @@ class RngStream:
             h = _splitmix64(h ^ word)
         return RngStream(self.seed, int(h[0]))
 
-    def children(self, start: int, stop: int) -> list["RngStream"]:
-        """``[self.child(i) for i in range(start, stop)]``, mixed in one pass."""
-        h = _words(self.stream)
+    def children(self, start: int, stop: int) -> np.ndarray:
+        """The uint64 keys [seed, stream] of ``self.child(i)``, a row per i in range(start, stop)."""
         indices = _words(start) + np.arange(max(0, stop - start), dtype=np.uint64)
-        return [RngStream(self.seed, w) for w in _splitmix64(h ^ _splitmix64(indices)).tolist()]
+        words = _splitmix64(_words(self.stream) ^ _splitmix64(indices))
+        return np.stack((np.full_like(words, self.seed & _MASK64), words), axis=-1)
 
 
 class DiscreteDistribution:
@@ -233,10 +233,10 @@ def fit_kde(runs: ScoreSample, spec: KdeSpec) -> DiscreteDistribution:
             "scores, past the float range; pass --support-lo and --support-hi"
         )
     spec = replace(spec, support_lo=lo, support_hi=hi)  # checks lo < hi
+    density = allocate(spec.bins, "bins", spec.bins, "the distribution")  # before the bins' edges
     edges = np.linspace(spec.support_lo, spec.support_hi, spec.bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rows = max(1, _KDE_BLOCK_VALUES // runs.size)
-    density = np.empty(spec.bins)
     for start in range(0, spec.bins, rows):
         z = (centers[start:start + rows, None] - runs.sorted_values) / h
         density[start:start + rows] = np.exp(-0.5 * z * z).sum(axis=1)
@@ -334,31 +334,30 @@ def _philox_uniforms(keys: np.ndarray, counters: np.ndarray, out: np.ndarray) ->
         np.multiply(word >> 11, 2.0**-53, out=out[..., j])
 
 
-def uniform_rows(count: int, streams: Sequence[RngStream]) -> np.ndarray:
-    """The first ``count`` uniforms of each ``streams[k].generator()``, one row
-    per stream, bit for bit, computed without a generator: Philox4x64-10
-    blocks 1, 2, ... under each row's key in numpy's uint64 arithmetic, about
-    _PHILOX_SLAB_BLOCKS blocks at a time, so a row costs no generator set-up
-    and the working set does not grow with the count."""
+def uniform_rows(count: int, keys: np.ndarray) -> np.ndarray:
+    """The first ``count`` uniforms of the generator under each (seed, stream) key
+    row of ``keys`` (:meth:`RngStream.children`), bit for bit, computed without a
+    generator: Philox4x64-10 blocks 1, 2, ... under each key in numpy's uint64
+    arithmetic, about _PHILOX_SLAB_BLOCKS blocks at a time, so a row costs no
+    generator set-up and the working set does not grow with the count."""
     require_count(count, "count")
     blocks = -(-count // 4)
-    keys = np.array([(s.seed & _MASK64, s.stream & _MASK64) for s in streams], dtype=np.uint64)
-    u = np.empty((len(streams), blocks, 4))
+    u = np.empty((len(keys), blocks, 4))
     width = min(blocks, _PHILOX_SLAB_BLOCKS)
     height = max(1, _PHILOX_SLAB_BLOCKS // blocks)
-    for r in range(0, len(streams), height):
+    for r in range(0, len(keys), height):
         for b in range(0, blocks, width):
             counters = np.arange(b + 1, min(b + width, blocks) + 1, dtype=np.uint64)
             _philox_uniforms(keys[r:r + height], counters, u[r:r + height, b:b + width])
-    return u.reshape(len(streams), 4 * blocks)[:, :count]
+    return u.reshape(len(keys), 4 * blocks)[:, :count]
 
 
-def draw_rows(dist: DiscreteDistribution, count: int, streams: Sequence[RngStream]) -> np.ndarray:
-    """Draw ``count`` i.i.d. scores per stream by inverse-CDF lookup, one row
-    per stream in draw order: shape (len(streams), count). Row k maps the
-    uniforms of ``streams[k].generator()``, as :func:`uniform_rows` computes
+def draw_rows(dist: DiscreteDistribution, count: int, keys: np.ndarray) -> np.ndarray:
+    """Draw ``count`` i.i.d. scores per Philox key by inverse-CDF lookup, one row
+    per row of ``keys`` in draw order: shape (len(keys), count). Row k maps the
+    uniforms of the generator under ``keys[k]``, as :func:`uniform_rows` computes
     them for all rows at once."""
-    return dist.support[np.searchsorted(dist.cumulative, uniform_rows(count, streams), side="left")]
+    return dist.support[np.searchsorted(dist.cumulative, uniform_rows(count, keys), side="left")]
 
 
 def draw_sample(dist: DiscreteDistribution, count: int, rng: RngStream) -> ScoreSample:
@@ -367,7 +366,7 @@ def draw_sample(dist: DiscreteDistribution, count: int, rng: RngStream) -> Score
     The draw order becomes the sample's ingestion order, so prefix-estimator
     semantics are well defined on simulated samples.
     """
-    return ScoreSample(draw_rows(dist, count, [rng])[0])
+    return ScoreSample(draw_rows(dist, count, _words(rng.seed, rng.stream)[None])[0])
 
 
 def canonical_json(obj, default=None) -> str:

@@ -12,6 +12,9 @@ weighted by partial weight sums c_j(n), on a stack of samples at a time. A
 single budget builds its row of c_j in O(B) (:func:`estimate_rows`); a full
 curve walks n by exact ratio recurrences, a bounded block of rows at a time,
 so memory stays O(B) per sample for any number of budgets (:func:`curve_blocks`).
+A stack is one (height, B) score matrix for every kind, sorted in place into
+gaps (:func:`sort_gaps`) but for the prefix kind, which keeps draw order, and
+one walker reads curves and bootstraps off it (:func:`score_blocks`).
 At each budget a curve sums only the blocks of 1024 gaps, counted from the
 top, whose plug-in weight reaches 2^-64; the gaps left out move an estimate
 by less than 2^-64 times the sample's range. A full curve then costs
@@ -204,6 +207,15 @@ def require_count(value: int, name: str, too_small: type[ArgumentError] = Argume
         raise too_small(name, f"must be >= {least}, got {value}")
 
 
+def allocate(shape, name: str, value: int, what: str) -> np.ndarray:
+    """``np.empty(shape)``, or an :class:`ArgumentError` naming the argument ``name`` = ``value``
+    when numpy cannot allocate it; numpy refuses a shape past its largest array as ValueError."""
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError):
+        raise ArgumentError(name, f"{value}: {what} does not fit in memory") from None
+
+
 def require_budget(n: int, size: int, bounded: bool, name: str = "n") -> None:
     """Reject a budget that is not an integer (``bool`` included), n < 1, or
     n > B = ``size`` for a ``bounded`` estimator (see :func:`budget_is_bounded`);
@@ -362,38 +374,33 @@ def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
     """Yield ``(start, values)``: estimates of score rows at budgets start+1..start+k, shape
     (..., k), for consecutive blocks covering 1..n_max. Callers check n_max.
 
-    The prefix estimator yields :func:`estimate_rows` one budget at a time. The
-    others sort the rows a chunk at a time into their maxima and gaps
-    (:func:`sort_gaps`), so no sorted copy of the stack is kept, and walk the
-    budgets over those (:func:`gap_blocks`).
+    The rows are copied into one (height, B) matrix, sorted into gaps a chunk of rows at a
+    time (:func:`sort_gaps`) unless the estimator is the prefix one, and walked budget by
+    budget (:func:`score_blocks`).
     """
-    if kind is EstimatorKind.MEANMAX_PREFIX:
-        yield from ((n - 1, estimate_rows(draws, kind, n)[..., None]) for n in range(1, n_max + 1))
-        return
     size = draws.shape[-1]
-    rows = draws.reshape(-1, size)
-    height = rows.shape[0]
-    top, gaps = np.empty((height, 1)), np.empty((height, size - 1))
-    step = max(1, _BLOCK_VALUES // size)
-    sort_gaps(((r, rows[r : r + step]) for r in range(0, height, step)), top, gaps)
-    for start, values in gap_blocks(top, gaps, kind, n_max):
+    rows = draws.reshape(-1, size).copy()
+    if kind is not EstimatorKind.MEANMAX_PREFIX:
+        step = max(1, _BLOCK_VALUES // size)
+        for r in range(0, len(rows), step):
+            sort_gaps(rows[r : r + step])
+    for start, values in score_blocks(rows, kind, n_max):
         yield start, values.reshape(draws.shape[:-1] + values.shape[-1:])
 
 
-def sort_gaps(chunks, top: np.ndarray, gaps: np.ndarray) -> None:
-    """Sort each ``(start, rows)`` chunk of score rows into ``top`` (height, 1) and
-    ``gaps`` (height, B - 1): row start+i's maximum and its sorted gaps V_(j+1) - V_(j).
-    Only one sorted chunk is alive at a time, so no sorted copy of the stack is kept."""
-    for start, rows in chunks:
-        ordered = np.sort(rows, axis=-1)
-        stop = start + ordered.shape[0]
-        top[start:stop, 0] = ordered[:, -1]  # the maximum as estimate_rows takes it
-        np.subtract(ordered[:, 1:], ordered[:, :-1], out=gaps[start:stop])
+def sort_gaps(rows: np.ndarray) -> None:
+    """Sort each score row of ``rows`` (height, B) in place, then overwrite its columns
+    0..B-2 with its sorted gaps V_(j+1) - V_(j); its maximum stays in column B-1. numpy
+    buffers the overlapping subtraction, so each gap is the difference of two sorted values."""
+    rows.sort(axis=-1)
+    np.subtract(rows[:, 1:], rows[:, :-1], out=rows[:, :-1])
 
 
-def gap_blocks(top: np.ndarray, gaps: np.ndarray, kind: EstimatorKind, n_max: int):
-    """:func:`curve_blocks` over rows already sorted into ``(top, gaps)`` by :func:`sort_gaps`,
-    for the plug-in and unbiased estimators: yield ``(start, values)`` of shape (height, k).
+def score_blocks(rows: np.ndarray, kind: EstimatorKind, n_max: int):
+    """:func:`curve_blocks` over a (height, B) score matrix: yield ``(start, values)`` of shape
+    (height, k). The prefix estimator's rows are in draw order, and it yields :func:`estimate_rows`
+    one budget at a time. The others read the views ``rows[:, :-1]`` and ``rows[:, -1:]`` of
+    :func:`sort_gaps` as their gaps and maxima.
 
     The budgets are walked by exact ratios: row n of partial weight sums is row
     n-1 times c_j(n)/c_j(n-1), j/B for the plug-in estimator and
@@ -424,7 +431,10 @@ def gap_blocks(top: np.ndarray, gaps: np.ndarray, kind: EstimatorKind, n_max: in
     per value. Past every block's reach the window is empty, and no rows are
     built.
     """
-    height, size = gaps.shape[0], gaps.shape[1] + 1
+    if kind is EstimatorKind.MEANMAX_PREFIX:
+        yield from ((n - 1, estimate_rows(rows, kind, n)[:, None]) for n in range(1, n_max + 1))
+        return
+    height, size = rows.shape
     # Block b (top gap t = B-1-b*L) is live at budget n while (t/B)^n >= 2^-64.
     reach = 64.0 / np.log2(size / np.arange(size - 1, 0, -_TAIL_VALUES))
     last = np.ones(size - 1)
@@ -435,7 +445,7 @@ def gap_blocks(top: np.ndarray, gaps: np.ndarray, kind: EstimatorKind, n_max: in
         stop = min(n_max, start + max(1, _BLOCK_VALUES // max(1, height, width)))
         if live:
             stop = min(stop, int(reach[live - 1]))  # no block dies inside this block of budgets
-        values = top.repeat(stop - start, axis=1)
+        values = rows[:, -1:].repeat(stop - start, axis=1)
         if width:
             jw = np.arange(size - width, size, dtype=float)  # the window's gap indices j
             if kind is EstimatorKind.UNBIASED_U:
@@ -452,7 +462,7 @@ def gap_blocks(top: np.ndarray, gaps: np.ndarray, kind: EstimatorKind, n_max: in
             for out, ratio in zip(block, ratios):
                 row = np.multiply(row, ratio, out)
             last = block[-1].copy()
-            window = gaps[:, None, size - 1 - width :]
+            window = rows[:, None, size - 1 - width : -1]
             chunk = max(1, _BLOCK_VALUES // block.size)  # rows whose products are alive at once
             for r in range(0, height, chunk):
                 values[r : r + chunk] -= _tail_sum(window[r : r + chunk] * block)

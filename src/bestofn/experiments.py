@@ -20,6 +20,7 @@ from .estimators import (
     EstimatorKind,
     Interval,
     ScoreSample,
+    allocate,
     budget_is_bounded,
     curve_blocks,
     curve_rows,
@@ -27,7 +28,7 @@ from .estimators import (
     require_count,
 )
 from .estimators import estimate, expected_max_curve  # noqa: F401  (perfbench wraps them here)
-from .resampling import BootstrapConfig, bootstrap_arrays, clopper_pearson, percentile_bootstrap_curve
+from .resampling import BootstrapConfig, bootstrap_matrix, clopper_pearson, percentile_bootstrap_curve
 from .resampling import percentile_bootstrap_ci  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 _PROPORTION_CI_CONFIDENCE = 0.95
@@ -170,7 +171,7 @@ def _per_sample(dist: DiscreteDistribution, B: int, count: int, rng: RngStream, 
     """Call ``evaluate(rows, start)`` on ``count`` size-B samples, about
     _SAMPLE_CHUNK_VALUES score values at a time, with one progress line per
     chunk: ``rows[k]`` is sample start+k, drawn from ``rng.child(key, start+k)``.
-    Each chunk derives its streams in one :meth:`RngStream.children` pass and
+    Each chunk derives its Philox keys in one :meth:`RngStream.children` pass and
     draws all its rows in one :func:`draw_rows` call, which loads no numpy
     generator."""
     per_chunk = max(1, _SAMPLE_CHUNK_VALUES // B)
@@ -250,11 +251,12 @@ def coverage(
     truth = true_curve(dist, n_max)
     hits = np.zeros(n_max, dtype=np.int64)
     boot_streams = boot.rng.child(0)
-    arrays = bootstrap_arrays(kind, boot.resamples, B)  # one set, refilled by every bootstrap
+    matrix = bootstrap_matrix(boot.resamples, B)  # one matrix, refilled by every bootstrap
 
     def count_hits(rows: np.ndarray, start: int) -> None:
-        for row, s in zip(rows, boot_streams.children(start, start + len(rows))):
-            lo, hi = percentile_bootstrap_curve(ScoreSample(row), kind, n_max, replace(boot, rng=s), arrays)
+        for row, key in zip(rows, boot_streams.children(start, start + len(rows)).tolist()):
+            config = replace(boot, rng=RngStream(*key))
+            lo, hi = percentile_bootstrap_curve(ScoreSample(row), kind, n_max, config, matrix)
             hits[:] += (lo <= truth) & (truth <= hi)
 
     _per_sample(dist, B, M, rng, 0, count_hits, progress, "coverage")
@@ -294,7 +296,7 @@ def curves(
 
     def run_model(m: int, name: str) -> ModelCurves:
         dist = dists[name]
-        estimates = np.empty((num_samples, B))
+        estimates = allocate((num_samples, B), "samples", num_samples, "the matrix of sample curves")
 
         def stack(rows: np.ndarray, start: int) -> None:
             estimates[start : start + len(rows)] = curve_rows(rows, kind, B)

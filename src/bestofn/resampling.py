@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import RngStream
 from .estimators import ArgumentError, EstimatorKind, Interval, ScoreSample, budget_is_bounded
-from .estimators import curve_blocks, estimate_rows, gap_blocks, sort_gaps
+from .estimators import allocate, estimate_rows, score_blocks, sort_gaps
 from .estimators import require_budget, require_count
 from .estimators import estimate  # noqa: F401  (perfbench/tracer.py wraps it here)
 
@@ -95,59 +95,46 @@ def percentile_bootstrap_ci(
     return Interval(*percentile_ends(stats, config.confidence).tolist())
 
 
-def bootstrap_arrays(kind: EstimatorKind, resamples: int, size: int) -> tuple[np.ndarray, ...]:
-    """The empty arrays :func:`percentile_bootstrap_curve` fills with ``resamples`` resamples of
-    ``size`` scores: their maxima (resamples, 1) and sorted gaps (resamples, size - 1), or for
-    the prefix estimator the resamples themselves (resamples, size). Arrays numpy cannot
-    allocate raise :class:`ArgumentError` naming ``resamples``."""
-    try:
-        if kind is EstimatorKind.MEANMAX_PREFIX:
-            return (np.empty((resamples, size)),)
-        return np.empty((resamples, 1)), np.empty((resamples, size - 1))
-    except (MemoryError, ValueError):  # numpy refuses a shape past its largest array as ValueError
-        raise _too_many_resamples(resamples) from None
+_MATRIX = "the resample matrix"
 
 
-def _too_many_resamples(resamples: int) -> ArgumentError:
-    return ArgumentError("resamples", f"{resamples}: the resample matrix does not fit in memory")
+def bootstrap_matrix(resamples: int, size: int) -> np.ndarray:
+    """The empty (resamples, size) matrix :func:`percentile_bootstrap_curve` fills with
+    ``resamples`` resamples of ``size`` scores; see :func:`~bestofn.estimators.allocate`."""
+    return allocate((resamples, size), "resamples", resamples, _MATRIX)
 
 
 def percentile_bootstrap_curve(
     sample: ScoreSample, kind: EstimatorKind, n_max: int, config: BootstrapConfig,
-    arrays: tuple[np.ndarray, ...] | None = None,
+    matrix: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`percentile_bootstrap_ci`'s ends (lo, hi), to rounding, at budgets 1..n_max, all
-    read off one set of resamples. The plug-in and unbiased estimators sort each chunk of
-    resamples straight into its maxima and gaps (:func:`~bestofn.estimators.sort_gaps`) and
-    keep no resample; the prefix estimator depends on draw order, so it keeps them all. Each
-    block of budgets, sized by the larger of the resample count and B - 1 and summed a few
-    rows at a time, is reduced to its two percentiles by one :func:`percentile_ends`, so
-    resamples x n_max estimates are never held.
+    read off one set of resamples. Each chunk of resamples is copied into one (resamples, B)
+    matrix and, unless the estimator is the prefix one, which depends on draw order, sorted
+    there into its gaps (:func:`~bestofn.estimators.sort_gaps`). Each block of budgets, sized
+    by the larger of the resample count and B - 1 and summed a few rows at a time, is reduced
+    to its two percentiles by one :func:`percentile_ends`, so resamples x n_max estimates are
+    never held.
 
-    ``arrays`` are :func:`bootstrap_arrays` for this kind, resample count and sample size
-    (others raise ValueError), overwritten here; a battery passes one set to all its
-    bootstraps, so the allocator does not hand about 1 MiB back to the system and fault it
-    in again for each. Without them the arrays are allocated before any resample is drawn."""
+    ``matrix`` is a :func:`bootstrap_matrix` for this resample count and sample size (another
+    shape raises ValueError), overwritten here; a battery passes one matrix to all its
+    bootstraps, so the allocator does not hand about 1 MiB back to the system and fault it in
+    again for each. Without it the matrix is allocated before any resample is drawn."""
     require_budget(n_max, sample.size, budget_is_bounded(kind), "n_max")
-    arrays = arrays or bootstrap_arrays(kind, config.resamples, sample.size)
-    width = sample.size - (kind is not EstimatorKind.MEANMAX_PREFIX)
-    if arrays[-1].shape != (config.resamples, width):
-        raise ValueError(f"arrays must end in a {(config.resamples, width)} array, "
-                         f"got {arrays[-1].shape}")
+    matrix = bootstrap_matrix(config.resamples, sample.size) if matrix is None else matrix
+    if matrix.shape != (config.resamples, sample.size):
+        raise ValueError(f"matrix must be {(config.resamples, sample.size)}, got {matrix.shape}")
     ends = np.empty((2, n_max))
-    if kind is EstimatorKind.MEANMAX_PREFIX:
-        (draws,) = arrays
+    try:  # the sorts into gaps, and each block's estimates, grow with resamples
         for start, rows in _resamples(sample, config):
-            draws[start : start + len(rows)] = rows
-        blocks = curve_blocks(draws, kind, n_max)
-    else:
-        sort_gaps(_resamples(sample, config), *arrays)
-        blocks = gap_blocks(*arrays, kind, n_max)
-    try:  # each block's estimates, and the prefix estimator's sorts, also grow with resamples
-        for start, values in blocks:
+            chunk = matrix[start : start + len(rows)]
+            chunk[...] = rows
+            if kind is not EstimatorKind.MEANMAX_PREFIX:
+                sort_gaps(chunk)
+        for start, values in score_blocks(matrix, kind, n_max):
             ends[:, start : start + values.shape[-1]] = percentile_ends(values, config.confidence)
     except MemoryError:
-        raise _too_many_resamples(config.resamples) from None
+        raise ArgumentError("resamples", f"{config.resamples}: {_MATRIX} does not fit in memory") from None
     return ends[0], ends[1]
 
 

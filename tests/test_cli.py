@@ -22,6 +22,7 @@ from bestofn import (
     RngStream,
     cli,
     fit_kde,
+    resampling,
     save_distribution,
 )
 from bestofn.cli import DEFAULT_SEED, main
@@ -130,18 +131,29 @@ def test_curve_too_large_to_hold_is_usage_error(tmp_path, capsys, monkeypatch):
         "bestofn: error: --n-max 1000000000: the curve does not fit in memory\n")
 
 
+def refuse_sort_gaps(monkeypatch):
+    # Sorting resamples into gaps runs out of memory as numpy does when it cannot
+    # allocate the buffer of the overlapping subtraction.
+    def refusing(rows, *args):
+        raise MemoryError(f"Unable to allocate an array of shape {np.shape(rows)}")
+
+    monkeypatch.setattr(resampling, "sort_gaps", refusing)
+
+
 @pytest.mark.parametrize("many, refused", [
     # Past numpy's largest array numpy itself refuses the shape, as a ValueError.
     (10**18, None),
     # The resample matrix is refused before any resample is drawn.
     (10**14, lambda shape: math.prod(shape) >= 10**8),
-    # The (1000, 16) resample matrix fits, but its (1000, 15) gaps do not.
-    (1000, lambda shape: shape == (1000, 15)),
-], ids=["past-numpy", "matrix", "gaps"])
+    # The (1000, 16) resample matrix fits, but sorting its rows into gaps does not.
+    (1000, refuse_sort_gaps),
+], ids=["past-numpy", "matrix", "fill"])
 def test_resamples_too_many_to_hold_are_usage_errors(many, refused, tmp_path, capsys, monkeypatch,
                                                      coin_dist):
     runs = write_runs(tmp_path, np.random.default_rng(93).uniform(size=16))
-    if refused:
+    if refused is refuse_sort_gaps:
+        refuse_sort_gaps(monkeypatch)
+    elif refused:
         refuse_arrays(monkeypatch, refused)
     commands = (["curve", "--runs", runs, "--ci"],
                 ["coverage", "--dist", coin_dist, "--B", "16", "--M", "3"])
@@ -369,6 +381,19 @@ def test_fit_data_errors_name_the_runs_file(tmp_path, values, flags, detail, cap
     assert detail in err
 
 
+@pytest.mark.parametrize("bins, refused", [
+    # Past numpy's largest array numpy itself refuses the shape, as a ValueError.
+    (10**22, None),
+    (10**11, lambda shape: math.prod(shape) >= 10**8),
+], ids=["past-numpy", "array"])
+def test_fit_bins_too_many_to_hold_are_usage_errors(bins, refused, ten_runs, capsys, monkeypatch):
+    if refused:
+        refuse_arrays(monkeypatch, refused)
+    assert main(["fit", "--runs", ten_runs, "--bins", str(bins)]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"bestofn: error: --bins {bins}: the distribution does not fit in memory\n")
+
+
 # ---------------------------------------------------------------------------
 # probe
 # ---------------------------------------------------------------------------
@@ -564,6 +589,22 @@ def test_failure_scan_clean_for_unbiased(tmp_path, crossing_pair):
     scan = tmp_path / "scan_u.json"
     assert main(["failure-scan", "--report", str(report), "-o", str(scan)]) == 0
     assert load_payload(scan)["inversions"] == []
+
+
+@pytest.mark.parametrize("samples, refused", [
+    # Past numpy's largest array numpy itself refuses the shape, as a ValueError.
+    (10**20, None),
+    (10**12, lambda shape: math.prod(shape) >= 10**8),
+], ids=["past-numpy", "array"])
+def test_curves_sim_samples_too_many_to_hold_are_usage_errors(samples, refused, crossing_pair, capsys,
+                                                              monkeypatch):
+    if refused:
+        refuse_arrays(monkeypatch, refused)
+    steady, volatile = crossing_pair
+    assert main(["curves-sim", "--dist", f"steady={steady}", "--dist", f"volatile={volatile}",
+                 "--B", "25", "--samples", str(samples)]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"bestofn: error: --samples {samples}: the matrix of sample curves does not fit in memory\n")
 
 
 def test_curves_sim_duplicate_name_is_usage_error(crossing_pair, capsys):

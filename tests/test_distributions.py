@@ -293,9 +293,14 @@ def test_draw_preserves_draw_order(uniform_123):
     assert np.array_equal(np.sort(sample.ingested_values), sample.sorted_values)
 
 
+def keys_of(streams):
+    """The (len(streams), 2) uint64 Philox keys [seed, stream] of the streams."""
+    return np.array([(s.seed % 2**64, s.stream % 2**64) for s in streams], dtype=np.uint64).reshape(-1, 2)
+
+
 def test_draw_rows_stack_the_per_stream_samples(uniform_123):
     streams = [RngStream(12, 0).child(n, i) for n in (1, 2) for i in range(3)]
-    rows = draw_rows(uniform_123, 40, streams)
+    rows = draw_rows(uniform_123, 40, keys_of(streams))
     assert rows.shape == (6, 40)
     for row, rng in zip(rows, streams):
         assert np.array_equal(row, draw_sample(uniform_123, 40, rng).ingested_values)
@@ -376,7 +381,7 @@ def test_rng_layout_known_answers():
     dist = DiscreteDistribution(np.arange(1024.0), np.ones(1024))
     streams = [RngStream(seed, stream).child(*path) for seed, stream, path, _, _ in RNG_LAYOUT]
     assert [(c.seed, c.stream) for c in streams] == [(s, w) for s, _, _, w, _ in RNG_LAYOUT]
-    rows = draw_rows(dist, 4, streams)
+    rows = draw_rows(dist, 4, keys_of(streams))
     assert rows.tolist() == [values for *_, values in RNG_LAYOUT]
 
 
@@ -402,7 +407,9 @@ def test_child_matches_the_python_int_reference():
 def test_children_equal_the_child_list(key, start, stop):
     for parent in (RngStream(5), RngStream(2**63 + 1, 2**64 - 1)):
         keyed = parent.child(key)
-        assert keyed.children(start, stop) == [parent.child(key, i) for i in range(start, stop)]
+        keys = keyed.children(start, stop)
+        assert keys.dtype == np.uint64 and keys.shape == (max(0, stop - start), 2)
+        assert keys.tolist() == keys_of(parent.child(key, i) for i in range(start, stop)).tolist()
 
 
 @pytest.mark.parametrize("count", [1, 3, 4, 5, 30, 4097])
@@ -415,14 +422,15 @@ def test_draw_rows_mixes_seeds_stream_by_stream(uniform_123, count, slab, monkey
         monkeypatch.setattr(distributions, "_PHILOX_SLAB_BLOCKS", slab)
     streams = [RngStream(1, 9).child(0), RngStream(2**63, 9).child(1), RngStream(0, 2**64 - 1),
                RngStream(2**64 - 1, 0), RngStream(1, 9).child(0)]
-    rows = uniform_rows(count, streams)
+    keys = keys_of(streams)
+    rows = uniform_rows(count, keys)
     assert rows.shape == (5, count)
     for row, rng in zip(rows, streams):
         assert np.array_equal(row, rng.generator().random(count))
     assert np.array_equal(rows[0], rows[4])
     lookup = uniform_123.support[np.searchsorted(uniform_123.cumulative, rows[1:3])]
-    assert np.array_equal(draw_rows(uniform_123, count, streams[1:3]), lookup)
-    assert draw_rows(uniform_123, count, []).shape == (0, count)
+    assert np.array_equal(draw_rows(uniform_123, count, keys[1:3]), lookup)
+    assert draw_rows(uniform_123, count, keys[:0]).shape == (0, count)
 
 
 def test_draw_memory_does_not_grow_past_the_sample():

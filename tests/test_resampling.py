@@ -330,17 +330,17 @@ def test_bootstrap_curve_takes_one_quantile_per_block_of_budgets(kind, monkeypat
 
 
 def test_bootstrap_curve_refuses_arrays_of_another_shape():
-    # Rows left over in a taller set of arrays would join the percentiles.
+    # Rows left over in a taller matrix would join the percentiles.
     sample = ScoreSample(np.arange(6.0))
     config = BootstrapConfig(RngStream(56, 1), resamples=40)
     for kind in EstimatorKind:
         for resamples, size in ((41, 6), (40, 5)):
-            arrays = resampling.bootstrap_arrays(kind, resamples, size)
-            with pytest.raises(ValueError, match="arrays must end in"):
-                percentile_bootstrap_curve(sample, kind, 3, config, arrays)
-        arrays = resampling.bootstrap_arrays(kind, 40, 6)
+            matrix = resampling.bootstrap_matrix(resamples, size)
+            with pytest.raises(ValueError, match="matrix must be"):
+                percentile_bootstrap_curve(sample, kind, 3, config, matrix)
+        matrix = resampling.bootstrap_matrix(40, 6)
         want = percentile_bootstrap_curve(sample, kind, 3, config)
-        assert np.array_equal(percentile_bootstrap_curve(sample, kind, 3, config, arrays), want)
+        assert np.array_equal(percentile_bootstrap_curve(sample, kind, 3, config, matrix), want)
 
 
 def percentile_columns(rows):
