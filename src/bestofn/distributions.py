@@ -232,10 +232,16 @@ def fit_kde(runs: ScoreSample, spec: KdeSpec) -> DiscreteDistribution:
             "bandwidth", f"{h!r} puts the default support, 3 bandwidths beyond the "
             "scores, past the float range; pass --support-lo and --support-hi"
         )
+    # A support too narrow for its bins is blamed on an edge given, else on the bandwidth.
+    flag, value = ("support_hi", hi) if spec.support_hi is not None else (
+        ("support_lo", lo) if spec.support_lo is not None else ("bandwidth", h))
     spec = replace(spec, support_lo=lo, support_hi=hi)  # checks lo < hi
     density = allocate(spec.bins, "bins", spec.bins, "the distribution")  # before the bins' edges
     edges = np.linspace(spec.support_lo, spec.support_hi, spec.bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
+    if not (centers[1:] > centers[:-1]).all():
+        raise ArgumentError(flag, f"{value!r}: the support [{lo!r}, {hi!r}] is too narrow for "
+                                  f"{spec.bins} distinct bin centres")
     rows = max(1, _KDE_BLOCK_VALUES // runs.size)
     for start in range(0, spec.bins, rows):
         z = (centers[start:start + rows, None] - runs.sorted_values) / h

@@ -10,7 +10,7 @@ in order on the calling thread.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -157,13 +157,14 @@ def _check_battery_args(B: int, n_max: int, kind: EstimatorKind, count: int, cou
     require_count(count, count_name)
 
 
-def _run_ordered(worker, items: list[range], progress: ProgressFn | None, label: str) -> None:
+def _run_ordered(worker, items: Iterable[range], total: int, progress: ProgressFn | None,
+                 label: str) -> None:
     """Call worker on each range of samples in order, on the calling thread,
-    with one progress line per range saying how many samples are done."""
+    with one progress line per range saying how many of ``total`` are done."""
     for item in items:
         worker(item)
         if progress is not None:
-            progress(f"{label}: {item.stop}/{items[-1].stop} samples")
+            progress(f"{label}: {item.stop}/{total} samples")
 
 
 def _per_sample(dist: DiscreteDistribution, B: int, count: int, rng: RngStream, key: int, evaluate,
@@ -175,10 +176,10 @@ def _per_sample(dist: DiscreteDistribution, B: int, count: int, rng: RngStream, 
     draws all its rows in one :func:`draw_rows` call, which loads no numpy
     generator."""
     per_chunk = max(1, _SAMPLE_CHUNK_VALUES // B)
-    chunks = [range(start, min(start + per_chunk, count)) for start in range(0, count, per_chunk)]
+    chunks = (range(start, min(start + per_chunk, count)) for start in range(0, count, per_chunk))
     keyed = rng.child(key)
     _run_ordered(lambda c: evaluate(draw_rows(dist, B, keyed.children(c.start, c.stop)), c.start),
-                 chunks, progress, label)
+                 chunks, count, progress, label)
 
 
 def _tally(row_type, counts: np.ndarray, samples: int) -> tuple:

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
-from xml.etree import ElementTree as ET
 
 import numpy as np
 
@@ -415,6 +414,8 @@ def emit_plot(envelope: ReportEnvelope, path) -> None:
     The sidecar is the report's own CSV, the text ``--format csv`` writes
     (:func:`report_csv_text`); it lands next to the SVG with a ``.csv`` suffix.
     """
+    from xml.etree import ElementTree as ET  # only a chart needs it: about 0.5 MiB
+
     chart = _codec(envelope.payload_kind).chart
     if chart is None:
         raise ValueError(f"payload kind {envelope.payload_kind!r} has no chart form")

@@ -847,6 +847,7 @@ BAD_FLAGS = [
     (["fit", "--runs", "RUNS", "--bandwidth", "nan"], "--bandwidth"),
     (["fit", "--runs", "RUNS", "--support-lo", "5"], "--support-lo"),
     (["fit", "--runs", "RUNS", "--preset", "mlp", "--support-lo", "0.9"], "--support-lo"),
+    (["fit", "--runs", "RUNS", "--support-lo", "0", "--support-hi", "1e-320"], "--support-hi"),
     (["probe", "--dist", "DIST", "--threads", "0"], "--threads"),
     (["coverage", "--dist", "DIST", "--threads", "0"], "--threads"),
     (["curves-sim", "--dist", "DIST", "--threads", "0"], "--threads"),

@@ -473,6 +473,27 @@ def test_batteries_run_on_the_calling_thread(ten, coin, monkeypatch):
     assert seen == {name: {threading.get_ident()} for name in kernels}
 
 
+class FirstDraw(Exception):
+    pass
+
+
+@pytest.mark.parametrize("battery", ["probe", "coverage"])
+def test_a_huge_sample_count_reaches_the_first_draw_without_listing_its_chunks(ten, battery,
+                                                                               monkeypatch):
+    # 10^12 samples of B = 10 make about 1.5e8 chunks; listing them before the
+    # first draw took gigabytes and died with MemoryError.
+    def first_draw(*args):
+        raise FirstDraw
+
+    monkeypatch.setattr(experiments, "draw_rows", first_draw)
+    kind = EstimatorKind.MEANMAX_V
+    boot = BootstrapConfig(RngStream(5, 1), resamples=16, confidence=0.9)
+    run = {"probe": lambda: probe(ten, 10, 5, 10**12, kind, RngStream(5)),
+           "coverage": lambda: coverage(ten, 10, 5, 10**12, boot, kind, RngStream(5))}[battery]
+    with pytest.raises(FirstDraw):
+        run()
+
+
 # ---------------------------------------------------------------------------
 # failure_scan
 # ---------------------------------------------------------------------------

@@ -39,7 +39,15 @@ CASES = {
                          "--M", "30", "--resamples", "200"],
     "coverage-prefix": ["coverage", "--dist", "probe_skewed.json", "--B", "20", "--n-max", "8",
                         "--M", "30", "--resamples", "200", "--estimator", "meanmax-prefix"],
+    "failure-scan": ["failure-scan", "--report", "curves.json"],
+    "ks-bound": ["ks-bound", "--runs", "runs.csv", "--cdf-at-max", "0.9", "--n-max", "12"],
 }
+
+# failure-scan reads this committed curves report, not a fresh curves-sim run,
+# whose exact true curves move in their last bits with numpy's SIMD dispatch.
+# It was written by ``bestofn curves-sim --dist steady=crossing_steady.json
+# --dist volatile=crossing_volatile.json --B 10 --samples 100`` (three inversions).
+CURVES_INPUT = GOLDEN / "curves-input.json"
 
 
 def run_case(name: str, directory: Path) -> str:
@@ -48,6 +56,7 @@ def run_case(name: str, directory: Path) -> str:
     directory during the call."""
     (directory / "runs.csv").write_text("score\n" + "\n".join(map(repr, SCORES)) + "\n")
     shutil.copyfile(fixture_path("probe-skewed"), directory / "probe_skewed.json")
+    shutil.copyfile(CURVES_INPUT, directory / "curves.json")
     assert main([*CASES[name], "-o", "report.json"]) == 0
     report = json.loads((directory / "report.json").read_text(encoding="utf-8"))
     del report["created"], report["provenance"]["python"], report["provenance"]["numpy"]
@@ -96,7 +105,6 @@ if __name__ == "__main__":
     import os
     import tempfile
 
-    GOLDEN.mkdir(exist_ok=True)
     here = os.getcwd()
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as scratch:

@@ -1,0 +1,119 @@
+"""Tests for the package namespace and the command's entry point.
+
+``import bestofn`` is lazy: it loads nothing until a name is used, and each
+public name is the object its submodule defines. The entry point
+(``bestofn.__main__.main``, behind the ``bestofn`` script and ``python -m
+bestofn``) asks OpenBLAS for one thread unless the caller chose a count;
+library imports never touch the environment. The import and entry-point
+checks run in fresh interpreters, since this one has loaded everything.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bestofn
+
+SRC = str(Path(bestofn.__file__).resolve().parents[1])
+
+# The public names as the package listed them when it imported every submodule eagerly.
+PUBLIC_NAMES = [
+    "ArgumentError", "BootstrapConfig", "BudgetTooLargeError", "BudgetTooSmallError",
+    "CoverageReport", "CurvePoint", "CurveReport", "CurveSet", "DiscreteDistribution",
+    "EmptySampleError", "EstimatorKind", "ExpectedMaxCurve", "Interval", "Inversion",
+    "KDE_PRESETS", "KdeSpec", "ProbeReport", "ReportEnvelope", "RngStream", "RunsFileError",
+    "ScoreSample", "clopper_pearson", "coverage", "curves", "draw_sample", "ecdf_pow",
+    "emit_plot", "estimate", "exact_expected_max", "expected_max_curve", "failure_scan",
+    "fit_kde", "ks_distance", "ks_lower_bound", "load_distribution", "make_envelope",
+    "mc_expected_max", "meanmax_prefix", "meanmax_v", "percentile_bootstrap_ci",
+    "percentile_bootstrap_curve", "probe", "read_report", "read_runs", "save_distribution",
+    "scott_bandwidth", "true_curve", "unbiased_u", "write_report", "write_runs", "__version__",
+]
+SUBMODULES = ("distributions", "estimators", "experiments", "io_formats", "resampling")
+
+
+def child_env(**overrides):
+    """Environment of a child interpreter that imports the bestofn under test,
+    without ``OPENBLAS_NUM_THREADS`` unless an override sets it."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = SRC + (os.pathsep + path if path else "")
+    return {**env, **overrides}
+
+
+def run_child(code, *args, **env):
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                            env=child_env(**env))
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_public_names_are_their_submodules_objects():
+    assert bestofn.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES[:-1]:
+        module = importlib.import_module(f"bestofn.{bestofn._SOURCE[name]}")
+        assert getattr(bestofn, name) is getattr(module, name)
+    assert sorted(bestofn._EXPORTS) == list(SUBMODULES)
+    for module in SUBMODULES:
+        assert getattr(bestofn, module) is importlib.import_module(f"bestofn.{module}")
+    assert bestofn.__version__ == "0.1.0"
+    assert set(PUBLIC_NAMES) <= set(dir(bestofn))
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        bestofn.no_such_name  # noqa: B018
+    assert not hasattr(bestofn, "cumweights")  # in a submodule, but not public
+
+
+IMPORT_SCRIPT = """
+import json, os, sys
+environ = dict(os.environ)
+import bestofn
+package = sorted(m for m in sys.modules if m == "numpy" or m.startswith("bestofn."))
+from bestofn import estimate
+named = sorted(m for m in sys.modules if m.startswith("bestofn."))
+import bestofn.cli
+print(json.dumps([package, named, "xml.etree" in sys.modules, dict(os.environ) == environ]))
+"""
+
+
+def test_imports_load_only_what_is_used_and_leave_the_environment_alone():
+    package, named, xml_loaded, environ_kept = run_child(IMPORT_SCRIPT)
+    assert package == []  # neither numpy nor any submodule
+    assert "bestofn.estimators" in named and "bestofn.experiments" not in named
+    assert not xml_loaded  # only an SVG chart needs xml.etree
+    assert environ_kept
+
+
+# Runs a command the way ``python -m bestofn`` does, with nothing loaded first,
+# then reports the BLAS setting the process ran with and its thread count.
+ENTRY_SCRIPT = """
+import json, os, runpy, sys
+runs, out = sys.argv[1:]
+sys.argv = ["bestofn", "ks-bound", "--runs", runs, "--cdf-at-max", "0.9", "-o", out]
+try:
+    runpy.run_module("bestofn", run_name="__main__")
+except SystemExit as stop:
+    code = stop.code
+threads = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+@pytest.mark.parametrize("caller", [None, "2"])
+def test_entry_point_runs_numpy_with_one_blas_thread_unless_the_caller_chose(tmp_path, caller):
+    runs, out = tmp_path / "runs.csv", tmp_path / "ks.json"
+    runs.write_text("score\n0.1\n0.5\n0.9\n")
+    env = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
+    code, setting, threads = run_child(ENTRY_SCRIPT, str(runs), str(out), **env)
+    assert code == 0
+    assert json.loads(out.read_text())["payload"]["rows"]
+    assert setting == (caller or "1")
+    if caller is None and threads is not None:
+        assert threads == 1  # no OpenBLAS worker next to the main thread
