@@ -68,6 +68,7 @@ from .estimators import (
     EstimatorKind,
     KsBoundReport,
     KsBoundRow,
+    allocate,
     budget_is_bounded,
     expected_max_curve,
     ks_lower_bound,
@@ -323,6 +324,7 @@ def cmd_failure_scan(args) -> int:
 def cmd_ks_bound(args) -> int:
     sample = read_runs(args.runs)
     require_budget(args.n_max, sample.size, bounded=False, name="n_max")
+    allocate(args.n_max, "n_max", args.n_max, "the table of bounds")  # before any row is built
     rows = tuple(
         KsBoundRow(n=n, bound=ks_lower_bound(sample, args.cdf_at_max, n))
         for n in range(1, args.n_max + 1)

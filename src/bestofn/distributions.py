@@ -273,7 +273,10 @@ def true_curve(dist: DiscreteDistribution, n_max: int) -> np.ndarray:
     """Exact expected maxima for budgets 1..n_max, each equal bit for bit to
     :func:`exact_expected_max` at its budget, so it does not depend on n_max."""
     require_budget(n_max, dist.size, bounded=False, name="n_max")
-    return np.array([exact_expected_max(dist, n) for n in range(1, n_max + 1)])
+    curve = allocate(n_max, "n_max", n_max, "the true curve")  # before any budget is walked
+    for n in range(1, n_max + 1):
+        curve[n - 1] = exact_expected_max(dist, n)
+    return curve
 
 
 _MC_CHUNK_VALUES = 1 << 20

@@ -152,9 +152,12 @@ class FailureScanReport:
 
 
 def _check_battery_args(B: int, n_max: int, kind: EstimatorKind, count: int, count_name: str) -> None:
+    """Check a battery's sizes, and refuse a B that no sample could hold in memory
+    before the truth is computed or anything is drawn."""
     require_count(B, "B")
     require_budget(n_max, B, budget_is_bounded(kind), "n_max")
     require_count(count, count_name)
+    allocate(B, "B", B, "a sample")
 
 
 def _run_ordered(worker, items: Iterable[range], total: int, progress: ProgressFn | None,

@@ -851,6 +851,14 @@ BAD_FLAGS = [
     (["probe", "--dist", "DIST", "--threads", "0"], "--threads"),
     (["coverage", "--dist", "DIST", "--threads", "0"], "--threads"),
     (["curves-sim", "--dist", "DIST", "--threads", "0"], "--threads"),
+    # Sizes no array can hold: numpy refuses each shape before touching memory,
+    # and the command exits before any per-budget work or draw.
+    (["curves-sim", "--dist", "DIST", "--B", str(10**12), "--samples", "1"], "--B"),
+    (["ks-bound", "--runs", "RUNS", "--cdf-at-max", "0.5", "--n-max", str(10**12)], "--n-max"),
+    (["probe", "--dist", "DIST", "--B", str(10**12), "--n-max", "50", "--samples", "1"], "--B"),
+    (["probe", "--dist", "DIST", "--B", str(10**12)], "--B"),
+    (["probe", "--dist", "DIST", "--n-max", str(10**12)], "--n-max"),
+    (["coverage", "--dist", "DIST", "--B", str(10**12), "--resamples", "10", "--M", "1"], "--B"),
 ]
 
 

@@ -3,14 +3,17 @@
 ``import bestofn`` is lazy: it loads nothing until a name is used, and each
 public name is the object its submodule defines. The entry point
 (``bestofn.__main__.main``, behind the ``bestofn`` script and ``python -m
-bestofn``) asks OpenBLAS for one thread unless the caller chose a count;
-library imports never touch the environment. The import and entry-point
-checks run in fresh interpreters, since this one has loaded everything.
+bestofn``) asks OpenBLAS for one thread unless the caller chose a count, and
+keeps the garbage collector off the objects alive after the import and after
+the command; library imports never touch the environment or the collector.
+The import and entry-point checks run in fresh interpreters, since this one
+has loaded everything.
 """
 
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import bestofn
+from bestofn.fixtures import fixture_path
 
 SRC = str(Path(bestofn.__file__).resolve().parents[1])
 
@@ -72,23 +76,27 @@ def test_an_unknown_name_is_an_attribute_error_naming_it():
 
 
 IMPORT_SCRIPT = """
-import json, os, sys
+import gc, json, os, sys
 environ = dict(os.environ)
 import bestofn
 package = sorted(m for m in sys.modules if m == "numpy" or m.startswith("bestofn."))
+collector = [[gc.isenabled(), gc.get_freeze_count()]]
 from bestofn import estimate
 named = sorted(m for m in sys.modules if m.startswith("bestofn."))
 import bestofn.cli
-print(json.dumps([package, named, "xml.etree" in sys.modules, dict(os.environ) == environ]))
+collector.append([gc.isenabled(), gc.get_freeze_count()])
+print(json.dumps([package, named, "xml.etree" in sys.modules, dict(os.environ) == environ,
+                  collector]))
 """
 
 
 def test_imports_load_only_what_is_used_and_leave_the_environment_alone():
-    package, named, xml_loaded, environ_kept = run_child(IMPORT_SCRIPT)
+    package, named, xml_loaded, environ_kept, collector = run_child(IMPORT_SCRIPT)
     assert package == []  # neither numpy nor any submodule
     assert "bestofn.estimators" in named and "bestofn.experiments" not in named
     assert not xml_loaded  # only an SVG chart needs xml.etree
     assert environ_kept
+    assert collector == [[True, 0], [True, 0]]  # after bestofn, then after bestofn.cli
 
 
 # Runs a command the way ``python -m bestofn`` does, with nothing loaded first,
@@ -117,3 +125,55 @@ def test_entry_point_runs_numpy_with_one_blas_thread_unless_the_caller_chose(tmp
     assert setting == (caller or "1")
     if caller is None and threads is not None:
         assert threads == 1  # no OpenBLAS worker next to the main thread
+
+
+# Runs a command through the entry point, as ENTRY_SCRIPT does, after the caller
+# left the collector on or switched it off, then reports the collector's state.
+GC_SCRIPT = """
+import gc, json, runpy, sys
+if sys.argv[1] == "off":
+    gc.disable()
+sys.argv = ["bestofn", *sys.argv[2:]]
+try:
+    runpy.run_module("bestofn", run_name="__main__")
+except SystemExit as stop:
+    code = stop.code
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+
+@pytest.mark.parametrize("caller", ["on", "off"])
+def test_entry_point_freezes_the_heap_and_keeps_the_callers_collector_setting(tmp_path, caller):
+    runs, out = tmp_path / "runs.csv", tmp_path / "ks.json"
+    runs.write_text("score\n0.1\n0.5\n0.9\n")
+    code, enabled, frozen = run_child(GC_SCRIPT, caller, "ks-bound", "--runs", str(runs),
+                                      "--cdf-at-max", "0.9", "-o", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["payload"]["rows"]
+    assert enabled == (caller == "on")
+    assert frozen > 0  # the import's objects and the command's survivors
+
+
+CLI_SCRIPT = "import sys; from bestofn.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("args", [
+    ["probe", "--dist", str(fixture_path("probe-skewed")), "--B", "20", "--n-max", "10",
+     "--samples", "200"],
+    ["curves-sim", "--dist", f"steady={fixture_path('crossing-steady')}",
+     "--dist", f"volatile={fixture_path('crossing-volatile')}", "--B", "25", "--samples", "200"],
+], ids=["probe", "curves-sim"])
+def test_entry_point_reports_equal_the_cli_functions_byte_for_byte(tmp_path, args):
+    # The entry point changes how the process runs (one BLAS thread, a frozen
+    # heap), never what it computes: its report equals that of bestofn.cli.main
+    # called with the default collector and BLAS threads, ``created`` aside.
+    reports = []
+    for how, launch in (("entry", ["-m", "bestofn"]), ("cli", ["-c", CLI_SCRIPT])):
+        out = tmp_path / f"{how}.json"
+        result = subprocess.run([sys.executable, *launch, *args, "-o", str(out)],
+                                capture_output=True, text=True, env=child_env())
+        assert result.returncode == 0, result.stderr
+        text, stamps = re.subn(rb'"created":"[^"]*"', b'"created":""', out.read_bytes())
+        assert stamps == 1
+        reports.append(text)
+    assert reports[0] == reports[1]
