@@ -184,7 +184,8 @@ def _add_report_flags(p: argparse.ArgumentParser, svg: bool = True) -> None:
 
 def _add_seed_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"root seed for all randomness (default: {DEFAULT_SEED})")
+                   help="root seed for all randomness, taken mod 2^64: seeds 2^64 apart draw "
+                        f"the same values, and the report echoes the seed as given (default: {DEFAULT_SEED})")
 
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:

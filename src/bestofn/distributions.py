@@ -50,7 +50,9 @@ class RngStream:
     (``stream' = splitmix64(stream XOR splitmix64(index))``, applied left to
     right), so any worker can rebuild its stream from (seed, path) alone.
     :meth:`children` derives the Philox keys of a run of consecutive last
-    indices in one vectorized pass.
+    indices in one vectorized pass. Seeds and indices are taken mod 2**64, so
+    seeds 2**64 apart (1 and 2**64 + 1, or -1 and 2**64 - 1) draw identical
+    values; ``seed`` keeps the value as given, and reports echo it.
     """
 
     seed: int

@@ -296,6 +296,10 @@ def curves(
     if not dists:
         raise ValueError("at least one distribution is required")
     _check_battery_args(B, B, kind, num_samples, "samples")
+    # The report holds the B budgets and, per model, three curves as Python
+    # numbers, about 40 bytes a value with its tuple slot: reserve as much
+    # before anything is built or drawn.
+    allocate((1 + 3 * len(dists), B, 5), "B", B, "the report")
     budgets = tuple(range(1, B + 1))
 
     def run_model(m: int, name: str) -> ModelCurves:

@@ -411,6 +411,18 @@ def test_probe_payload_is_deterministic(tmp_path, coin_dist):
     assert a == b
 
 
+def test_seeds_2_to_the_64_apart_draw_the_same_rows(tmp_path, coin_dist):
+    # Seeds are taken mod 2^64 (documented, not refused); the report echoes the seed as given.
+    payloads = {}
+    for seed in (1, 2**64 + 1, 2):
+        out = tmp_path / f"{seed}.json"
+        assert main(["probe", "--dist", coin_dist, "--B", "12", "--n-max", "4", "--samples", "60",
+                     "--seed", str(seed), "-o", str(out)]) == 0
+        payloads[seed] = load_payload(out)
+    assert payloads[2**64 + 1]["rows"] == payloads[1]["rows"] != payloads[2]["rows"]
+    assert [payloads[seed]["seed"] for seed in (1, 2**64 + 1)] == [1, 2**64 + 1]
+
+
 def test_probe_thread_flag_never_changes_payload(tmp_path, coin_dist):
     base = ["probe", "--dist", coin_dist, "--B", "10", "--n-max", "5",
             "--samples", "50"]
@@ -605,6 +617,30 @@ def test_curves_sim_samples_too_many_to_hold_are_usage_errors(samples, refused, 
                  "--B", "25", "--samples", str(samples)]) == 2
     assert capsys.readouterr().err.endswith(
         f"bestofn: error: --samples {samples}: the matrix of sample curves does not fit in memory\n")
+
+
+# Runs the entry point under a 2 GiB address-space cap.
+CAPPED_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
+from bestofn.__main__ import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_curves_sim_b_whose_report_cannot_be_held_is_usage_error(crossing_pair):
+    # One sample of 10^8 values fits under the cap; the report's curves, 10^8
+    # Python numbers each, do not. The command names --B before it builds a
+    # curve or draws a sample, so the child never fills a large block.
+    steady, volatile = crossing_pair
+    result = subprocess.run(
+        [sys.executable, "-c", CAPPED_SCRIPT, "curves-sim", "--dist", f"steady={steady}",
+         "--dist", f"volatile={volatile}", "--B", str(10**8), "--samples", "1"],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == (
+        "bestofn: error: --B 100000000: the report does not fit in memory\n")
 
 
 def test_curves_sim_duplicate_name_is_usage_error(crossing_pair, capsys):
@@ -940,7 +976,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert stats_loaded == "False"
     # Importing the CLI loads no scipy module.
     assert scipy_modules == "[]"
-    # The fixture recipes import scipy.special's normal quantile only when they run.
+    # Nor does importing the fixtures module: the recipes that use scipy live under tests/.
     assert fixtures_load_stats == "False"
 
 

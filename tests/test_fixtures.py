@@ -1,8 +1,8 @@
 """Tests for the shipped fixture distributions.
 
-The shipped JSON files and the synthetic-run recipes that generated them
-must never drift apart: the simulation tests and their pinned margins
-depend on these exact distributions.
+The simulation tests and their pinned margins depend on these exact
+distributions; ``test_fixture_recipes.py`` checks them against the recipes
+that built them.
 """
 
 import json
@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 import bestofn
-from bestofn import exact_expected_max
+from bestofn import exact_expected_max, fixtures
 from bestofn.fixtures import (
     CROSSING_STEADY,
     CROSSING_VOLATILE,
     FIXTURE_NAMES,
     PROBE_SKEWED,
-    build_fixture,
     fixture_path,
     load_fixture,
     write_fixture_files,
@@ -36,10 +35,10 @@ def test_names_cover_all_files():
     assert set(FIXTURE_NAMES) == {PROBE_SKEWED, CROSSING_STEADY, CROSSING_VOLATILE}
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_shipped_json_matches_recipe(name):
-    shipped = fixture_path(name).read_text(encoding="utf-8")
-    assert canonical_text(build_fixture(name)) == shipped
+def test_module_only_finds_loads_and_copies_the_shipped_files():
+    defined = {name for name, obj in vars(fixtures).items()
+               if getattr(obj, "__module__", None) == fixtures.__name__}
+    assert defined == {"fixture_path", "load_fixture", "write_fixture_files"}
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -50,23 +49,29 @@ def test_load_fixture_round_trips(name):
     assert np.all(np.diff(dist.support) > 0)
 
 
-def test_loading_a_fixture_loads_no_scipy():
-    # Only the recipes need scipy.special's normal quantile, and they import it when they run.
+def test_loading_a_fixture_loads_no_scipy(tmp_path):
+    # scipy is blocked outright, so any import of it fails the child. Finding,
+    # loading and copying the shipped files needs none of it; only the recipes
+    # under tests/ use scipy.special's normal quantile.
     code = (
-        "import sys; from bestofn.fixtures import FIXTURE_NAMES, fixture_path, load_fixture; "
+        "import sys; sys.modules['scipy'] = None; "
+        "from bestofn.fixtures import FIXTURE_NAMES, fixture_path, load_fixture, write_fixture_files; "
         "[(fixture_path(name), load_fixture(name)) for name in FIXTURE_NAMES]; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print([path.name for path in write_fixture_files(sys.argv[1])])"
     )
     src = str(Path(bestofn.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+                            env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == repr([fixture_path(name).name for name in FIXTURE_NAMES])
+    for name in FIXTURE_NAMES:
+        assert (tmp_path / fixture_path(name).name).read_bytes() == fixture_path(name).read_bytes()
 
 
 def test_unknown_name_rejected():
-    for fn in (load_fixture, fixture_path, build_fixture):
+    for fn in (load_fixture, fixture_path):
         with pytest.raises(KeyError, match="probe-skewed"):
             fn("probe_skewed")
 
@@ -77,8 +82,7 @@ def test_write_fixture_files_creates_directory(tmp_path):
     assert sorted(p.parent for p in written) == [target] * len(FIXTURE_NAMES)
     by_stem = {p.stem.replace("_", "-"): p for p in written}
     for name in FIXTURE_NAMES:
-        assert by_stem[name].read_text(encoding="utf-8") == \
-            fixture_path(name).read_text(encoding="utf-8")
+        assert by_stem[name].read_bytes() == fixture_path(name).read_bytes()
 
 
 def test_crossing_pair_true_curves_cross():

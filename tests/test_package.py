@@ -1,15 +1,16 @@
 """Tests for the package namespace and the command's entry point.
 
-``import bestofn`` is lazy: it loads nothing until a name is used, and each
-public name is the object its submodule defines. The entry point
-(``bestofn.__main__.main``, behind the ``bestofn`` script and ``python -m
-bestofn``) asks OpenBLAS for one thread unless the caller chose a count, and
-keeps the garbage collector off the objects alive after the import and after
-the command; library imports never touch the environment or the collector.
-The import and entry-point checks run in fresh interpreters, since this one
-has loaded everything.
+No module of the package imports scipy. ``import bestofn`` is lazy: it loads
+nothing until a name is used, and each public name is the object its
+submodule defines. The entry point (``bestofn.__main__.main``, behind the
+``bestofn`` script and ``python -m bestofn``) asks OpenBLAS for one thread
+unless the caller chose a count, and keeps the garbage collector off the
+objects alive after the import and after the command; library imports never
+touch the environment or the collector. The import and entry-point checks run
+in fresh interpreters, since this one has loaded everything.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -73,6 +74,22 @@ def test_an_unknown_name_is_an_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         bestofn.no_such_name  # noqa: B018
     assert not hasattr(bestofn, "cumweights")  # in a submodule, but not public
+
+
+def test_no_module_imports_scipy():
+    # numpy is the package's only dependency: no module imports scipy, at
+    # module level or inside a function.
+    modules = sorted(Path(SRC, "bestofn").rglob("*.py"))
+    assert len(modules) > len(SUBMODULES)
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), f"{path.name}:{node.lineno}"
 
 
 IMPORT_SCRIPT = """
