@@ -2,7 +2,7 @@
 
 A discretized Gaussian KDE fitted to real run scores serves as the simulation
 ground truth: it has an exact CDF, an exactly computable expected maximum for
-every budget, and supports reproducible sampling through seeded streams.
+every budget (the curve walker run on its CDF), and reproducible seeded sampling.
 """
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import ArgumentError, ScoreSample, allocate, require_budget, require_count
+from .estimators import (ArgumentError, EstimatorKind, ScoreSample, allocate, curve_blocks,
+                         require_budget, require_count)
 
 _MASK64 = (1 << 64) - 1
 
@@ -263,21 +264,24 @@ def fit_kde(runs: ScoreSample, spec: KdeSpec) -> DiscreteDistribution:
 
 
 def exact_expected_max(dist: DiscreteDistribution, n: int) -> float:
-    """Exact expected maximum of n i.i.d. draws: sum of v_j * (F(v_j)^n - F(v_{j-1})^n),
-    numpy's pairwise sum and not BLAS, so its bits do not depend on the thread count."""
-    require_budget(n, dist.size, bounded=False)
-    powered = dist.cumulative**n
-    pmf_of_max = np.diff(powered, prepend=0.0)
-    return float((dist.support * pmf_of_max).sum())
+    """Exact expected maximum of n i.i.d. draws: :func:`true_curve`'s walk to budget n, its last
+    value bit for bit. It costs O(n) budget steps and holds the n values."""
+    return float(_walk_truth(dist, n, "n")[-1])
 
 
 def true_curve(dist: DiscreteDistribution, n_max: int) -> np.ndarray:
-    """Exact expected maxima for budgets 1..n_max, each equal bit for bit to
-    :func:`exact_expected_max` at its budget, so it does not depend on n_max."""
-    require_budget(n_max, dist.size, bounded=False, name="n_max")
-    curve = allocate(n_max, "n_max", n_max, "the true curve")  # before any budget is walked
-    for n in range(1, n_max + 1):
-        curve[n - 1] = exact_expected_max(dist, n)
+    """Exact expected maxima v_K - sum_j F(v_j)^n (v_(j+1) - v_j) for budgets 1..n_max: the
+    plug-in curve walk (:func:`~bestofn.estimators.score_blocks`) over the support's gaps, with
+    the CDF F in place of j/B and the walk's cut below 2^-64. No value depends on n_max."""
+    return _walk_truth(dist, n_max, "n_max")
+
+
+def _walk_truth(dist: DiscreteDistribution, n_max: int, name: str) -> np.ndarray:
+    require_budget(n_max, dist.size, bounded=False, name=name)
+    curve = allocate(n_max, name, n_max, "the true curve")  # before any budget is walked
+    walk = curve_blocks(dist.support, EstimatorKind.MEANMAX_V, n_max, dist.cumulative[:-1])
+    for start, values in walk:
+        curve[start : start + values.size] = values
     return curve
 
 

@@ -370,13 +370,13 @@ def _tail_sum(products: np.ndarray) -> np.ndarray:
     return total
 
 
-def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
+def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int, cdf: np.ndarray | None = None):
     """Yield ``(start, values)``: estimates of score rows at budgets start+1..start+k, shape
     (..., k), for consecutive blocks covering 1..n_max. Callers check n_max.
 
     The rows are copied into one (height, B) matrix, sorted into gaps a chunk of rows at a
     time (:func:`sort_gaps`) unless the estimator is the prefix one, and walked budget by
-    budget (:func:`score_blocks`).
+    budget (:func:`score_blocks`, whose plug-in ratio row is ``cdf``).
     """
     size = draws.shape[-1]
     rows = draws.reshape(-1, size).copy()
@@ -384,7 +384,7 @@ def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int):
         step = max(1, _BLOCK_VALUES // size)
         for r in range(0, len(rows), step):
             sort_gaps(rows[r : r + step])
-    for start, values in score_blocks(rows, kind, n_max):
+    for start, values in score_blocks(rows, kind, n_max, cdf):
         yield start, values.reshape(draws.shape[:-1] + values.shape[-1:])
 
 
@@ -396,21 +396,21 @@ def sort_gaps(rows: np.ndarray) -> None:
     np.subtract(rows[:, 1:], rows[:, :-1], out=rows[:, :-1])
 
 
-def score_blocks(rows: np.ndarray, kind: EstimatorKind, n_max: int):
+def score_blocks(rows: np.ndarray, kind: EstimatorKind, n_max: int, cdf: np.ndarray | None = None):
     """:func:`curve_blocks` over a (height, B) score matrix: yield ``(start, values)`` of shape
     (height, k). The prefix estimator's rows are in draw order, and it yields :func:`estimate_rows`
     one budget at a time. The others read the views ``rows[:, :-1]`` and ``rows[:, -1:]`` of
     :func:`sort_gaps` as their gaps and maxima.
 
     The budgets are walked by exact ratios: row n of partial weight sums is row
-    n-1 times c_j(n)/c_j(n-1), j/B for the plug-in estimator and
-    (j-n+1)/(B-n+1) for the unbiased one. Both start from the shared row j/B
-    at n = 1, every unbiased ratio is at most the plug-in one, and no ratio
-    exceeds 1.
+    n-1 times c_j(n)/c_j(n-1). The plug-in ratio row is ``cdf``, a CDF at each gap's
+    lower end: j/B for a sample, or a distribution's CDF over its support, whose walk
+    is its exact expected maximum. The unbiased ratio (j-n+1)/(B-n+1) is j/B at n = 1
+    and never exceeds it, and no ratio exceeds 1.
 
     Budget n sums only a tail window of the gaps. They are cut into blocks
     of _TAIL_VALUES from the top gap j = B-1 down, and a block stays live
-    while the plug-in weight of its top gap, (j/B)^n, is at least 2^-64. No
+    while the plug-in weight of its top gap, its ``cdf``^n, is at least 2^-64. No
     weight in a dead block reaches 2^-64, so the cut moves an estimate by less
     than 2^-64 times the sample's range. Each live block is summed pairwise
     and the block sums one after another from the top down; both kinds sum
@@ -435,8 +435,11 @@ def score_blocks(rows: np.ndarray, kind: EstimatorKind, n_max: int):
         yield from ((n - 1, estimate_rows(rows, kind, n)[:, None]) for n in range(1, n_max + 1))
         return
     height, size = rows.shape
-    # Block b (top gap t = B-1-b*L) is live at budget n while (t/B)^n >= 2^-64.
-    reach = 64.0 / np.log2(size / np.arange(size - 1, 0, -_TAIL_VALUES))
+    cdf = np.arange(1, size, dtype=float) / size if cdf is None else cdf
+    # Block b (top gap t = B-1-b*L) is live at n while cdf[t]^n >= 2^-64. log2(1/F), since
+    # -log2(1.0) is -0.0: a CDF of 1 must reach +inf, not -inf. A CDF of 0 reaches 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        reach = 64.0 / np.log2(1.0 / cdf[::-_TAIL_VALUES])
     last = np.ones(size - 1)
     start = 0
     while start < n_max:
@@ -444,20 +447,18 @@ def score_blocks(rows: np.ndarray, kind: EstimatorKind, n_max: int):
         width = min(size - 1, live * _TAIL_VALUES)
         stop = min(n_max, start + max(1, _BLOCK_VALUES // max(1, height, width)))
         if live:
-            stop = min(stop, int(reach[live - 1]))  # no block dies inside this block of budgets
+            stop = int(min(stop, reach[live - 1]))  # no block dies inside this block of budgets
         values = rows[:, -1:].repeat(stop - start, axis=1)
         if width:
-            jw = np.arange(size - width, size, dtype=float)  # the window's gap indices j
             if kind is EstimatorKind.UNBIASED_U:
                 m = np.arange(start, stop, dtype=float)[:, None]  # n - 1 for budgets n
-                block = jw - m
+                block = np.arange(size - width, size, dtype=float) - m  # the window's j - (n - 1)
                 np.maximum(block, 0.0, out=block)
                 block /= size - m
                 ratios = block  # each row is multiplied in place
             else:
                 block = np.empty((stop - start, width))
-                jw /= size  # the plug-in ratio j/B, the same for every budget
-                ratios = itertools.repeat(jw)
+                ratios = itertools.repeat(cdf[size - 1 - width :])  # the same for every budget
             row = last[last.size - width :]
             for out, ratio in zip(block, ratios):
                 row = np.multiply(row, ratio, out)

@@ -1,17 +1,20 @@
 """Tests for ground-truth distributions, KDE fitting, and sampling.
 
-``exact_expected_max`` is checked against two independent oracles: a direct
-enumeration over all |support|**n outcomes for tiny cases, and a
-max-convolution dynamic program (distribution of the running maximum, updated
-one draw at a time) for larger ones. Neither oracle touches the F**n
-
-difference formula the library uses.
+``exact_expected_max`` and ``true_curve`` are one walk: the plug-in curve
+walker's gap sum v_K - sum_j F_j^n (v_(j+1) - v_j), with the CDF F in place of
+j/B. It is checked against two independent oracles: a direct enumeration over
+all |support|**n outcomes for tiny cases, and a max-convolution dynamic
+program (distribution of the running maximum, updated one draw at a time) for
+larger ones. Neither oracle touches the walk. Wide supports, where the walk
+cuts tail blocks and meets CDF values of exactly 0 and 1, are checked against
+the pmf-difference form sum_j v_j (F_j^n - F_(j-1)^n) summed by ``math.fsum``.
 """
 
 import itertools
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +37,7 @@ from bestofn import (
     scott_bandwidth,
     true_curve,
 )
-from bestofn import distributions
+from bestofn import distributions, estimators
 from bestofn.distributions import RNG_LAYOUT_ID, draw_rows, uniform_rows
 from bestofn.fixtures import FIXTURE_NAMES, load_fixture
 
@@ -206,8 +209,9 @@ def test_true_curve_matches_pointwise(uniform_123):
 
 @pytest.mark.parametrize("name", ["lattice", *FIXTURE_NAMES])
 def test_true_curve_is_exact_expected_max_bit_for_bit(name):
-    # A matrix-vector product over all budgets rounds its rows in groups, which
-    # would make truth[n - 1] depend on n_max; each budget needs the one formula.
+    # exact_expected_max is the walk stopped at budget n. Neither the walk's blocks
+    # of budgets, which n_max bounds, nor its tail cut may make truth[n - 1]
+    # depend on n_max.
     if name == "lattice":
         dist = DiscreteDistribution(np.arange(10) / 10, np.full(10, 0.1))
     else:
@@ -215,6 +219,63 @@ def test_true_curve_is_exact_expected_max_bit_for_bit(name):
     for n_max in (1, 2, 7, 25, 60):
         want = np.array([exact_expected_max(dist, n) for n in range(1, n_max + 1)])
         assert true_curve(dist, n_max).tobytes() == want.tobytes()
+
+
+def wide_kde_with_flat_tails():
+    """A 3000-point KDE fit whose CDF is exactly 0 on its first 204 points and
+    exactly 1.0 on 663 points below its last. Its 2999 gaps make three tail
+    blocks, topped by F = 1, about 0.917 and about 0.125: the top block never
+    dies, and the lower two die after budgets 509 and 21."""
+    runs = ScoreSample(np.concatenate([np.linspace(0.26, 0.30, 3), np.linspace(0.34, 0.64, 19),
+                                       [0.69, 0.74]]))
+    dist = fit_kde(runs, KdeSpec(bandwidth=0.005, support_lo=0.0, support_hi=1.0, bins=3000))
+    # The tests that use it are only as strong as this shape.
+    cdf = dist.cumulative
+    tops = cdf[-2::-1024]  # the CDF at each tail block's top gap
+    assert np.count_nonzero(cdf == 0.0) == 204 and np.count_nonzero(cdf[:-1] == 1.0) == 663
+    assert tops[0] == 1.0 and [math.floor(64 / -math.log2(f)) for f in tops[1:]] == [509, 21]
+    return dist
+
+
+def pmf_expected_max(dist, n):
+    """sum_j v_j (F_j^n - F_(j-1)^n), its products summed exactly."""
+    pmf_of_max = np.diff(dist.cumulative**n, prepend=0.0)
+    return math.fsum((dist.support * pmf_of_max).tolist())
+
+
+@pytest.mark.parametrize("name", ["wide", *FIXTURE_NAMES])
+def test_true_curve_is_the_pmf_difference_form(name):
+    # Budgets 1..600 straddle the deaths of the wide support's two lower tail
+    # blocks. A CDF of 1 read as a dead block would drop whole gaps from the sum.
+    dist = wide_kde_with_flat_tails() if name == "wide" else load_fixture(name)
+    truth = true_curve(dist, 600)
+    scale = np.ptp(dist.support)
+    for n in range(1, 601):
+        assert abs(truth[n - 1] - pmf_expected_max(dist, n)) <= 1e-13 * scale, n
+    for n in (1, 20, 21, 22, 509, 510, 600):
+        assert exact_expected_max(dist, n) == truth[n - 1]
+
+
+def test_a_tail_block_topped_by_a_subnormal_cdf_dies_silently():
+    # 1/F overflows for the smallest F; the block is dead from budget 1, with no warning.
+    mass = np.zeros(2000)
+    mass[974], mass[975:] = 5e-324, 1 / 1025
+    dist = DiscreteDistribution(np.arange(2000.0), mass)
+    assert 0.0 < dist.cumulative[974] < 1e-300  # the lower block's top gap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        truth = true_curve(dist, 30)
+    for n in (1, 2, 30):
+        assert abs(truth[n - 1] - pmf_expected_max(dist, n)) <= 1e-13 * 1999
+
+
+@pytest.mark.parametrize("name", ["wide", *FIXTURE_NAMES])
+def test_true_curve_does_not_depend_on_budget_blocks(name, monkeypatch):
+    dist = wide_kde_with_flat_tails() if name == "wide" else load_fixture(name)
+    default = true_curve(dist, 600)
+    for block_values in (1, 7, 4096):
+        monkeypatch.setattr(estimators, "_BLOCK_VALUES", block_values)
+        assert true_curve(dist, 600).tobytes() == default.tobytes()
 
 
 def test_budget_below_one_rejected(uniform_123):

@@ -785,8 +785,10 @@ def test_argument_checks_name_their_argument():
         RngStream,
         coverage,
         curves,
+        exact_expected_max,
         percentile_bootstrap_curve,
         probe,
+        true_curve,
     )
     from bestofn.estimators import require_budget
 
@@ -803,6 +805,9 @@ def test_argument_checks_name_their_argument():
         ("n_max", lambda: percentile_bootstrap_curve(sample, UNBIASED, 4, boot)),
         ("n_max", lambda: percentile_bootstrap_curve(sample, MEANMAX, 0, boot)),
         ("n_max", lambda: percentile_bootstrap_curve(sample, MEANMAX, -1, boot)),
+        # A truth that cannot be held is refused before any budget is walked.
+        ("n", lambda: exact_expected_max(dist, 10**13)),
+        ("n_max", lambda: true_curve(dist, 10**13)),
         ("bandwidth", lambda: KdeSpec(math.inf, 0.0, 1.0)),
         ("bandwidth", lambda: KdeSpec(math.nan, 0.0, 1.0)),
         ("bandwidth", lambda: KdeSpec(0.0, 0.0, 1.0)),
