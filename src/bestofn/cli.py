@@ -9,7 +9,11 @@ exit 2. Most flags are therefore checked after the input files are read,
 so a missing or malformed input is reported first: ``probe`` with a
 missing ``--dist`` file and ``--B 0`` exits 1. ``curve`` checks its
 bootstrap flags before reading the runs, and every requested estimator's
-budget before computing any curve. ``fit`` passes on only the flags given,
+budget before computing any curve. Once its flags are checked, and before any
+truth, draw, bootstrap or kernel, each command but fit and failure-scan
+reserves 1 KiB of address space a report row; a refusal exits 2 naming
+``--n-max`` (``--B`` in curves-sim). Under ``vm.overcommit_memory=1`` only
+sizes past the address space are refused. ``fit`` passes on only the flags given,
 over the preset or ``KdeSpec()``: ``fit_kde`` owns every default, and its
 data errors are prefixed with the runs file. Paths are checked before
 anything runs: no file a command writes (``-o``, ``--svg`` and the chart's
@@ -68,11 +72,12 @@ from .estimators import (
     EstimatorKind,
     KsBoundReport,
     KsBoundRow,
-    allocate,
+    _REPORT_ROW_BYTES,
     budget_is_bounded,
     expected_max_curve,
     ks_lower_bound,
     require_budget,
+    reserve,
 )
 from .experiments import FailureScanReport
 from .experiments import coverage as run_coverage
@@ -208,6 +213,7 @@ def cmd_curve(args) -> int:
     n_max = args.n_max if args.n_max is not None else sample.size
     for kind in kinds:  # every budget is checked before any curve is computed
         require_budget(n_max, sample.size, budget_is_bounded(kind), "n_max")
+    reserve(len(kinds) * n_max * _REPORT_ROW_BYTES, "n_max", n_max, "the report")
     if n_max > sample.size:
         print(
             f"bestofn: warning: --n-max {n_max} extrapolates past the sample size "
@@ -216,12 +222,9 @@ def cmd_curve(args) -> int:
         )
 
     curves = []
-    try:
-        for kind in kinds:
-            ci = percentile_bootstrap_curve(sample, kind, n_max, boots[kind]) if args.ci else None
-            curves.append(expected_max_curve(sample, kind, n_max, ci))
-    except MemoryError:
-        raise ArgumentError("n_max", f"{n_max}: the curve does not fit in memory") from None
+    for kind in kinds:
+        ci = percentile_bootstrap_curve(sample, kind, n_max, boots[kind]) if args.ci else None
+        curves.append(expected_max_curve(sample, kind, n_max, ci))
 
     config = _config(args, estimator=[str(k) for k in kinds], n_max=n_max)
     return _deliver(make_envelope("curve", CurveSet(tuple(curves)), config), args)
@@ -325,7 +328,7 @@ def cmd_failure_scan(args) -> int:
 def cmd_ks_bound(args) -> int:
     sample = read_runs(args.runs)
     require_budget(args.n_max, sample.size, bounded=False, name="n_max")
-    allocate(args.n_max, "n_max", args.n_max, "the table of bounds")  # before any row is built
+    reserve(args.n_max * _REPORT_ROW_BYTES, "n_max", args.n_max, "the report")
     rows = tuple(
         KsBoundRow(n=n, bound=ks_lower_bound(sample, args.cdf_at_max, n))
         for n in range(1, args.n_max + 1)

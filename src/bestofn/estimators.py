@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import mmap
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -213,6 +214,17 @@ def allocate(shape, name: str, value: int, what: str) -> np.ndarray:
     try:
         return np.empty(shape)
     except (MemoryError, ValueError):
+        raise ArgumentError(name, f"{value}: {what} does not fit in memory") from None
+
+
+_REPORT_ROW_BYTES = 1024  # at least any report's peak bytes a row, with JSON and an SVG chart
+
+
+def reserve(nbytes: int, name: str, value: int, what: str) -> None:
+    """Map ``nbytes`` of address space and unmap it, touching no page; refused, raise as :func:`allocate`."""
+    try:
+        mmap.mmap(-1, nbytes).close()
+    except (OSError, OverflowError):
         raise ArgumentError(name, f"{value}: {what} does not fit in memory") from None
 
 

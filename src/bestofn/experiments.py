@@ -20,12 +20,14 @@ from .estimators import (
     EstimatorKind,
     Interval,
     ScoreSample,
+    _REPORT_ROW_BYTES,
     allocate,
     budget_is_bounded,
     curve_blocks,
     curve_rows,
     require_budget,
     require_count,
+    reserve,
 )
 from .estimators import estimate, expected_max_curve  # noqa: F401  (perfbench wraps them here)
 from .resampling import BootstrapConfig, bootstrap_matrix, clopper_pearson, percentile_bootstrap_curve
@@ -151,13 +153,15 @@ class FailureScanReport:
     inversions: tuple[Inversion, ...]
 
 
-def _check_battery_args(B: int, n_max: int, kind: EstimatorKind, count: int, count_name: str) -> None:
-    """Check a battery's sizes, and refuse a B that no sample could hold in memory
-    before the truth is computed or anything is drawn."""
+def _check_battery_args(B: int, n_max: int, kind: EstimatorKind, count: int, count_name: str,
+                        models: int = 0) -> None:
+    """Check a battery's sizes, then reserve a sample and the report's rows: n_max, or B per model."""
     require_count(B, "B")
     require_budget(n_max, B, budget_is_bounded(kind), "n_max")
     require_count(count, count_name)
-    allocate(B, "B", B, "a sample")
+    reserve(8 * B, "B", B, "a sample")
+    rows, name, value = (models * B, "B", B) if models else (n_max, "n_max", n_max)
+    reserve(rows * _REPORT_ROW_BYTES, name, value, "the report")
 
 
 def _run_ordered(worker, items: Iterable[range], total: int, progress: ProgressFn | None,
@@ -295,11 +299,7 @@ def curves(
     """
     if not dists:
         raise ValueError("at least one distribution is required")
-    _check_battery_args(B, B, kind, num_samples, "samples")
-    # The report holds the B budgets and, per model, three curves as Python
-    # numbers, about 40 bytes a value with its tuple slot: reserve as much
-    # before anything is built or drawn.
-    allocate((1 + 3 * len(dists), B, 5), "B", B, "the report")
+    _check_battery_args(B, B, kind, num_samples, "samples", len(dists))
     budgets = tuple(range(1, B + 1))
 
     def run_model(m: int, name: str) -> ModelCurves:

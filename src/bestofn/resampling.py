@@ -124,7 +124,7 @@ def percentile_bootstrap_curve(
     matrix = bootstrap_matrix(config.resamples, sample.size) if matrix is None else matrix
     if matrix.shape != (config.resamples, sample.size):
         raise ValueError(f"matrix must be {(config.resamples, sample.size)}, got {matrix.shape}")
-    ends = np.empty((2, n_max))
+    ends = allocate((2, n_max), "n_max", n_max, "the table of interval ends")
     try:  # the sorts into gaps, and each block's estimates, grow with resamples
         for start, rows in _resamples(sample, config):
             chunk = matrix[start : start + len(rows)]

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -15,18 +16,20 @@ import pytest
 
 from bestofn import (
     KDE_PRESETS,
+    ArgumentError,
     DiscreteDistribution,
     EstimatorKind,
     Interval,
     KdeSpec,
     RngStream,
+    ScoreSample,
     cli,
     fit_kde,
     resampling,
     save_distribution,
 )
 from bestofn.cli import DEFAULT_SEED, main
-from bestofn.estimators import curve_rows
+from bestofn.estimators import _REPORT_ROW_BYTES, curve_rows
 from bestofn.io_formats import canonical_json, read_report, read_runs, report_json_text
 
 
@@ -122,13 +125,21 @@ def refuse_arrays(monkeypatch, refused):
     monkeypatch.setattr(np, "empty", refusing)
 
 
-def test_curve_too_large_to_hold_is_usage_error(tmp_path, capsys, monkeypatch):
-    refuse_arrays(monkeypatch, lambda shape: math.prod(shape) >= 10**8)
-    runs = write_runs(tmp_path, np.random.default_rng(92).uniform(size=50))
-    code = main(["curve", "--runs", runs, "--estimator", "meanmax", "--n-max", "1000000000"])
-    assert code == 2
+def test_interval_ends_too_many_to_hold_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # The report fits, but the (2, n_max) table of bootstrap interval ends does not:
+    # library callers and the CLI both get an error naming n_max.
+    refuse_arrays(monkeypatch, lambda shape: shape == (2, 3000))
+    sample = ScoreSample(np.random.default_rng(92).uniform(size=50))
+    config = resampling.BootstrapConfig(RngStream(DEFAULT_SEED, 1), resamples=10)
+    with pytest.raises(ArgumentError) as refused:
+        resampling.percentile_bootstrap_curve(sample, EstimatorKind.MEANMAX_V, 3000, config)
+    assert (refused.value.name, refused.value.detail) == (
+        "n_max", "3000: the table of interval ends does not fit in memory")
+    runs = write_runs(tmp_path, sample.ingested_values)
+    assert main(["curve", "--runs", runs, "--estimator", "meanmax", "--ci", "--resamples", "10",
+                 "--n-max", "3000"]) == 2
     assert capsys.readouterr().err.endswith(
-        "bestofn: error: --n-max 1000000000: the curve does not fit in memory\n")
+        "bestofn: error: --n-max 3000: the table of interval ends does not fit in memory\n")
 
 
 def refuse_sort_gaps(monkeypatch):
@@ -643,6 +654,66 @@ def test_curves_sim_b_whose_report_cannot_be_held_is_usage_error(crossing_pair):
         "bestofn: error: --B 100000000: the report does not fit in memory\n")
 
 
+# Reports past the cap at 1 KiB a row. Without the reservation the last four
+# spend 20-78 s on truth, rows, tally or encoding before a MemoryError traceback.
+CAPPED_REPORTS = [
+    ["curve", "--runs", "RUNS", "--estimator", "meanmax", "--n-max", str(10**9)],
+    ["ks-bound", "--runs", "RUNS", "--cdf-at-max", "0.5", "--n-max", str(10**7)],
+    ["ks-bound", "--runs", "RUNS", "--cdf-at-max", "0.5", "--n-max", str(10**8)],
+    ["probe", "--dist", "DIST", "--B", "50", "--samples", "1", "--n-max", str(10**8),
+     "--estimator", "meanmax"],
+    ["coverage", "--dist", "DIST", "--B", "50", "--M", "1", "--resamples", "10",
+     "--n-max", str(10**8)],
+]
+
+
+@pytest.mark.parametrize("argv", CAPPED_REPORTS,
+                         ids=[" ".join(argv[:1] + argv[3:]) for argv in CAPPED_REPORTS])
+def test_report_past_an_address_space_cap_is_usage_error(ten_runs, coin_dist, argv):
+    # The command reserves its report before any truth, draw, bootstrap or kernel, so
+    # the child exits at once, and the cap refuses it whatever the overcommit policy.
+    argv = [{"RUNS": ten_runs, "DIST": coin_dist}.get(a, a) for a in argv]
+    n_max = argv[argv.index("--n-max") + 1]
+    result = subprocess.run([sys.executable, "-c", CAPPED_SCRIPT, *argv],
+                            capture_output=True, text=True, env=child_env(), timeout=30)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == f"bestofn: error: --n-max {n_max}: the report does not fit in memory\n"
+
+
+# Each report kind in its heaviest form, a JSON report and an SVG chart, at a
+# given number of rows; the curve carries bootstrap intervals.
+REPORT_ROWS = {
+    "curve": lambda rows: ["curve", "--runs", "RUNS", "--estimator", "meanmax", "--ci",
+                           "--resamples", "20", "--n-max", str(rows)],
+    "probe": lambda rows: ["probe", "--dist", "DIST", "--B", "50", "--samples", "1",
+                           "--n-max", str(rows)],
+    "coverage": lambda rows: ["coverage", "--dist", "DIST", "--B", "50", "--M", "1",
+                              "--resamples", "20", "--n-max", str(rows)],
+    "curves-sim": lambda rows: ["curves-sim", "--dist", "DIST", "--B", str(rows), "--samples", "2"],
+    "ks-bound": lambda rows: ["ks-bound", "--runs", "RUNS", "--cdf-at-max", "0.5",
+                              "--n-max", str(rows)],
+}
+
+
+@pytest.mark.parametrize("kind", REPORT_ROWS)
+def test_report_peak_per_row_stays_within_its_reservation(kind, ten_runs, coin_dist, tmp_path):
+    # tracemalloc's peak over the whole command at 8000 rows, past the point where
+    # the kernels' fixed blocks and the encoder's buffers dominate it, is within the
+    # report's reservation. Fixed costs included, this also bounds the peak's growth
+    # per row, about 180-800 B between 8000 and 20,000 rows.
+    def peak(rows):
+        argv = [{"RUNS": ten_runs, "DIST": coin_dist}.get(a, a) for a in REPORT_ROWS[kind](rows)]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "-o", str(tmp_path / "r.json"), "--svg", str(tmp_path / "r.svg")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # modules a command imports on first use are not a row's cost
+    assert peak(8000) <= 8000 * _REPORT_ROW_BYTES
+
+
 def test_curves_sim_duplicate_name_is_usage_error(crossing_pair, capsys):
     steady, _ = crossing_pair
     code = main(["curves-sim", "--dist", steady, "--dist", f"steady={steady}",
@@ -887,10 +958,12 @@ BAD_FLAGS = [
     (["probe", "--dist", "DIST", "--threads", "0"], "--threads"),
     (["coverage", "--dist", "DIST", "--threads", "0"], "--threads"),
     (["curves-sim", "--dist", "DIST", "--threads", "0"], "--threads"),
-    # Sizes no array can hold: numpy refuses each shape before touching memory,
-    # and the command exits before any per-budget work or draw.
+    # Sizes no memory can hold: the system refuses a sample's or the report's
+    # reservation, and the command exits before any per-budget work or draw.
     (["curves-sim", "--dist", "DIST", "--B", str(10**12), "--samples", "1"], "--B"),
     (["ks-bound", "--runs", "RUNS", "--cdf-at-max", "0.5", "--n-max", str(10**12)], "--n-max"),
+    # 1 KiB a row of 10^18 rows overflows the size mmap takes.
+    (["ks-bound", "--runs", "RUNS", "--cdf-at-max", "0.5", "--n-max", str(10**18)], "--n-max"),
     (["probe", "--dist", "DIST", "--B", str(10**12), "--n-max", "50", "--samples", "1"], "--B"),
     (["probe", "--dist", "DIST", "--B", str(10**12)], "--B"),
     (["probe", "--dist", "DIST", "--n-max", str(10**12)], "--n-max"),
