@@ -89,10 +89,10 @@ from .io_formats import (
     make_envelope,
     read_report,
     read_runs,
-    report_csv_text,
-    report_json_text,
+    report_pieces,
     write_report,
 )
+from .io_formats import report_csv_text, report_json_text  # noqa: F401  (perfbench/tracer.py wraps them here)
 from .resampling import BootstrapConfig, percentile_bootstrap_curve
 from .resampling import percentile_bootstrap_ci  # noqa: F401  (perfbench/tracer.py wraps it here)
 
@@ -170,8 +170,7 @@ def _deliver(envelope, args) -> int:
     if args.output is not None:
         write_report(envelope, args.output, args.format)
     else:
-        text = report_json_text(envelope) if args.format == "json" else report_csv_text(envelope)
-        sys.stdout.write(text)
+        sys.stdout.writelines(report_pieces(envelope, args.format))
     if getattr(args, "svg", None):
         emit_plot(envelope, args.svg)
     return 0

@@ -191,11 +191,10 @@ def _per_sample(dist: DiscreteDistribution, B: int, count: int, rng: RngStream, 
 
 def _tally(row_type, counts: np.ndarray, samples: int) -> tuple:
     """One (n, hits, samples, share, Clopper-Pearson) row per budget n = 1, 2, ...
-    from that budget's hit count."""
-    return tuple(
-        row_type(n, c, samples, c / samples, clopper_pearson(c, samples, _PROPORTION_CI_CONFIDENCE))
-        for n, c in enumerate(counts.tolist(), 1)
-    )
+    from that budget's hit count; budgets with the same count share one interval."""
+    hits = counts.tolist()
+    cis = {c: clopper_pearson(c, samples, _PROPORTION_CI_CONFIDENCE) for c in set(hits)}
+    return tuple(row_type(n, c, samples, c / samples, cis[c]) for n, c in enumerate(hits, 1))
 
 
 def probe(

@@ -2,7 +2,8 @@
 
 Each payload kind has one codec in ``_CODECS``: its payload dataclass, CSV
 header and rows, and chart. JSON is written once for all kinds, by json
-itself; ``_json_form`` gives it the three kinds of value it cannot write: an
+itself a bounded piece at a time (:func:`report_pieces`); ``_json_form``
+gives it the three kinds of value it cannot write: an
 :class:`~bestofn.estimators.Interval` is ``[lo, hi]``, an enum its value and
 any other dataclass an object keyed by field name. ``_from_json`` reads them
 back, reads an integer in a float field as a float, and refuses a NaN or
@@ -36,11 +37,11 @@ import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .distributions import RNG_LAYOUT_ID, canonical_json
+from .distributions import RNG_LAYOUT_ID
 from .estimators import CurveSet, Interval, KsBoundReport, ScoreSample
 from .experiments import CoverageReport, CurveReport, FailureScanReport, ProbeReport
 
@@ -211,16 +212,62 @@ def _from_json(hint, value, where: str):
     return value
 
 
+@functools.cache
+def _form(cls: type) -> Callable[[object], object]:
+    """How json writes an instance of ``cls``, a type it cannot write itself: an
+    Interval becomes ``[lo, hi]``, an enum its value, any other dataclass a dict
+    of its fields. Looked up once per class."""
+    if issubclass(cls, Interval):
+        return lambda interval: [interval.lo, interval.hi]
+    if issubclass(cls, enum.Enum):
+        return lambda member: member.value
+    if dataclasses.is_dataclass(cls):
+        names = tuple(name for name, _ in _fields(cls))
+        return lambda obj: {name: getattr(obj, name) for name in names}
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
 def _json_form(obj):
-    """json's hook for a value it cannot write itself: an Interval becomes
-    ``[lo, hi]``, an enum its value, any other dataclass a dict of its fields."""
-    if isinstance(obj, Interval):
-        return [obj.lo, obj.hi]
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if dataclasses.is_dataclass(obj):
-        return {name: getattr(obj, name) for name, _ in _fields(type(obj))}
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    """json's hook for a value it cannot write itself (see :func:`_form`)."""
+    return _form(type(obj))(obj)
+
+
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                           default=_json_form)  # canonical_json's settings, without the newline
+
+# json keeps every piece of a call's output alive until it returns, about
+# 450 bytes an item of a report row, so a tuple is written this many items a
+# call: about 0.2 MiB at a time, whatever the report's length.
+_SLICE_ITEMS = 512
+
+
+def _walked(obj) -> dict:
+    """The fields of a dataclass that json writes as a non-empty object, else {}."""
+    form = _json_form(obj) if dataclasses.is_dataclass(obj) else {}
+    return form if isinstance(form, dict) else {}
+
+
+def _json_pieces(obj) -> Iterator[str]:
+    """``canonical_json(obj, _json_form)`` without its newline, in pieces: dataclasses
+    are walked field by field, and tuples whose items hold tuples item by item;
+    json writes any other value, a tuple ``_SLICE_ITEMS`` items a call."""
+    fields = _walked(obj)
+    if fields:
+        for i, key in enumerate(sorted(fields)):
+            yield ("," if i else "{") + _dumps(key) + ":"
+            yield from _json_pieces(fields[key])
+        yield "}"
+    elif isinstance(obj, tuple) and obj and any(isinstance(v, tuple) for v in _walked(obj[0]).values()):
+        for i, item in enumerate(obj):
+            yield "," if i else "["
+            yield from _json_pieces(item)
+        yield "]"
+    elif not isinstance(obj, tuple) or len(obj) <= _SLICE_ITEMS:
+        yield _dumps(obj)
+    else:
+        for start in range(0, len(obj), _SLICE_ITEMS):
+            yield ("," if start else "[") + _dumps(obj[start:start + _SLICE_ITEMS])[1:-1]
+        yield "]"
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +390,7 @@ def _codec(kind: str) -> _Codec:
 
 
 def report_json_text(envelope: ReportEnvelope) -> str:
-    return canonical_json(envelope, _json_form)
+    return "".join(report_pieces(envelope))
 
 
 def _cell(x) -> str:
@@ -358,15 +405,22 @@ def report_csv_text(envelope: ReportEnvelope) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(envelope: ReportEnvelope, path, format: str = "json") -> None:
-    """Write the envelope as canonical JSON or flattened CSV."""
+def report_pieces(envelope: ReportEnvelope, format: str = "json") -> list[str]:
+    """The report as canonical JSON or flattened CSV, in pieces that no json call
+    holds all of at once."""
     if format == "json":
-        text = report_json_text(envelope)
-    elif format == "csv":
-        text = report_csv_text(envelope)
-    else:
-        raise ValueError(f"unknown report format {format!r}; expected json or csv")
-    Path(path).write_text(text, encoding="utf-8")
+        return [*_json_pieces(envelope), "\n"]
+    if format == "csv":
+        return [report_csv_text(envelope)]
+    raise ValueError(f"unknown report format {format!r}; expected json or csv")
+
+
+def write_report(envelope: ReportEnvelope, path, format: str = "json") -> None:
+    """Write the envelope as canonical JSON or flattened CSV. The whole text is
+    made before the file is opened, so a failed encode leaves no file behind."""
+    pieces = report_pieces(envelope, format)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
 
 
 def read_report(path) -> ReportEnvelope:

@@ -49,7 +49,7 @@ from bestofn.fixtures import (
     PROBE_SKEWED,
     load_fixture,
 )
-from bestofn.io_formats import canonical_json
+from bestofn.distributions import canonical_json
 
 
 def _pass(number: int, name: str) -> None:

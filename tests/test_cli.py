@@ -29,8 +29,9 @@ from bestofn import (
     save_distribution,
 )
 from bestofn.cli import DEFAULT_SEED, main
+from bestofn.distributions import canonical_json
 from bestofn.estimators import _REPORT_ROW_BYTES, curve_rows
-from bestofn.io_formats import canonical_json, read_report, read_runs, report_json_text
+from bestofn.io_formats import read_report, read_runs, report_json_text
 
 
 # ---------------------------------------------------------------------------

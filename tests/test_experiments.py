@@ -109,6 +109,23 @@ def test_probe_rows_are_consistent(coin):
         assert (row.ci.lo, row.ci.hi) == (expected_ci.lo, expected_ci.hi)
 
 
+def test_probe_solves_one_interval_per_distinct_count(lattice, monkeypatch):
+    # Two samples give at most three counts (0, 1, 2) over 10,000 budgets.
+    solves = []
+
+    def counted(successes, trials, confidence):
+        solves.append(successes)
+        return clopper_pearson(successes, trials, confidence)
+
+    monkeypatch.setattr(experiments, "clopper_pearson", counted)
+    rep = probe(lattice, 50, 10_000, 2, EstimatorKind.MEANMAX_V, RngStream(3))
+    assert len(solves) == len(set(solves)) <= 3
+    one_per_row = replace(rep, rows=tuple(
+        replace(r, ci=clopper_pearson(r.underestimates, r.samples, 0.95)) for r in rep.rows))
+    envelope = make_envelope("probe", rep, {})
+    assert report_json_text(envelope) == report_json_text(replace(envelope, payload=one_per_row))
+
+
 def test_probe_unbiased_matches_exact_enumeration(coin):
     # Underestimate proportions for the unbiased estimator sit inside 99%
     # binomial bands around the exactly enumerated probabilities.

@@ -19,7 +19,7 @@ import pytest
 
 from bestofn.cli import main
 from bestofn.fixtures import write_fixture_files
-from bestofn.io_formats import canonical_json
+from bestofn.distributions import canonical_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -4,6 +4,7 @@ import json
 import platform
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -22,6 +23,7 @@ from bestofn import (
     write_report,
     write_runs,
 )
+from bestofn.distributions import canonical_json
 from bestofn.estimators import CurvePoint, CurveSet, ExpectedMaxCurve, KsBoundReport, KsBoundRow
 from bestofn.experiments import (
     CoverageReport,
@@ -37,9 +39,11 @@ from bestofn.io_formats import (
     Provenance,
     ReportEnvelope,
     RunsFileError,
-    canonical_json,
+    _SLICE_ITEMS,
+    _json_form,
     report_csv_text,
     report_json_text,
+    report_pieces,
 )
 
 
@@ -381,20 +385,103 @@ def test_report_json_bytes_are_unchanged(kind):
     )
 
 
-def test_report_encoding_does_not_copy_the_report():
-    # json walks the report's own dataclasses; a dict-and-list copy of a
-    # 100,000-point curve would cost several times the text it encodes to.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
+
+
+def one_call_json(envelope: ReportEnvelope) -> str:
+    """The report as one json call writes it, the reference for the pieces."""
+    return canonical_json(envelope, _json_form)
+
+
+def golden_file_envelope(path: Path, tmp_path) -> ReportEnvelope:
+    """A committed golden report, with the fields it leaves out put back."""
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["created"] = "2020-04-28T00:00:00Z"
+    obj["provenance"].update(python="3.11.7", numpy="2.4.6")
+    (tmp_path / path.name).write_text(json.dumps(obj), encoding="utf-8")
+    return read_report(tmp_path / path.name)
+
+
+@pytest.mark.parametrize("source", [*sorted(GOLDEN_PAYLOADS), *(p.stem for p in GOLDEN_FILES)])
+def test_report_pieces_are_the_one_call_encoding(source, tmp_path):
+    if source in GOLDEN_PAYLOADS:
+        envelope = golden_envelope(source)
+    else:
+        envelope = golden_file_envelope(GOLDEN_DIR / f"{source}.json", tmp_path)
+    assert "".join(report_pieces(envelope)) == one_call_json(envelope)
+
+
+def edge_payloads(size: int):
+    """One payload per kind with ``size`` items in each long tuple."""
+    ns = range(1, size + 1)
+    cis = [None, Interval(0.25, 0.75)]
+    points = tuple(CurvePoint(n, n / 3, cis[n % 2]) for n in ns)
+    floats = tuple(n / 7 for n in ns)
+    return [
+        ("curve", CurveSet((ExpectedMaxCurve(points, EstimatorKind.UNBIASED_U, size),
+                            ExpectedMaxCurve(points[:1], EstimatorKind.MEANMAX_V, 1)))),
+        ("probe", ProbeReport(tuple(ProbeRow(n, 1, 3, 1 / 3, Interval(0.0, 0.9)) for n in ns),
+                              B=4, estimator=EstimatorKind.MEANMAX_V, dist_id="d", seed=1, stream=0)),
+        ("curves", CurveReport((ModelCurves("a", tuple(ns), floats, floats, floats),
+                                ModelCurves("b", (), (), (), ())),
+                               B=4, num_samples=2, estimator=EstimatorKind.MEANMAX_V, seed=1, stream=0)),
+        ("failure_scan", FailureScanReport("a", "b", 4, EstimatorKind.MEANMAX_V,
+                                           tuple(Inversion(n, "a", "b") for n in ns))),
+        ("ks_bound", KsBoundReport(0.5, 4, tuple(KsBoundRow(n, 1 / n) for n in ns))),
+    ]
+
+
+@pytest.mark.parametrize("size", [0, 1, 1023, 1024, 1025, 2049])
+def test_report_pieces_match_one_call_across_slice_edges(size):
+    # Empty and one-item tuples, and sizes on either side of multiples of _SLICE_ITEMS.
+    config = {"estimator": ["meanmax"], "nested": {"b": [1, {"z": None, "a": 0.1}], "a": True}}
+    for kind, payload in edge_payloads(size):
+        envelope = make_envelope(kind, payload, config)
+        pieces = report_pieces(envelope)
+        assert "".join(pieces) == one_call_json(envelope)
+        # No item here encodes to 100 characters, so no piece holds more than a slice.
+        assert max(map(len, pieces)) < 100 * _SLICE_ITEMS
+
+
+def test_report_encoding_does_not_copy_the_report(tmp_path):
+    # json walks the report's own dataclasses, a slice of a tuple at a time; a
+    # dict-and-list copy, or every piece of one json call, would cost several
+    # times the text it encodes to.
     rng = np.random.default_rng(76)
-    points = tuple(CurvePoint(n, float(v)) for n, v in enumerate(rng.uniform(size=100_000), 1))
-    env = make_envelope("curve", CurveSet((ExpectedMaxCurve(points, EstimatorKind.MEANMAX_V, 50),)),
-                        {})
-    tracemalloc.start()
-    try:
-        text = report_json_text(env)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * len(text)
+    path = tmp_path / "curve.json"
+    for size in (8000, 100_000):
+        points = tuple(CurvePoint(n, float(v)) for n, v in enumerate(rng.uniform(size=size), 1))
+        env = make_envelope("curve", CurveSet((ExpectedMaxCurve(points, EstimatorKind.MEANMAX_V, 50),)),
+                            {})
+        peaks = []
+        for encode in (lambda: write_report(env, path), lambda: report_json_text(env)):
+            tracemalloc.start()
+            try:
+                encode()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Writing never joins the pieces; the text is the pieces plus their join.
+        assert peaks[0] <= 2 * path.stat().st_size, size
+        assert peaks[1] <= 3 * path.stat().st_size, size
+
+
+def test_a_report_that_fails_to_encode_writes_no_file(tmp_path):
+    # The refused value sits in the last slice, after every other piece is made.
+    rows = (*(KsBoundRow(n, 0.5) for n in range(1, 1100)), KsBoundRow(1100, 1j))
+    envelope = make_envelope("ks_bound", KsBoundReport(0.5, 4, rows), {})
+    message = "Object of type complex is not JSON serializable"
+    with pytest.raises(TypeError, match=message):
+        one_call_json(envelope)
+    with pytest.raises(TypeError, match=message):
+        write_report(envelope, tmp_path / "new.json")
+    assert not (tmp_path / "new.json").exists()
+    existing = tmp_path / "existing.json"
+    existing.write_bytes(b"an earlier report\n")
+    with pytest.raises(TypeError, match=message):
+        write_report(envelope, existing)
+    assert existing.read_bytes() == b"an earlier report\n"
 
 
 @pytest.mark.parametrize("kind, field, literal, message", [
