@@ -275,8 +275,7 @@ def _json_pieces(obj) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Series:
+class _Series(NamedTuple):
     label: str
     xs: tuple[float, ...]
     ys: tuple[float, ...]
@@ -447,6 +446,8 @@ def read_report(path) -> ReportEnvelope:
 _SVG_W, _SVG_H = 720, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 46
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+_FONT = {"font-family": "sans-serif", "font-size": "11", "fill": "#333333"}
+
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi == lo:
@@ -455,8 +456,21 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+def _element(tag: str, attrs: dict, body: str = "") -> str:
+    """One SVG element as ElementTree writes it: attributes in the order given,
+    ``<tag ... />`` when the body is empty. The values are numbers and fixed
+    words, never text that needs escaping."""
+    head = "<" + tag + "".join(f' {name}="{value}"' for name, value in attrs.items())
+    return f"{head}>{body}</{tag}>" if body else head + " />"
+
+
+def _text(attrs: dict, text: str) -> str:
+    """A text element, with ``&``, ``<`` and ``>`` escaped as ElementTree escapes them."""
+    return _element("text", attrs, text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
+
+
+def _line(x1, y1, x2, y2, style: dict | None = None) -> str:
+    return _element("line", {"x1": x1, "y1": y1, "x2": x2, "y2": y2, **(style or {})})
 
 
 def emit_plot(envelope: ReportEnvelope, path) -> None:
@@ -468,18 +482,12 @@ def emit_plot(envelope: ReportEnvelope, path) -> None:
     The sidecar is the report's own CSV, the text ``--format csv`` writes
     (:func:`report_csv_text`); it lands next to the SVG with a ``.csv`` suffix.
     """
-    from xml.etree import ElementTree as ET  # only a chart needs it: about 0.5 MiB
-
     chart = _codec(envelope.payload_kind).chart
     if chart is None:
         raise ValueError(f"payload kind {envelope.payload_kind!r} has no chart form")
     series, y_label, reference, y_bounds = chart(envelope.payload)
     xs_all = [x for s in series for x in s.xs]
-    ys_all = [y for s in series for y in s.ys]
-    for s in series:
-        if s.band is not None:
-            ys_all.extend(s.band[0])
-            ys_all.extend(s.band[1])
+    ys_all = [y for s in series for ys in (s.ys, *(s.band or ())) for y in ys]  # bands included
     x_lo, x_hi = min(xs_all), max(xs_all)
     if y_bounds is not None:
         y_lo, y_hi = y_bounds
@@ -492,6 +500,7 @@ def emit_plot(envelope: ReportEnvelope, path) -> None:
 
     px_w = _SVG_W - _MARGIN_L - _MARGIN_R
     px_h = _SVG_H - _MARGIN_T - _MARGIN_B
+    bottom = _SVG_H - _MARGIN_B
 
     def sx(x: float) -> float:
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * px_w
@@ -499,83 +508,53 @@ def emit_plot(envelope: ReportEnvelope, path) -> None:
     def sy(y: float) -> float:
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * px_h
 
-    root = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(_SVG_W),
-            "height": str(_SVG_H),
-            "viewBox": f"0 0 {_SVG_W} {_SVG_H}",
-        },
-    )
-    ET.SubElement(root, "rect", {"x": "0", "y": "0", "width": str(_SVG_W),
-                                 "height": str(_SVG_H), "fill": "white"})
-    axes = ET.SubElement(root, "g", {"stroke": "#333333", "stroke-width": "1"})
-    ET.SubElement(axes, "line", {"x1": f"{_MARGIN_L}", "y1": f"{_SVG_H - _MARGIN_B}",
-                                 "x2": f"{_SVG_W - _MARGIN_R}", "y2": f"{_SVG_H - _MARGIN_B}"})
-    ET.SubElement(axes, "line", {"x1": f"{_MARGIN_L}", "y1": f"{_MARGIN_T}",
-                                 "x2": f"{_MARGIN_L}", "y2": f"{_SVG_H - _MARGIN_B}"})
-    labels = ET.SubElement(root, "g", {"font-family": "sans-serif", "font-size": "11",
-                                       "fill": "#333333"})
+    def points(pairs) -> str:
+        return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pairs)
+
+    axes = [_line(_MARGIN_L, bottom, _SVG_W - _MARGIN_R, bottom),
+            _line(_MARGIN_L, _MARGIN_T, _MARGIN_L, bottom)]
+    labels = []
     for tx in _ticks(x_lo, x_hi):
-        px = sx(tx)
-        ET.SubElement(axes, "line", {"x1": f"{px:.2f}", "y1": f"{_SVG_H - _MARGIN_B}",
-                                     "x2": f"{px:.2f}", "y2": f"{_SVG_H - _MARGIN_B + 4}"})
-        t = ET.SubElement(labels, "text", {"x": f"{px:.2f}", "y": f"{_SVG_H - _MARGIN_B + 16}",
-                                           "text-anchor": "middle"})
-        t.text = _fmt(tx)
+        px = f"{sx(tx):.2f}"
+        axes.append(_line(px, bottom, px, bottom + 4))
+        labels.append(_text({"x": px, "y": bottom + 16, "text-anchor": "middle"}, f"{tx:.6g}"))
     for ty in _ticks(y_lo, y_hi):
         py = sy(ty)
-        ET.SubElement(axes, "line", {"x1": f"{_MARGIN_L - 4}", "y1": f"{py:.2f}",
-                                     "x2": f"{_MARGIN_L}", "y2": f"{py:.2f}"})
-        t = ET.SubElement(labels, "text", {"x": f"{_MARGIN_L - 7}", "y": f"{py + 3.5:.2f}",
-                                           "text-anchor": "end"})
-        t.text = _fmt(ty)
-    x_title = ET.SubElement(labels, "text", {"x": f"{_MARGIN_L + px_w / 2:.2f}",
-                                             "y": f"{_SVG_H - 10}", "text-anchor": "middle"})
-    x_title.text = "budget n"
-    y_title = ET.SubElement(labels, "text", {
-        "x": "14", "y": f"{_MARGIN_T + px_h / 2:.2f}", "text-anchor": "middle",
-        "transform": f"rotate(-90 14 {_MARGIN_T + px_h / 2:.2f})"})
-    y_title.text = y_label
+        axes.append(_line(_MARGIN_L - 4, f"{py:.2f}", _MARGIN_L, f"{py:.2f}"))
+        labels.append(_text({"x": _MARGIN_L - 7, "y": f"{py + 3.5:.2f}", "text-anchor": "end"}, f"{ty:.6g}"))
+    mid_y = f"{_MARGIN_T + px_h / 2:.2f}"
+    labels.append(_text({"x": f"{_MARGIN_L + px_w / 2:.2f}", "y": _SVG_H - 10, "text-anchor": "middle"},
+                        "budget n"))
+    labels.append(_text({"x": "14", "y": mid_y, "text-anchor": "middle",
+                         "transform": f"rotate(-90 14 {mid_y})"}, y_label))
 
-    data = ET.SubElement(root, "g")
+    data, legend = [], []
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
+        stroke = {"stroke": color, "stroke-width": "1.6"}
+        if s.dashed:
+            stroke["stroke-dasharray"] = "6,4"
         if s.band is not None:
-            los, his = s.band
-            forward = [f"{sx(x):.2f},{sy(lo):.2f}" for x, lo in zip(s.xs, los)]
-            backward = [f"{sx(x):.2f},{sy(hi):.2f}" for x, hi in zip(reversed(s.xs), reversed(his))]
-            ET.SubElement(data, "polygon", {
-                "points": " ".join(forward + backward),
-                "fill": color, "fill-opacity": "0.18", "stroke": "none"})
-        attrs = {
-            "points": " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s.xs, s.ys)),
-            "fill": "none", "stroke": color, "stroke-width": "1.6",
-        }
-        if s.dashed:
-            attrs["stroke-dasharray"] = "6,4"
-        ET.SubElement(data, "polyline", attrs)
-    if reference is not None:
-        ET.SubElement(data, "line", {
-            "x1": f"{_MARGIN_L}", "y1": f"{sy(reference):.2f}",
-            "x2": f"{_SVG_W - _MARGIN_R}", "y2": f"{sy(reference):.2f}",
-            "stroke": "#888888", "stroke-width": "1", "stroke-dasharray": "4,3"})
-    legend = ET.SubElement(root, "g", {"font-family": "sans-serif", "font-size": "11",
-                                       "fill": "#333333"})
-    for i, s in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
+            outline = [*zip(s.xs, s.band[0]), *zip(reversed(s.xs), reversed(s.band[1]))]
+            data.append(_element("polygon", {"points": points(outline), "fill": color,
+                                             "fill-opacity": "0.18", "stroke": "none"}))
+        data.append(_element("polyline", {"points": points(zip(s.xs, s.ys)), "fill": "none", **stroke}))
         ly = _MARGIN_T + 6 + 15 * i
-        line_attrs = {"x1": f"{_MARGIN_L + 10}", "y1": f"{ly}",
-                      "x2": f"{_MARGIN_L + 34}", "y2": f"{ly}",
-                      "stroke": color, "stroke-width": "1.6"}
-        if s.dashed:
-            line_attrs["stroke-dasharray"] = "6,4"
-        ET.SubElement(legend, "line", line_attrs)
-        t = ET.SubElement(legend, "text", {"x": f"{_MARGIN_L + 39}", "y": f"{ly + 3.5}"})
-        t.text = s.label
+        legend.append(_line(_MARGIN_L + 10, ly, _MARGIN_L + 34, ly, stroke))
+        legend.append(_text({"x": _MARGIN_L + 39, "y": ly + 3.5}, s.label))
+    if reference is not None:
+        ry = f"{sy(reference):.2f}"
+        data.append(_line(_MARGIN_L, ry, _SVG_W - _MARGIN_R, ry,
+                          {"stroke": "#888888", "stroke-width": "1", "stroke-dasharray": "4,3"}))
 
-    svg_text = '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"
+    svg = _element("svg", {"xmlns": "http://www.w3.org/2000/svg", "width": _SVG_W, "height": _SVG_H,
+                           "viewBox": f"0 0 {_SVG_W} {_SVG_H}"}, "".join([
+        _element("rect", {"x": "0", "y": "0", "width": _SVG_W, "height": _SVG_H, "fill": "white"}),
+        _element("g", {"stroke": "#333333", "stroke-width": "1"}, "".join(axes)),
+        _element("g", _FONT, "".join(labels)),
+        _element("g", {}, "".join(data)),
+        _element("g", _FONT, "".join(legend)),
+    ]))
     out = Path(path)
-    out.write_text(svg_text, encoding="utf-8")
+    out.write_text('<?xml version="1.0" encoding="UTF-8"?>\n' + svg + "\n", encoding="utf-8")
     out.with_suffix(".csv").write_text(report_csv_text(envelope), encoding="utf-8")

@@ -1,13 +1,20 @@
-"""Golden reports: the CLI's payload bytes at fixed seeds, pinned in ``tests/golden/``.
+"""Golden reports and charts: the CLI's payload bytes at fixed seeds, and
+``emit_plot``'s SVG and sidecar bytes, pinned in ``tests/golden/``.
 
 Each case runs one command through ``bestofn.cli.main`` at a small size and
 compares its JSON report with the committed file, leaving out only the
 ``created`` time and the python and numpy versions in ``provenance``. Inputs are
 relative paths inside a scratch directory, so the reports' ``config`` does not
 depend on where the tests run. Goldens are compared byte for byte, never to a
-tolerance. Run ``python tests/test_golden.py [NAME ...]`` to write the named cases'
-files again after a change that moves their payload bytes on purpose; with no
-name it writes every case, so name the cases you mean to re-pin.
+tolerance.
+
+Each chart case writes ``emit_plot``'s chart of a small payload built here, in
+plain Python float arithmetic that no SIMD dispatch moves, and compares it with
+``chart-NAME.svg`` and its sidecar with ``chart-NAME.csv``, byte for byte.
+
+Run ``python tests/test_golden.py [NAME ...]`` to write the named cases' files
+again after a change that moves their bytes on purpose; with no name it writes
+every case, so name the cases you mean to re-pin.
 """
 
 import json
@@ -20,6 +27,11 @@ import pytest
 from bestofn.cli import main
 from bestofn.fixtures import write_fixture_files
 from bestofn.distributions import canonical_json
+from bestofn.estimators import (CurvePoint, CurveSet, EstimatorKind, ExpectedMaxCurve, Interval,
+                                KsBoundReport, KsBoundRow)
+from bestofn.experiments import (CoverageReport, CoverageRow, CurveReport, ModelCurves,
+                                 ProbeReport, ProbeRow)
+from bestofn.io_formats import emit_plot, make_envelope
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -68,6 +80,60 @@ def run_case(name: str, directory: Path) -> str:
     return canonical_json(report)
 
 
+def chart_curve(kind: EstimatorKind, shift: float, ci: bool) -> ExpectedMaxCurve:
+    points = []
+    for n in range(1, 7):
+        estimate = 0.62 + shift + 0.19 * (1 - 0.7**n)
+        band = Interval(estimate - 0.03 / n, estimate + 0.041 / n) if ci else None
+        points.append(CurvePoint(n, estimate, band))
+    return ExpectedMaxCurve(tuple(points), kind, 16)
+
+
+def chart_model(name: str, shift: float) -> ModelCurves:
+    budgets = tuple(range(1, 6))
+    averaged = tuple(0.5 + shift + 0.3 * (1 - 0.6**n) for n in budgets)
+    true = tuple(0.51 + shift + 0.29 * (1 - 0.65**n) for n in budgets)
+    return ModelCurves(name, budgets, averaged, true, tuple(0.01 / n for n in budgets))
+
+
+def chart_ks(rows: int) -> KsBoundReport:
+    return KsBoundReport(0.9, 16, tuple(KsBoundRow(n, 1.0 - 0.9**n) for n in range(1, rows + 1)))
+
+
+def around(p: float, below: float, above: float) -> Interval:
+    return Interval(max(0.0, p - below), min(1.0, p + above))
+
+
+# Each chart kind from a small payload: curve with its three kinds banded and one
+# kind bare; curves with eight series, so the palette wraps, and a model name
+# that text must escape; ks-bound with one row, so its budget axis has no width.
+CHARTS = {
+    "chart-curve-ci": lambda: ("curve", CurveSet(tuple(
+        chart_curve(kind, 0.013 * i, True) for i, kind in enumerate(EstimatorKind)))),
+    "chart-curve-bare": lambda: ("curve", CurveSet((chart_curve(EstimatorKind.UNBIASED_U, 0.0, False),))),
+    "chart-probe": lambda: ("probe", ProbeReport(
+        tuple(ProbeRow(n, 19 + 2 * n, 40, (19 + 2 * n) / 40, around((19 + 2 * n) / 40, 0.16, 0.13))
+              for n in range(1, 9)),
+        20, EstimatorKind.MEANMAX_V, "chart", 0, 0)),
+    "chart-coverage": lambda: ("coverage", CoverageReport(
+        tuple(CoverageRow(n, 50 - n, 50, (50 - n) / 50, around((50 - n) / 50, 0.09, 0.04))
+              for n in range(1, 6)),
+        20, 200, 0.95, EstimatorKind.MEANMAX_PREFIX, "chart", 0, 0)),
+    "chart-curves": lambda: ("curves", CurveReport(
+        tuple(chart_model(name, 0.02 * i) for i, name in enumerate(("a<&>b", "steady", "volatile", "wide"))),
+        5, 100, EstimatorKind.MEANMAX_V, 0, 0)),
+    "chart-ks-bound-1": lambda: ("ks_bound", chart_ks(1)),
+    "chart-ks-bound-10": lambda: ("ks_bound", chart_ks(10)),
+}
+
+
+def write_chart(name: str, directory: Path) -> tuple[bytes, bytes]:
+    """The case's chart and sidecar bytes, written to ``directory`` as NAME.svg and NAME.csv."""
+    kind, payload = CHARTS[name]()
+    emit_plot(make_envelope(kind, payload, {}), directory / f"{name}.svg")
+    return (directory / f"{name}.svg").read_bytes(), (directory / f"{name}.csv").read_bytes()
+
+
 def first_difference(want, got, path="report"):
     """The path of the first field, in key order, where ``got`` differs from ``want``."""
     if isinstance(want, dict) and isinstance(got, dict):
@@ -97,6 +163,13 @@ def test_report_matches_its_golden_bytes(name, tmp_path, monkeypatch):
         pytest.fail(f"{name}: {field} moved from its golden value")
 
 
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_chart_matches_its_golden_bytes(name, tmp_path):
+    svg, sidecar = write_chart(name, tmp_path)
+    assert svg == (GOLDEN / f"{name}.svg").read_bytes()
+    assert sidecar == (GOLDEN / f"{name}.csv").read_bytes()
+
+
 def test_first_difference_names_the_first_field_that_moved():
     want = {"a": 1, "b": [{"x": 0.5}, {"x": 0.25}], "c": 2}
     assert first_difference(want, want) is None
@@ -110,12 +183,17 @@ if __name__ == "__main__":
     import os
     import tempfile
 
-    names = sys.argv[1:] or sorted(CASES)
-    unknown = sorted(set(names) - CASES.keys())
+    names = sys.argv[1:] or [*sorted(CASES), *sorted(CHARTS)]
+    unknown = sorted(set(names) - CASES.keys() - CHARTS.keys())
     if unknown:
-        sys.exit(f"unknown case {', '.join(unknown)}; the cases are {', '.join(sorted(CASES))}")
+        sys.exit(f"unknown case {', '.join(unknown)}; the cases are "
+                 f"{', '.join([*sorted(CASES), *sorted(CHARTS)])}")
     here = os.getcwd()
     for case in names:
+        if case in CHARTS:
+            write_chart(case, GOLDEN)
+            print(f"wrote {GOLDEN / case}.svg and .csv", file=sys.stderr)
+            continue
         with tempfile.TemporaryDirectory() as scratch:
             os.chdir(scratch)
             text = run_case(case, Path(scratch))

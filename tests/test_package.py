@@ -1,6 +1,6 @@
 """Tests for the package namespace and the command's entry point.
 
-No module of the package imports scipy. ``import bestofn`` is lazy: it loads
+No module of the package imports scipy or xml. ``import bestofn`` is lazy: it loads
 nothing until a name is used, and each public name is the object its
 submodule defines. The entry point (``bestofn.__main__.main``, behind the
 ``bestofn`` script and ``python -m bestofn``) asks OpenBLAS for one thread
@@ -76,9 +76,11 @@ def test_an_unknown_name_is_an_attribute_error_naming_it():
     assert not hasattr(bestofn, "cumweights")  # in a submodule, but not public
 
 
-def test_no_module_imports_scipy():
+@pytest.mark.parametrize("banned", ["scipy", "xml"])
+def test_no_module_imports(banned):
     # numpy is the package's only dependency: no module imports scipy, at
-    # module level or inside a function.
+    # module level or inside a function. Charts are written as text, so none
+    # imports xml either.
     modules = sorted(Path(SRC, "bestofn").rglob("*.py"))
     assert len(modules) > len(SUBMODULES)
     for path in modules:
@@ -89,7 +91,7 @@ def test_no_module_imports_scipy():
                 names = [node.module]
             else:
                 continue
-            assert all(name.split(".")[0] != "scipy" for name in names), f"{path.name}:{node.lineno}"
+            assert all(name.split(".")[0] != banned for name in names), f"{path.name}:{node.lineno}"
 
 
 IMPORT_SCRIPT = """
@@ -111,7 +113,7 @@ def test_imports_load_only_what_is_used_and_leave_the_environment_alone():
     package, named, xml_loaded, environ_kept, collector = run_child(IMPORT_SCRIPT)
     assert package == []  # neither numpy nor any submodule
     assert "bestofn.estimators" in named and "bestofn.experiments" not in named
-    assert not xml_loaded  # only an SVG chart needs xml.etree
+    assert not xml_loaded  # no module loads xml.etree: charts are written as text
     assert environ_kept
     assert collector == [[True, 0], [True, 0]]  # after bestofn, then after bestofn.cli
 
@@ -169,6 +171,28 @@ def test_entry_point_freezes_the_heap_and_keeps_the_callers_collector_setting(tm
     assert json.loads(out.read_text())["payload"]["rows"]
     assert enabled == (caller == "on")
     assert frozen > 0  # the import's objects and the command's survivors
+
+
+# Runs a command the way ``python -m bestofn`` does, then lists the modules loaded.
+MODULES_SCRIPT = """
+import json, runpy, sys
+sys.argv = ["bestofn", *sys.argv[1:]]
+try:
+    runpy.run_module("bestofn", run_name="__main__")
+except SystemExit as stop:
+    code = stop.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def test_a_chart_through_the_entry_point_leaves_xml_unloaded(tmp_path):
+    runs, svg = tmp_path / "runs.csv", tmp_path / "curve.svg"
+    runs.write_text("score\n0.1\n0.5\n0.9\n")
+    code, modules = run_child(MODULES_SCRIPT, "curve", "--runs", str(runs), "--ci", "--resamples", "50",
+                              "--svg", str(svg), "-o", str(tmp_path / "curve.json"))
+    assert code == 0
+    assert svg.read_text(encoding="utf-8").endswith("</svg>\n")
+    assert "xml.etree" not in modules
 
 
 CLI_SCRIPT = "import sys; from bestofn.cli import main; sys.exit(main(sys.argv[1:]))"
