@@ -96,6 +96,9 @@ class DiscreteDistribution:
             raise ValueError(f"support has {sup.size} points but mass has {m.size}")
         if not np.isfinite(sup).all():
             raise ValueError("support points must be finite")
+        lo, hi = sup.min().item(), sup.max().item()
+        if not math.isfinite(hi - lo):  # before np.diff can overflow
+            raise ValueError(f"support must span a finite range, got {lo!r} to {hi!r}")
         if sup.size > 1 and not (np.diff(sup) > 0).all():
             raise ValueError("support must be strictly increasing")
         if not np.isfinite(m).all() or (m < 0).any():
@@ -271,7 +274,7 @@ def exact_expected_max(dist: DiscreteDistribution, n: int) -> float:
 
 def true_curve(dist: DiscreteDistribution, n_max: int) -> np.ndarray:
     """Exact expected maxima v_K - sum_j F(v_j)^n (v_(j+1) - v_j) for budgets 1..n_max: the
-    plug-in curve walk (:func:`~bestofn.estimators.score_blocks`) over the support's gaps, with
+    plug-in curve walk (:func:`~bestofn.estimators.curve_blocks`) over the support's gaps, with
     the CDF F in place of j/B and the walk's cut below 2^-64. No value depends on n_max."""
     return _walk_truth(dist, n_max, "n_max")
 
@@ -279,7 +282,7 @@ def true_curve(dist: DiscreteDistribution, n_max: int) -> np.ndarray:
 def _walk_truth(dist: DiscreteDistribution, n_max: int, name: str) -> np.ndarray:
     require_budget(n_max, dist.size, bounded=False, name=name)
     curve = allocate(n_max, name, n_max, "the true curve")  # before any budget is walked
-    walk = curve_blocks(dist.support, EstimatorKind.MEANMAX_V, n_max, dist.cumulative[:-1])
+    walk = curve_blocks(dist.support[None].copy(), EstimatorKind.MEANMAX_V, n_max, dist.cumulative[:-1])
     for start, values in walk:
         curve[start : start + values.size] = values
     return curve

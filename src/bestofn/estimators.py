@@ -11,10 +11,10 @@ Both are evaluated in one form, the sample maximum minus the sorted gaps
 weighted by partial weight sums c_j(n), on a stack of samples at a time. A
 single budget builds its row of c_j in O(B) (:func:`estimate_rows`); a full
 curve walks n by exact ratio recurrences, a bounded block of rows at a time,
-so memory stays O(B) per sample for any number of budgets (:func:`curve_blocks`).
-A stack is one (height, B) score matrix for every kind, sorted in place into
-gaps (:func:`sort_gaps`) but for the prefix kind, which keeps draw order, and
-one walker reads curves and bootstraps off it (:func:`score_blocks`).
+so memory stays O(B) per sample for any number of budgets. One walker reads
+curves, bootstraps and exact truths off a (height, B) score matrix
+(:func:`curve_blocks`); it sorts the matrix in place into gaps for every kind
+but the prefix one, which keeps draw order.
 At each budget a curve sums only the blocks of 1024 gaps, counted from the
 top, whose plug-in weight reaches 2^-64; the gaps left out move an estimate
 by less than 2^-64 times the sample's range. A full curve then costs
@@ -62,7 +62,8 @@ class ScoreSample:
 
     Sorted order drives the permutation-invariant estimators; ingestion
     order is retained because the prefix estimator depends on it. Values
-    must be finite reals; ties are permitted.
+    must be finite reals whose range max - min is finite too, so that no gap
+    or estimate overflows; ties are permitted.
     """
 
     __slots__ = ("_ingested", "_sorted")
@@ -79,6 +80,9 @@ class ScoreSample:
         ingested = arr.copy()
         ingested.flags.writeable = False
         ordered = np.sort(arr)
+        lo, hi = ordered[[0, -1]].tolist()
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"scores must span a finite range, got {lo!r} to {hi!r}")
         ordered.flags.writeable = False
         self._ingested = ingested
         self._sorted = ordered
@@ -382,37 +386,14 @@ def _tail_sum(products: np.ndarray) -> np.ndarray:
     return total
 
 
-def curve_blocks(draws: np.ndarray, kind: EstimatorKind, n_max: int, cdf: np.ndarray | None = None):
-    """Yield ``(start, values)``: estimates of score rows at budgets start+1..start+k, shape
-    (..., k), for consecutive blocks covering 1..n_max. Callers check n_max.
-
-    The rows are copied into one (height, B) matrix, sorted into gaps a chunk of rows at a
-    time (:func:`sort_gaps`) unless the estimator is the prefix one, and walked budget by
-    budget (:func:`score_blocks`, whose plug-in ratio row is ``cdf``).
-    """
-    size = draws.shape[-1]
-    rows = draws.reshape(-1, size).copy()
-    if kind is not EstimatorKind.MEANMAX_PREFIX:
-        step = max(1, _BLOCK_VALUES // size)
-        for r in range(0, len(rows), step):
-            sort_gaps(rows[r : r + step])
-    for start, values in score_blocks(rows, kind, n_max, cdf):
-        yield start, values.reshape(draws.shape[:-1] + values.shape[-1:])
-
-
-def sort_gaps(rows: np.ndarray) -> None:
-    """Sort each score row of ``rows`` (height, B) in place, then overwrite its columns
-    0..B-2 with its sorted gaps V_(j+1) - V_(j); its maximum stays in column B-1. numpy
-    buffers the overlapping subtraction, so each gap is the difference of two sorted values."""
-    rows.sort(axis=-1)
-    np.subtract(rows[:, 1:], rows[:, :-1], out=rows[:, :-1])
-
-
-def score_blocks(rows: np.ndarray, kind: EstimatorKind, n_max: int, cdf: np.ndarray | None = None):
-    """:func:`curve_blocks` over a (height, B) score matrix: yield ``(start, values)`` of shape
-    (height, k). The prefix estimator's rows are in draw order, and it yields :func:`estimate_rows`
-    one budget at a time. The others read the views ``rows[:, :-1]`` and ``rows[:, -1:]`` of
-    :func:`sort_gaps` as their gaps and maxima.
+def curve_blocks(rows: np.ndarray, kind: EstimatorKind, n_max: int, cdf: np.ndarray | None = None):
+    """Yield ``(start, values)``: estimates of the (height, B) score matrix ``rows`` at budgets
+    start+1..start+k, shape (height, k), for consecutive blocks covering 1..n_max. Callers check
+    n_max. ``rows`` holds scores in draw order and is overwritten. The prefix estimator depends
+    on that order, and it yields :func:`estimate_rows` one budget at a time. For the others each
+    row is sorted in place, and its columns 0..B-2 are overwritten with its sorted gaps
+    V_(j+1) - V_(j), _BLOCK_VALUES values at a time, since numpy buffers the overlapping
+    subtraction; its maximum stays in column B-1.
 
     The budgets are walked by exact ratios: row n of partial weight sums is row
     n-1 times c_j(n)/c_j(n-1). The plug-in ratio row is ``cdf``, a CDF at each gap's
@@ -447,6 +428,10 @@ def score_blocks(rows: np.ndarray, kind: EstimatorKind, n_max: int, cdf: np.ndar
         yield from ((n - 1, estimate_rows(rows, kind, n)[:, None]) for n in range(1, n_max + 1))
         return
     height, size = rows.shape
+    rows.sort(axis=-1)
+    step = max(1, _BLOCK_VALUES // size)
+    for r in range(0, height, step):
+        np.subtract(rows[r : r + step, 1:], rows[r : r + step, :-1], out=rows[r : r + step, :-1])
     cdf = np.arange(1, size, dtype=float) / size if cdf is None else cdf
     # Block b (top gap t = B-1-b*L) is live at n while cdf[t]^n >= 2^-64. log2(1/F), since
     # -log2(1.0) is -0.0: a CDF of 1 must reach +inf, not -inf. A CDF of 0 reaches 0.
@@ -487,8 +472,9 @@ def curve_rows(draws: np.ndarray, kind: EstimatorKind, n_max: int) -> np.ndarray
     """Budget 1..n_max estimates of score rows, (..., B) -> (..., n_max), by :func:`curve_blocks`."""
     require_budget(n_max, draws.shape[-1], budget_is_bounded(kind), "n_max")
     out = np.empty(draws.shape[:-1] + (n_max,))
-    for start, values in curve_blocks(draws, kind, n_max):
-        out[..., start : start + values.shape[-1]] = values
+    flat = out.reshape(-1, n_max)
+    for start, values in curve_blocks(draws.reshape(-1, draws.shape[-1]).copy(), kind, n_max):
+        flat[:, start : start + values.shape[-1]] = values
     return out
 
 

@@ -12,8 +12,10 @@ infinite float, or an integer too large for one, naming its path.
 Report JSON is canonical: keys sorted, no whitespace, floats in shortest
 round-trip decimal form, one trailing newline. Two runs with the same seed
 and config therefore produce byte-identical files except for the ``created``
-timestamp. CSV output uses comma separators, ``\\n`` line endings, UTF-8, and
-no quoting (fields never contain commas).
+timestamp. CSV output uses comma separators, ``\\n`` line endings and UTF-8,
+and quotes a text cell, such as a model name, only when it holds a comma, a
+double quote, CR or LF, so Python's ``csv`` module reads every row back as
+wide as its header.
 
 CSV column orders, by payload kind:
 
@@ -91,7 +93,10 @@ def read_runs(path) -> ScoreSample:
         scores.append(value)
     if not scores:
         raise RunsFileError(f"{path}: no data rows")
-    return ScoreSample(scores)
+    try:
+        return ScoreSample(scores)
+    except ValueError as err:
+        raise RunsFileError(f"{path}: {err}") from None
 
 
 def write_runs(sample: ScoreSample, path) -> None:
@@ -393,6 +398,10 @@ def report_json_text(envelope: ReportEnvelope) -> str:
 
 
 def _cell(x) -> str:
+    """A CSV cell: text holding a comma, double quote, CR or LF goes in double quotes with each
+    quote doubled, so ``csv.reader`` reads it back as one cell; anything else is bare."""
+    if isinstance(x, str) and any(c in x for c in ',"\r\n'):
+        return '"' + x.replace('"', '""') + '"'
     return "" if x is None else str(x)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import RngStream
 from .estimators import ArgumentError, EstimatorKind, Interval, ScoreSample, budget_is_bounded
-from .estimators import allocate, estimate_rows, score_blocks, sort_gaps
+from .estimators import allocate, curve_blocks, estimate_rows
 from .estimators import require_budget, require_count
 from .estimators import estimate  # noqa: F401  (perfbench/tracer.py wraps it here)
 
@@ -110,11 +110,10 @@ def percentile_bootstrap_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`percentile_bootstrap_ci`'s ends (lo, hi), to rounding, at budgets 1..n_max, all
     read off one set of resamples. Each chunk of resamples is copied into one (resamples, B)
-    matrix and, unless the estimator is the prefix one, which depends on draw order, sorted
-    there into its gaps (:func:`~bestofn.estimators.sort_gaps`). Each block of budgets, sized
-    by the larger of the resample count and B - 1 and summed a few rows at a time, is reduced
-    to its two percentiles by one :func:`percentile_ends`, so resamples x n_max estimates are
-    never held.
+    matrix in draw order, and :func:`~bestofn.estimators.curve_blocks` walks the matrix in
+    place. Each block of budgets, sized by the larger of the resample count and B - 1 and
+    summed a few rows at a time, is reduced to its two percentiles by one
+    :func:`percentile_ends`, so resamples x n_max estimates are never held.
 
     ``matrix`` is a :func:`bootstrap_matrix` for this resample count and sample size (another
     shape raises ValueError), overwritten here; a battery passes one matrix to all its
@@ -125,13 +124,10 @@ def percentile_bootstrap_curve(
     if matrix.shape != (config.resamples, sample.size):
         raise ValueError(f"matrix must be {(config.resamples, sample.size)}, got {matrix.shape}")
     ends = allocate((2, n_max), "n_max", n_max, "the table of interval ends")
-    try:  # the sorts into gaps, and each block's estimates, grow with resamples
+    try:  # the walk's sorts into gaps, and each block's estimates, grow with resamples
         for start, rows in _resamples(sample, config):
-            chunk = matrix[start : start + len(rows)]
-            chunk[...] = rows
-            if kind is not EstimatorKind.MEANMAX_PREFIX:
-                sort_gaps(chunk)
-        for start, values in score_blocks(matrix, kind, n_max):
+            matrix[start : start + len(rows)] = rows
+        for start, values in curve_blocks(matrix, kind, n_max):
             ends[:, start : start + values.shape[-1]] = percentile_ends(values, config.confidence)
     except MemoryError:
         raise ArgumentError("resamples", f"{config.resamples}: {_MATRIX} does not fit in memory") from None

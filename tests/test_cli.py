@@ -1,6 +1,8 @@
 """End-to-end CLI tests driving ``bestofn.cli.main`` in process."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -143,13 +145,17 @@ def test_interval_ends_too_many_to_hold_are_usage_errors(tmp_path, capsys, monke
         "bestofn: error: --n-max 3000: the table of interval ends does not fit in memory\n")
 
 
-def refuse_sort_gaps(monkeypatch):
-    # Sorting resamples into gaps runs out of memory as numpy does when it cannot
-    # allocate the buffer of the overlapping subtraction.
-    def refusing(rows, *args):
-        raise MemoryError(f"Unable to allocate an array of shape {np.shape(rows)}")
+def refuse_gaps(monkeypatch):
+    # The walker's subtraction of the (1000, 16) resample matrix's gaps runs out of memory
+    # as numpy does when it cannot allocate the buffer of the overlapping subtraction.
+    subtract = np.subtract
 
-    monkeypatch.setattr(resampling, "sort_gaps", refusing)
+    def refusing(a, b, *args, out=None, **kwargs):
+        if np.shape(out) == (1000, 15):
+            raise MemoryError(f"Unable to allocate an array of shape {np.shape(out)}")
+        return subtract(a, b, *args, out=out, **kwargs)
+
+    monkeypatch.setattr(np, "subtract", refusing)
 
 
 @pytest.mark.parametrize("many, refused", [
@@ -157,14 +163,14 @@ def refuse_sort_gaps(monkeypatch):
     (10**18, None),
     # The resample matrix is refused before any resample is drawn.
     (10**14, lambda shape: math.prod(shape) >= 10**8),
-    # The (1000, 16) resample matrix fits, but sorting its rows into gaps does not.
-    (1000, refuse_sort_gaps),
+    # The (1000, 16) resample matrix fits, but the walk's gaps over it do not.
+    (1000, refuse_gaps),
 ], ids=["past-numpy", "matrix", "fill"])
 def test_resamples_too_many_to_hold_are_usage_errors(many, refused, tmp_path, capsys, monkeypatch,
                                                      coin_dist):
     runs = write_runs(tmp_path, np.random.default_rng(93).uniform(size=16))
-    if refused is refuse_sort_gaps:
-        refuse_sort_gaps(monkeypatch)
+    if refused is refuse_gaps:
+        refuse_gaps(monkeypatch)
     elif refused:
         refuse_arrays(monkeypatch, refused)
     commands = (["curve", "--runs", runs, "--ci"],
@@ -615,6 +621,27 @@ def test_failure_scan_clean_for_unbiased(tmp_path, crossing_pair):
     assert load_payload(scan)["inversions"] == []
 
 
+def test_model_names_with_commas_and_quotes_stay_one_csv_cell(tmp_path, crossing_pair, capsys):
+    # Model names are user text: every CSV row, the chart's sidecar's too, reads back through
+    # csv.reader exactly as wide as its header, with each name whole.
+    steady, volatile = crossing_pair
+    names = ["steady, v1", 'volatile "b"']
+    report, chart = tmp_path / "curves.json", tmp_path / "chart.svg"
+    command = ["curves-sim", "--dist", f"{names[0]}={steady}", "--dist", f"{names[1]}={volatile}",
+               "--B", "15", "--samples", "300", "--estimator", "meanmax"]
+    assert main([*command, "-o", str(report), "--svg", str(chart)]) == 0
+    assert main([*command, "--format", "csv"]) == 0
+    texts = [chart.with_suffix(".csv").read_text(encoding="utf-8"), capsys.readouterr().out]
+    assert main(["failure-scan", "--report", str(report), "--format", "csv"]) == 0
+    texts.append(capsys.readouterr().out)
+    tables = [list(csv.reader(io.StringIO(text))) for text in texts]
+    for table in tables:
+        assert len(table) > 1 and {len(row) for row in table} == {len(table[0])}
+    assert texts[0] == texts[1]
+    assert sorted({row[0] for row in tables[0][1:]}) == names
+    assert {*tables[2][1][1:]} == set(names)
+
+
 @pytest.mark.parametrize("samples, refused", [
     # Past numpy's largest array numpy itself refuses the shape, as a ValueError.
     (10**20, None),
@@ -796,13 +823,21 @@ def test_impossible_curves_model_is_data_error_naming_the_report(
     (["curve", "--runs"], b"score\n0.5\n\xff\xfe\n"),
     (["failure-scan", "--report"], b'{"schema_version": "1", \xff}'),
     (["failure-scan", "--report"], b'{"schema_version": "1",'),
+    # -1e308 to 1e308 spans more than the largest float: no gap or truth may overflow.
+    (["probe", "--dist"], b'{"support": [-1e308, 1e308], "mass": [0.5, 0.5]}'),
+    (["curves-sim", "--dist"], b'{"support": [-1e308, 1e308], "mass": [0.5, 0.5]}'),
+    (["curve", "--runs"], b"score\n-1e308\n1e308\n"),
+    (["curve", "--ci", "--runs"], b"score\n-1e308\n1e308\n0.5\n"),
 ], ids=["dist-without-support", "dist-top-level-list", "dist-malformed-json", "dist-string-support",
         "dist-decreasing-support", "curves-sim-dist-decreasing-support", "runs-not-utf8",
-        "report-not-utf8", "report-malformed-json"])
+        "report-not-utf8", "report-malformed-json", "dist-range-overflows",
+        "curves-sim-dist-range-overflows", "runs-range-overflows", "runs-range-overflows-ci"])
 def test_bad_input_file_is_data_error_naming_the_file(tmp_path, command, content, capsys):
     path = tmp_path / "input.bad"
     path.write_bytes(content)
-    assert main([*command, str(path)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused as the file is read, before any numpy warning
+        assert main([*command, str(path)]) == 1
     assert str(path) in capsys.readouterr().err
 
 

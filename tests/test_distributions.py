@@ -117,6 +117,10 @@ def test_invalid_construction_rejected():
         DiscreteDistribution([], [])
     with pytest.raises(ValueError):
         DiscreteDistribution([1.0, 2.0], [0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before np.diff's step overflows with a warning
+        with pytest.raises(ValueError, match=r"support must span a finite range, got -1e\+308 to 1e\+308"):
+            DiscreteDistribution([-1e308, 1e308], [0.5, 0.5])
 
 
 def test_cdf_is_a_right_continuous_step(uniform_123):

@@ -28,6 +28,7 @@ from numpy.testing import assert_allclose
 from bestofn import (
     BudgetTooLargeError,
     BudgetTooSmallError,
+    DiscreteDistribution,
     EmptySampleError,
     EstimatorKind,
     Interval,
@@ -39,6 +40,7 @@ from bestofn import (
     ks_lower_bound,
     meanmax_prefix,
     meanmax_v,
+    true_curve,
     unbiased_u,
 )
 from bestofn import estimators
@@ -411,6 +413,25 @@ def test_curve_rows_stack_matches_single_curves_exactly(kind):
         assert np.array_equal(stacked[index], single)
 
 
+def test_curves_leave_their_inputs_unchanged():
+    # curve_blocks sorts the matrix it is handed into gaps in place, so each caller hands
+    # it a copy; a writeable input would show a missing copy as changed scores.
+    rows = np.random.default_rng(35).normal(size=(2, 3, 40))
+    before = rows.copy()
+    sample = ScoreSample(rows[0, 0])
+    dist = DiscreteDistribution(np.sort(rows[1, 0]), np.full(40, 0.025))
+    support, cumulative = dist.support.copy(), dist.cumulative.copy()
+    for kind in EstimatorKind:
+        curve_rows(rows, kind, 40)
+        curve_rows(rows[1, 2], kind, 40)
+        expected_max_curve(sample, kind, 40)
+    true_curve(dist, 60)
+    assert np.array_equal(rows, before)
+    assert np.array_equal(sample.ingested_values, before[0, 0])
+    assert np.array_equal(sample.sorted_values, np.sort(before[0, 0]))
+    assert np.array_equal(dist.support, support) and np.array_equal(dist.cumulative, cumulative)
+
+
 @pytest.mark.parametrize("kind", [MEANMAX, UNBIASED])
 def test_cut_curves_do_not_depend_on_budget_blocks_or_stack_height(kind, monkeypatch):
     # B - 1 = 299 gaps in blocks of 8, so most blocks die as n grows; meanmax
@@ -757,6 +778,10 @@ def test_non_finite_scores_rejected():
         ScoreSample([0.5, float("inf")])
     with pytest.raises(ValueError):
         ScoreSample([float("-inf"), 0.5])
+    # max - min past the largest float: a gap would be inf and an estimate inf or nan.
+    for values in ([-1e308, 1e308], [1e308, 0.5, -1e308]):
+        with pytest.raises(ValueError, match=r"finite range, got -1e\+308 to 1e\+308$"):
+            ScoreSample(values)
 
 
 def test_budget_below_one_rejected():

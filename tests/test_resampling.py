@@ -8,6 +8,7 @@ feeds each resample through the scalar estimator API one row at a time.
 
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,21 @@ def test_bootstrap_bounded_by_sample_range():
     )
     assert iv.lo >= 1.0
     assert iv.hi <= 3.0
+
+
+def test_the_widest_finite_range_keeps_curves_and_bootstraps_inside_it():
+    # A resample's range never exceeds its sample's, so refusing a sample whose range
+    # overflows a float covers every estimator and every bootstrap.
+    sample = ScoreSample([-8e307, 8e307, 0.5, 7e307, -1e300])
+    config = BootstrapConfig(RngStream(3), resamples=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in EstimatorKind:
+            curve = curve_rows(sample.ingested_values, kind, sample.size)
+            lo, hi = percentile_bootstrap_curve(sample, kind, sample.size, config)
+            for values in (curve, lo, hi):
+                assert np.all((sample.min <= values) & (values <= sample.max)), kind
+            assert np.all(lo <= hi), kind
 
 
 def test_bootstrap_contains_point_estimate():
