@@ -107,12 +107,6 @@ _NOT_CONFIG = frozenset({"func", "output", "format", "svg", "threads"})
 _CI_STREAMS = {EstimatorKind.UNBIASED_U: 0, EstimatorKind.MEANMAX_V: 1, EstimatorKind.MEANMAX_PREFIX: 2}
 
 
-def _check_threads(threads: int) -> None:
-    """``--threads`` changes nothing, but a count below one is still a usage error."""
-    if threads < 1:
-        raise ArgumentError("threads", f"must be >= 1, got {threads}")
-
-
 def _bandwidth_flag(raw: str) -> float | str:
     """A number, or a rule name left for KdeSpec to check."""
     try:
@@ -136,21 +130,17 @@ def _parse_dist_flag(raw: str) -> tuple[str, str]:
     return stem, raw
 
 
-def _config(args, **resolved) -> dict:
-    """Every payload-relevant flag as parsed, keyed by its dest, updated with
-    the values the command resolved (a default it filled in, a name it parsed)."""
-    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
-    config.update(resolved)
-    return config
+def _dist_flags(args) -> list[str]:
+    """Each ``--dist`` as given: probe and coverage take one, curves-sim a list."""
+    dists = getattr(args, "dist", None) or []
+    return [dists] if isinstance(dists, str) else dists
 
 
 def _check_paths(args) -> None:
     """No file the command writes (``-o``, ``--svg`` and its ``.csv`` sidecar) may be
     a file it reads (``--runs``, each ``--dist``, ``--report``) or another it writes."""
-    dists = getattr(args, "dist", None) or []
-    dists = [dists] if isinstance(dists, str) else dists
     reads = [("runs", getattr(args, "runs", None)), ("report", getattr(args, "report", None))]
-    reads += [("dist", _parse_dist_flag(raw)[1]) for raw in dists]
+    reads += [("dist", _parse_dist_flag(raw)[1]) for raw in _dist_flags(args)]
     svg = getattr(args, "svg", None)
     writes = [("output", args.output, repr(args.output)), ("svg", svg, repr(svg))]
     if svg:
@@ -166,7 +156,28 @@ def _check_paths(args) -> None:
         taken[resolved] = f"--{flag} {what}"
 
 
-def _deliver(envelope, args) -> int:
+def _battery_inputs(args) -> tuple[dict, EstimatorKind, RngStream]:
+    """A battery's distributions by name, its estimator kind and its root stream. Every
+    ``--dist`` is parsed before any is loaded, and ``--threads`` is checked after, so a
+    missing input is reported before a bad thread count."""
+    named: dict[str, str] = {}
+    for raw in _dist_flags(args):
+        name, path = _parse_dist_flag(raw)
+        if name in named:
+            raise ArgumentError("dist", f"name {name!r} given twice; disambiguate with NAME=PATH")
+        named[name] = path
+    dists = {name: load_distribution(path) for name, path in named.items()}
+    if args.threads < 1:
+        raise ArgumentError("threads", f"must be >= 1, got {args.threads}")
+    return dists, EstimatorKind(args.estimator), RngStream(args.seed)
+
+
+def _deliver(args, payload, **resolved) -> int:
+    """Write ``payload`` as the command's report. Its config is every payload-relevant flag
+    as parsed, keyed by its dest, updated with the values the command resolved (a default
+    it filled in, a name it parsed)."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    envelope = make_envelope(payload, {**config, **resolved})
     if args.output is not None:
         write_report(envelope, args.output, args.format)
     else:
@@ -192,10 +203,14 @@ def _add_seed_flag(p: argparse.ArgumentParser) -> None:
                         f"the same values, and the report echoes the seed as given (default: {DEFAULT_SEED})")
 
 
-def _add_threads_flag(p: argparse.ArgumentParser) -> None:
+def _add_battery_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--estimator", choices=_ESTIMATOR_CHOICES, default="meanmax",
+                   help="estimator kind (default: meanmax)")
+    _add_seed_flag(p)
     p.add_argument("--threads", type=int, default=1, metavar="K",
                    help="accepted for compatibility and checked (K >= 1), but ignored: "
                         "batteries run on one thread (default: 1)")
+    _add_report_flags(p)
 
 
 def cmd_curve(args) -> int:
@@ -225,8 +240,7 @@ def cmd_curve(args) -> int:
         ci = percentile_bootstrap_curve(sample, kind, n_max, boots[kind]) if args.ci else None
         curves.append(expected_max_curve(sample, kind, n_max, ci))
 
-    config = _config(args, estimator=[str(k) for k in kinds], n_max=n_max)
-    return _deliver(make_envelope("curve", CurveSet(tuple(curves)), config), args)
+    return _deliver(args, CurveSet(tuple(curves)), estimator=[str(k) for k in kinds], n_max=n_max)
 
 
 def cmd_fit(args) -> int:
@@ -248,49 +262,27 @@ def cmd_fit(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    kind = EstimatorKind(args.estimator)
+    dists, kind, rng = _battery_inputs(args)
     n_max = args.n_max if args.n_max is not None else args.B
-
-    dist_id, path = _parse_dist_flag(args.dist)
-    dist = load_distribution(path)
-    _check_threads(args.threads)
-    report = run_probe(
-        dist, args.B, n_max, args.samples, kind, RngStream(args.seed),
-        dist_id=dist_id, progress=_progress,
-    )
-    return _deliver(make_envelope("probe", report, _config(args, n_max=n_max)), args)
+    [(dist_id, dist)] = dists.items()
+    report = run_probe(dist, args.B, n_max, args.samples, kind, rng, dist_id=dist_id, progress=_progress)
+    return _deliver(args, report, n_max=n_max)
 
 
 def cmd_coverage(args) -> int:
-    kind = EstimatorKind(args.estimator)
+    dists, kind, rng = _battery_inputs(args)
     n_max = args.n_max if args.n_max is not None else min(20, args.B)
-
-    dist_id, path = _parse_dist_flag(args.dist)
-    dist = load_distribution(path)
-    _check_threads(args.threads)
+    [(dist_id, dist)] = dists.items()
     boot = BootstrapConfig(
         rng=RngStream(args.seed, 1), resamples=args.resamples, confidence=args.confidence
     )
-    report = run_coverage(
-        dist, args.B, n_max, args.M, boot, kind, RngStream(args.seed),
-        dist_id=dist_id, progress=_progress,
-    )
-    return _deliver(make_envelope("coverage", report, _config(args, n_max=n_max)), args)
+    report = run_coverage(dist, args.B, n_max, args.M, boot, kind, rng, dist_id=dist_id, progress=_progress)
+    return _deliver(args, report, n_max=n_max)
 
 
 def cmd_curves_sim(args) -> int:
-    kind = EstimatorKind(args.estimator)
-
-    named: dict[str, str] = {}
-    for raw in args.dist:
-        name, path = _parse_dist_flag(raw)
-        if name in named:
-            raise ArgumentError("dist", f"name {name!r} given twice; disambiguate with NAME=PATH")
-        named[name] = path
-    dists = {name: load_distribution(path) for name, path in named.items()}
-    _check_threads(args.threads)
-    report = run_curves(dists, args.B, args.samples, kind, RngStream(args.seed), progress=_progress)
-    return _deliver(make_envelope("curves", report, _config(args)), args)
+    dists, kind, rng = _battery_inputs(args)
+    return _deliver(args, run_curves(dists, args.B, args.samples, kind, rng, progress=_progress))
 
 
 def cmd_failure_scan(args) -> int:
@@ -320,8 +312,7 @@ def cmd_failure_scan(args) -> int:
         estimator=report.estimator,
         inversions=tuple(run_failure_scan(report, model_a, model_b)),
     )
-    config = _config(args, model_a=model_a, model_b=model_b)
-    return _deliver(make_envelope("failure_scan", payload, config), args)
+    return _deliver(args, payload, model_a=model_a, model_b=model_b)
 
 
 def cmd_ks_bound(args) -> int:
@@ -333,7 +324,7 @@ def cmd_ks_bound(args) -> int:
         for n in range(1, args.n_max + 1)
     )
     payload = KsBoundReport(cdf_at_max=args.cdf_at_max, B=sample.size, rows=rows)
-    return _deliver(make_envelope("ks_bound", payload, _config(args)), args)
+    return _deliver(args, payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,11 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None, help="largest budget n (default: B)")
     p.add_argument("--samples", type=int, default=1000,
                    help="simulated samples, shared by all n (default: 1000)")
-    p.add_argument("--estimator", choices=_ESTIMATOR_CHOICES, default="meanmax",
-                   help="estimator kind (default: meanmax)")
-    _add_seed_flag(p)
-    _add_threads_flag(p)
-    _add_report_flags(p)
+    _add_battery_flags(p)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("coverage", help="bootstrap CI coverage probabilities per n")
@@ -406,11 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bootstrap resamples per CI (default: 1000)")
     p.add_argument("--confidence", type=float, default=0.95,
                    help="nominal CI level under test (default: 0.95)")
-    p.add_argument("--estimator", choices=_ESTIMATOR_CHOICES, default="meanmax",
-                   help="estimator kind (default: meanmax)")
-    _add_seed_flag(p)
-    _add_threads_flag(p)
-    _add_report_flags(p)
+    _add_battery_flags(p)
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("curves-sim", help="averaged estimated curves vs. true curves per model")
@@ -420,11 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=int, default=50, help="size of each simulated sample (default: 50)")
     p.add_argument("--samples", type=int, default=1000,
                    help="simulated samples averaged per model (default: 1000)")
-    p.add_argument("--estimator", choices=_ESTIMATOR_CHOICES, default="meanmax",
-                   help="estimator kind (default: meanmax)")
-    _add_seed_flag(p)
-    _add_threads_flag(p)
-    _add_report_flags(p)
+    _add_battery_flags(p)
     p.set_defaults(func=cmd_curves_sim)
 
     p = sub.add_parser("failure-scan", help="budgets where averaged estimates invert the true leader")

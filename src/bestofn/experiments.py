@@ -24,7 +24,6 @@ from .estimators import (
     allocate,
     budget_is_bounded,
     curve_blocks,
-    curve_rows,
     require_budget,
     require_count,
     reserve,
@@ -292,9 +291,12 @@ def curves(
 
     For each named distribution, draws ``num_samples`` size-B samples,
     computes the full estimated curve on each (budgets 1..B), a chunk of
-    samples per call of :func:`curve_rows`, and averages pointwise; the
-    per-budget standard error of that average is recorded. Sample i of the
-    m-th distribution (in mapping order) draws from ``rng.child(m, i)``.
+    samples per call of :func:`curve_blocks`, and averages pointwise; the
+    per-budget standard error of that average is recorded. Each budget's
+    estimates are taken relative to its first sample's, averaged by numpy's
+    pairwise sum and shifted back, so a model whose every estimate is v
+    averages to exactly v with a standard error of 0. Sample i of the m-th
+    distribution (in mapping order) draws from ``rng.child(m, i)``.
     """
     if not dists:
         raise ValueError("at least one distribution is required")
@@ -303,23 +305,29 @@ def curves(
 
     def run_model(m: int, name: str) -> ModelCurves:
         dist = dists[name]
-        estimates = allocate((num_samples, B), "samples", num_samples, "the matrix of sample curves")
+        estimates = allocate((B, num_samples), "samples", num_samples, "the matrix of sample curves")
 
         def stack(rows: np.ndarray, start: int) -> None:
-            estimates[start : start + len(rows)] = curve_rows(rows, kind, B)
+            for first, values in curve_blocks(rows, kind, B):
+                estimates[first : first + values.shape[-1], start : start + len(rows)] = values.T
 
         _per_sample(dist, B, num_samples, rng, m, stack, progress, f"curves {name}")
-        averaged = estimates.mean(axis=0)
-        if num_samples > 1:
-            stderr = estimates.std(axis=0, ddof=1) / np.sqrt(num_samples)
-        else:
-            stderr = np.zeros(B)
+        reference = estimates[:, 0].copy()
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                estimates -= reference[:, None]
+                averaged = estimates.mean(axis=1) + reference
+                stderr = estimates.std(axis=1, ddof=min(1, num_samples - 1)) / np.sqrt(num_samples)
+        except FloatingPointError:
+            raise ValueError(
+                f"model {name!r}: averaging its {num_samples} sample curves overflows a float"
+            ) from None
         return ModelCurves(
             name=name,
             budgets=budgets,
-            averaged=tuple(float(x) for x in averaged),
-            true=tuple(float(x) for x in true_curve(dist, B)),
-            stderr=tuple(float(x) for x in stderr),
+            averaged=tuple(averaged.tolist()),
+            true=tuple(true_curve(dist, B).tolist()),
+            stderr=tuple(stderr.tolist()),
         )
 
     models = tuple(run_model(m, name) for m, name in enumerate(dists))

@@ -137,16 +137,19 @@ class ReportEnvelope:
     provenance: Provenance | None = None
 
 
-def make_envelope(payload_kind: str, payload, config: dict) -> ReportEnvelope:
+def make_envelope(payload, config: dict) -> ReportEnvelope:
+    """Wrap ``payload`` under the kind whose codec reads its type back."""
     from . import __version__
 
-    _codec(payload_kind)  # an unknown kind could be written but never read back
+    kinds = [kind for kind, codec in _CODECS.items() if type(payload) is codec.payload_type]
+    if not kinds:
+        raise ValueError(f"{type(payload).__name__} is not a report payload")
     return ReportEnvelope(
         schema_version=SCHEMA_VERSION,
         tool_version=__version__,
         created=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         config=config,
-        payload_kind=payload_kind,
+        payload_kind=kinds[0],
         payload=payload,
         provenance=Provenance(sys.version.split()[0], np.__version__, RNG_LAYOUT_ID),
     )

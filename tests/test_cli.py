@@ -742,6 +742,26 @@ def test_report_peak_per_row_stays_within_its_reservation(kind, ten_runs, coin_d
     assert peak(8000) <= 8000 * _REPORT_ROW_BYTES
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("samples", [1, 300])
+def test_curves_sim_averages_a_one_point_model_to_its_value(tmp_path, samples):
+    # Every estimate is 0.8, so is their average, and their spread is 0.
+    point = write_dist(tmp_path, [0.8], [1.0], "point.json")
+    report = tmp_path / "curves.json"
+    assert main(["curves-sim", "--dist", point, "--B", "3", "--samples", str(samples),
+                 "-o", str(report)]) == 0
+    (model,) = load_payload(report)["models"]
+    assert (model["averaged"], model["stderr"]) == ([0.8] * 3, [0.0] * 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_curves_sim_average_past_a_float_is_data_error_naming_the_model(tmp_path, capsys):
+    big = write_dist(tmp_path, [-8e307, 8e307], [0.5, 0.5], "big.json")
+    assert main(["curves-sim", "--dist", f"a={big}", "--B", "5", "--samples", "50"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "bestofn: error: model 'a': averaging its 50 sample curves overflows a float\n")
+
+
 def test_curves_sim_duplicate_name_is_usage_error(crossing_pair, capsys):
     steady, _ = crossing_pair
     code = main(["curves-sim", "--dist", steady, "--dist", f"steady={steady}",
@@ -994,6 +1014,8 @@ BAD_FLAGS = [
     (["probe", "--dist", "DIST", "--threads", "0"], "--threads"),
     (["coverage", "--dist", "DIST", "--threads", "0"], "--threads"),
     (["curves-sim", "--dist", "DIST", "--threads", "0"], "--threads"),
+    (["curves-sim", "--dist", "DIST", "--dist", "DIST"], "--dist"),  # name given twice
+    (["probe", "--dist", "=x.json"], "--dist"),
     # Sizes no memory can hold: the system refuses a sample's or the report's
     # reservation, and the command exits before any per-budget work or draw.
     (["curves-sim", "--dist", "DIST", "--B", str(10**12), "--samples", "1"], "--B"),

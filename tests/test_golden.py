@@ -129,8 +129,8 @@ CHARTS = {
 
 def write_chart(name: str, directory: Path) -> tuple[bytes, bytes]:
     """The case's chart and sidecar bytes, written to ``directory`` as NAME.svg and NAME.csv."""
-    kind, payload = CHARTS[name]()
-    emit_plot(make_envelope(kind, payload, {}), directory / f"{name}.svg")
+    _, payload = CHARTS[name]()
+    emit_plot(make_envelope(payload, {}), directory / f"{name}.svg")
     return (directory / f"{name}.svg").read_bytes(), (directory / f"{name}.csv").read_bytes()
 
 

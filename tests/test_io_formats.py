@@ -39,6 +39,7 @@ from bestofn.io_formats import (
     Provenance,
     ReportEnvelope,
     RunsFileError,
+    _CODECS,
     _SLICE_ITEMS,
     _json_form,
     report_csv_text,
@@ -206,7 +207,7 @@ def random_payloads(rng):
 def test_json_round_trip_every_payload_kind(tmp_path):
     rng = np.random.default_rng(73)
     for kind, payload in random_payloads(rng):
-        env = make_envelope(kind, payload, {"seed": 7, "B": 20})
+        env = make_envelope(payload, {"seed": 7, "B": 20})
         path = tmp_path / f"{kind}.json"
         write_report(env, path, format="json")
         back = read_report(path)
@@ -217,15 +218,27 @@ def test_json_round_trip_every_payload_kind(tmp_path):
         assert back.provenance == env.provenance
 
 
+@pytest.mark.parametrize("kind", sorted(_CODECS))
+def test_make_envelope_names_the_kind_from_its_payload(kind):
+    payload = dict(random_payloads(np.random.default_rng(84)))[kind]
+    assert make_envelope(payload, {}).payload_kind == kind
+
+
+def test_make_envelope_refuses_a_value_that_is_no_payload():
+    curve = expected_max_curve(ScoreSample([0.1, 0.4]), EstimatorKind.MEANMAX_V, 2)
+    with pytest.raises(ValueError, match="^ExpectedMaxCurve is not a report payload$"):
+        make_envelope(curve, {})
+
+
 def test_envelope_carries_versions_and_timestamp():
-    env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=1.0, B=1, rows=()), {})
+    env = make_envelope(KsBoundReport(cdf_at_max=1.0, B=1, rows=()), {})
     assert env.schema_version == "1"
     assert env.tool_version
     assert env.created.endswith("Z")
 
 
 def test_envelope_provenance_names_the_versions_and_rng_layout(tmp_path):
-    env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=1.0, B=1, rows=()), {})
+    env = make_envelope(KsBoundReport(cdf_at_max=1.0, B=1, rows=()), {})
     assert env.provenance == Provenance(
         python=platform.python_version(), numpy=np.__version__, rng_layout="philox4x64-splitmix64/2",
     )
@@ -237,7 +250,7 @@ def test_envelope_provenance_names_the_versions_and_rng_layout(tmp_path):
 
 def test_read_report_accepts_a_report_without_provenance(tmp_path):
     # Reports of RNG layout 1 predate the block; they still read, with None.
-    env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=0.5, B=2, rows=()), {"seed": 1})
+    env = make_envelope(KsBoundReport(cdf_at_max=0.5, B=2, rows=()), {"seed": 1})
     obj = json.loads(report_json_text(env))
     del obj["provenance"]
     path = tmp_path / "old.json"
@@ -248,7 +261,7 @@ def test_read_report_accepts_a_report_without_provenance(tmp_path):
 def test_read_report_accepts_a_provenance_that_names_scipy(tmp_path):
     # Reports written while provenance also named the scipy version still read;
     # written again, they carry the three-key block and the same payload bytes.
-    env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=0.5, B=2, rows=()), {"seed": 1})
+    env = make_envelope(KsBoundReport(cdf_at_max=0.5, B=2, rows=()), {"seed": 1})
     obj = json.loads(report_json_text(env))
     obj["provenance"]["scipy"] = "1.13.0"
     path = tmp_path / "old.json"
@@ -277,8 +290,8 @@ def test_canonical_json_preserves_doubles_exactly():
 
 def test_same_config_reports_differ_only_in_timestamp():
     payload = KsBoundReport(cdf_at_max=0.9, B=3, rows=(KsBoundRow(n=1, bound=0.1),))
-    a = make_envelope("ks_bound", payload, {"seed": 1})
-    b = make_envelope("ks_bound", payload, {"seed": 1})
+    a = make_envelope(payload, {"seed": 1})
+    b = make_envelope(payload, {"seed": 1})
     dict_a = json.loads(report_json_text(a))
     dict_b = json.loads(report_json_text(b))
     dict_a.pop("created")
@@ -287,7 +300,7 @@ def test_same_config_reports_differ_only_in_timestamp():
 
 
 def test_read_report_reads_an_integer_in_a_float_field_as_a_float(tmp_path):
-    env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=1.0, B=2, rows=(KsBoundRow(1, 0.0),)),
+    env = make_envelope(KsBoundReport(cdf_at_max=1.0, B=2, rows=(KsBoundRow(1, 0.0),)),
                         {"seed": 1})
     obj = json.loads(report_json_text(env))
     obj["payload"]["cdf_at_max"] = 1
@@ -308,7 +321,7 @@ def test_read_report_rejects_unknown_schema(tmp_path):
 
 
 def test_write_report_rejects_unknown_format(tmp_path):
-    env = make_envelope("ks_bound", KsBoundReport(cdf_at_max=1.0, B=1, rows=()), {})
+    env = make_envelope(KsBoundReport(cdf_at_max=1.0, B=1, rows=()), {})
     with pytest.raises(ValueError, match="format"):
         write_report(env, tmp_path / "x.yaml", format="yaml")
 
@@ -437,7 +450,7 @@ def test_report_pieces_match_one_call_across_slice_edges(size):
     # Empty and one-item tuples, and sizes on either side of multiples of _SLICE_ITEMS.
     config = {"estimator": ["meanmax"], "nested": {"b": [1, {"z": None, "a": 0.1}], "a": True}}
     for kind, payload in edge_payloads(size):
-        envelope = make_envelope(kind, payload, config)
+        envelope = make_envelope(payload, config)
         pieces = report_pieces(envelope)
         assert "".join(pieces) == one_call_json(envelope)
         # No item here encodes to 100 characters, so no piece holds more than a slice.
@@ -452,7 +465,7 @@ def test_report_encoding_does_not_copy_the_report(tmp_path):
     path = tmp_path / "curve.json"
     for size in (8000, 100_000):
         points = tuple(CurvePoint(n, float(v)) for n, v in enumerate(rng.uniform(size=size), 1))
-        env = make_envelope("curve", CurveSet((ExpectedMaxCurve(points, EstimatorKind.MEANMAX_V, 50),)),
+        env = make_envelope(CurveSet((ExpectedMaxCurve(points, EstimatorKind.MEANMAX_V, 50),)),
                             {})
         peaks = []
         for encode in (lambda: write_report(env, path), lambda: report_json_text(env)):
@@ -470,7 +483,7 @@ def test_report_encoding_does_not_copy_the_report(tmp_path):
 def test_a_report_that_fails_to_encode_writes_no_file(tmp_path):
     # The refused value sits in the last slice, after every other piece is made.
     rows = (*(KsBoundRow(n, 0.5) for n in range(1, 1100)), KsBoundRow(1100, 1j))
-    envelope = make_envelope("ks_bound", KsBoundReport(0.5, 4, rows), {})
+    envelope = make_envelope(KsBoundReport(0.5, 4, rows), {})
     message = "Object of type complex is not JSON serializable"
     with pytest.raises(TypeError, match=message):
         one_call_json(envelope)
@@ -521,7 +534,7 @@ def test_probe_csv_has_header_plus_row_per_n():
         ),
         B=5, estimator=EstimatorKind.MEANMAX_V, dist_id="d", seed=1, stream=0,
     )
-    text = report_csv_text(make_envelope("probe", probe, {}))
+    text = report_csv_text(make_envelope(probe, {}))
     lines = text.strip().split("\n")
     assert lines[0] == "n,underestimates,samples,proportion,ci_lo,ci_hi"
     assert len(lines) == 4
@@ -536,7 +549,7 @@ def test_curve_csv_blank_ci_cells():
             sample_size=4,
         ),
     ))
-    text = report_csv_text(make_envelope("curve", curve, {}))
+    text = report_csv_text(make_envelope(curve, {}))
     lines = text.strip().split("\n")
     assert lines[0] == "estimator,n,estimate,ci_lo,ci_hi"
     assert lines[1] == "unbiased,1,0.5,,"
@@ -553,7 +566,7 @@ def test_csv_headers_for_remaining_kinds():
     }
     for kind, payload in random_payloads(rng):
         if kind in headers:
-            text = report_csv_text(make_envelope(kind, payload, {}))
+            text = report_csv_text(make_envelope(payload, {}))
             assert text.split("\n", 1)[0] == headers[kind]
             assert text.endswith("\n")
 
@@ -565,7 +578,7 @@ def test_csv_round_trips_float_cells_exactly():
                        ci=Interval(value / 2, value)),),
         B=2, estimator=EstimatorKind.MEANMAX_V, dist_id="", seed=0, stream=0,
     )
-    text = report_csv_text(make_envelope("probe", probe, {}))
+    text = report_csv_text(make_envelope(probe, {}))
     cell = text.strip().split("\n")[1].split(",")[3]
     assert float(cell) == value
 
@@ -587,7 +600,7 @@ def svg_elements(path):
 def test_curves_chart_has_four_polylines(tmp_path):
     rng = np.random.default_rng(77)
     payload = [p for k, p in random_payloads(rng) if k == "curves"][0]
-    env = make_envelope("curves", payload, {})
+    env = make_envelope(payload, {})
     path = tmp_path / "curves.svg"
     emit_plot(env, path)
     elements = svg_elements(path)
@@ -604,7 +617,7 @@ def test_svg_element_whitelist(tmp_path):
         if kind == "failure_scan":
             continue
         path = tmp_path / f"{kind}.svg"
-        emit_plot(make_envelope(kind, payload, {}), path)
+        emit_plot(make_envelope(payload, {}), path)
         assert {local_name(e.tag) for e in svg_elements(path)} <= allowed
 
 
@@ -612,7 +625,7 @@ def test_probe_chart_reference_line(tmp_path):
     rng = np.random.default_rng(79)
     payload = [p for k, p in random_payloads(rng) if k == "probe"][0]
     path = tmp_path / "probe.svg"
-    emit_plot(make_envelope("probe", payload, {}), path)
+    emit_plot(make_envelope(payload, {}), path)
     dashed_lines = [
         e for e in svg_elements(path)
         if local_name(e.tag) == "line" and e.get("stroke-dasharray") == "4,3"
@@ -624,7 +637,7 @@ def test_chart_band_polygons_follow_cis(tmp_path):
     rng = np.random.default_rng(80)
     payload = [p for k, p in random_payloads(rng) if k == "coverage"][0]
     path = tmp_path / "coverage.svg"
-    emit_plot(make_envelope("coverage", payload, {}), path)
+    emit_plot(make_envelope(payload, {}), path)
     polygons = [e for e in svg_elements(path) if local_name(e.tag) == "polygon"]
     assert len(polygons) == 1
 
@@ -637,14 +650,14 @@ def test_chart_band_polygons_follow_cis(tmp_path):
         ),
     ))
     bare_path = tmp_path / "bare.svg"
-    emit_plot(make_envelope("curve", bare, {}), bare_path)
+    emit_plot(make_envelope(bare, {}), bare_path)
     assert [e for e in svg_elements(bare_path) if local_name(e.tag) == "polygon"] == []
 
 
 def test_chart_writes_sidecar_csv(tmp_path):
     rng = np.random.default_rng(81)
     payload = [p for k, p in random_payloads(rng) if k == "curves"][0]
-    env = make_envelope("curves", payload, {})
+    env = make_envelope(payload, {})
     path = tmp_path / "chart.svg"
     emit_plot(env, path)
     sidecar = tmp_path / "chart.csv"
@@ -655,13 +668,13 @@ def test_failure_scan_has_no_chart_form(tmp_path):
     rng = np.random.default_rng(82)
     payload = [p for k, p in random_payloads(rng) if k == "failure_scan"][0]
     with pytest.raises(ValueError, match="chart"):
-        emit_plot(make_envelope("failure_scan", payload, {}), tmp_path / "scan.svg")
+        emit_plot(make_envelope(payload, {}), tmp_path / "scan.svg")
 
 
 def test_charts_from_real_curve(tmp_path):
     sample = ScoreSample(np.random.default_rng(83).normal(size=12))
     curve = expected_max_curve(sample, EstimatorKind.UNBIASED_U, 12)
-    env = make_envelope("curve", CurveSet((curve,)), {"B": 12})
+    env = make_envelope(CurveSet((curve,)), {"B": 12})
     path = tmp_path / "real.svg"
     emit_plot(env, path)
     text = path.read_text(encoding="utf-8")
