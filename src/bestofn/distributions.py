@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import (ArgumentError, EstimatorKind, ScoreSample, allocate, curve_blocks,
+from .estimators import (ArgumentError, EstimatorKind, ScoreSample, allocate, curve_rows,
                          require_budget, require_count)
 
 _MASK64 = (1 << 64) - 1
@@ -267,25 +267,16 @@ def fit_kde(runs: ScoreSample, spec: KdeSpec) -> DiscreteDistribution:
 
 
 def exact_expected_max(dist: DiscreteDistribution, n: int) -> float:
-    """Exact expected maximum of n i.i.d. draws: :func:`true_curve`'s walk to budget n, its last
-    value bit for bit. It costs O(n) budget steps and holds the n values."""
-    return float(_walk_truth(dist, n, "n")[-1])
+    """Exact expected maximum of n i.i.d. draws: :func:`true_curve`'s last value at n_max = n, bit
+    for bit, with its errors naming ``n``. It costs O(n) budget steps and holds the n values."""
+    return float(curve_rows(dist.support, EstimatorKind.MEANMAX_V, n, dist.cumulative[:-1], "n")[-1])
 
 
 def true_curve(dist: DiscreteDistribution, n_max: int) -> np.ndarray:
     """Exact expected maxima v_K - sum_j F(v_j)^n (v_(j+1) - v_j) for budgets 1..n_max: the
-    plug-in curve walk (:func:`~bestofn.estimators.curve_blocks`) over the support's gaps, with
-    the CDF F in place of j/B and the walk's cut below 2^-64. No value depends on n_max."""
-    return _walk_truth(dist, n_max, "n_max")
-
-
-def _walk_truth(dist: DiscreteDistribution, n_max: int, name: str) -> np.ndarray:
-    require_budget(n_max, dist.size, bounded=False, name=name)
-    curve = allocate(n_max, name, n_max, "the true curve")  # before any budget is walked
-    walk = curve_blocks(dist.support[None].copy(), EstimatorKind.MEANMAX_V, n_max, dist.cumulative[:-1])
-    for start, values in walk:
-        curve[start : start + values.size] = values
-    return curve
+    plug-in curve (:func:`~bestofn.estimators.curve_rows`) of the support, with the CDF F in
+    place of j/B and the walk's cut below 2^-64. No value depends on n_max."""
+    return curve_rows(dist.support, EstimatorKind.MEANMAX_V, n_max, dist.cumulative[:-1])
 
 
 _MC_CHUNK_VALUES = 1 << 20
@@ -357,10 +348,11 @@ def uniform_rows(count: int, keys: np.ndarray) -> np.ndarray:
     row of ``keys`` (:meth:`RngStream.children`), bit for bit, computed without a
     generator: Philox4x64-10 blocks 1, 2, ... under each key in numpy's uint64
     arithmetic, about _PHILOX_SLAB_BLOCKS blocks at a time, so a row costs no
-    generator set-up and the working set does not grow with the count."""
+    generator set-up and the working set does not grow with the count. A count whose
+    uniforms do not fit in memory is refused naming ``count``."""
     require_count(count, "count")
     blocks = -(-count // 4)
-    u = np.empty((len(keys), blocks, 4))
+    u = allocate((len(keys), blocks, 4), "count", count, "the draw matrix")
     width = min(blocks, _PHILOX_SLAB_BLOCKS)
     height = max(1, _PHILOX_SLAB_BLOCKS // blocks)
     for r in range(0, len(keys), height):

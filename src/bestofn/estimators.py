@@ -477,12 +477,16 @@ def curve_blocks(rows: np.ndarray, kind: EstimatorKind, n_max: int, cdf: np.ndar
         start = stop
 
 
-def curve_rows(draws: np.ndarray, kind: EstimatorKind, n_max: int) -> np.ndarray:
-    """Budget 1..n_max estimates of score rows, (..., B) -> (..., n_max), by :func:`curve_blocks`."""
-    require_budget(n_max, draws.shape[-1], budget_is_bounded(kind), "n_max")
-    out = np.empty(draws.shape[:-1] + (n_max,))
+def curve_rows(draws: np.ndarray, kind: EstimatorKind, n_max: int, cdf: np.ndarray | None = None,
+               name: str = "n_max") -> np.ndarray:
+    """Budget 1..n_max estimates of score rows, (..., B) -> (..., n_max): :func:`curve_blocks` on
+    a copy of ``draws`` with ``cdf`` as its plug-in ratio row, the one fill of sample curves and
+    exact truths. A budget out of range, or a curve that does not fit in memory, is refused as an
+    :class:`ArgumentError` naming ``name``, the argument n_max came from."""
+    require_budget(n_max, draws.shape[-1], budget_is_bounded(kind), name)
+    out = allocate(draws.shape[:-1] + (n_max,), name, n_max, "the curve")
     flat = out.reshape(-1, n_max)
-    for start, values in curve_blocks(draws.reshape(-1, draws.shape[-1]).copy(), kind, n_max):
+    for start, values in curve_blocks(draws.reshape(-1, draws.shape[-1]).copy(), kind, n_max, cdf):
         flat[:, start : start + values.shape[-1]] = values
     return out
 

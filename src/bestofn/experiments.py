@@ -17,6 +17,7 @@ import numpy as np
 from .distributions import DiscreteDistribution, RngStream, draw_rows, true_curve
 from .distributions import draw_sample  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .estimators import (
+    ArgumentError,
     EstimatorKind,
     Interval,
     ScoreSample,
@@ -346,10 +347,14 @@ def failure_scan(report: CurveReport, model_a: str, model_b: str) -> list[Invers
 
     An inversion requires strict inequality on both sides: the true curves
     disagree about the leader AND the averaged estimated curves disagree the
-    other way. Ties on either side produce no row.
+    other way. Ties on either side produce no row. A name that is not one of the
+    report's models raises an ArgumentError naming ``model_a`` or ``model_b``.
     """
-    a = report.model(model_a)
-    b = report.model(model_b)
+    names = [m.name for m in report.models]
+    for arg, name in (("model_a", model_a), ("model_b", model_b)):
+        if name not in names:
+            raise ArgumentError(arg, f"{name!r} is not in the report (models: {', '.join(names)})")
+    a, b = report.model(model_a), report.model(model_b)
     if a.budgets != b.budgets:
         raise ValueError(
             f"models {model_a!r} and {model_b!r} have different budget grids"

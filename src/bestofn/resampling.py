@@ -91,7 +91,9 @@ def percentile_bootstrap_ci(
     (alpha/2, 1-alpha/2) percentiles (:func:`percentile_ends`) where
     alpha = 1 - confidence. Deterministic given ``config.rng``.
     """
-    stats = np.concatenate([estimate_rows(rows, kind, n) for _, rows in _resamples(sample, config)])
+    stats = allocate(config.resamples, "resamples", config.resamples, "the table of bootstrap estimates")
+    for start, rows in _resamples(sample, config):
+        stats[start : start + len(rows)] = estimate_rows(rows, kind, n)
     return Interval(*percentile_ends(stats, config.confidence).tolist())
 
 

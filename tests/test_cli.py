@@ -775,10 +775,12 @@ def test_failure_scan_unknown_model_is_usage_error(tmp_path, crossing_pair, caps
     report = tmp_path / "r.json"
     assert main(["curves-sim", "--dist", steady, "--dist", volatile,
                  "--B", "4", "--samples", "10", "-o", str(report)]) == 0
+    capsys.readouterr()
     code = main(["failure-scan", "--report", str(report),
                  "--model-a", "steady", "--model-b", "zzz"])
     assert code == 2
-    assert "zzz" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "bestofn: error: --model-b 'zzz' is not in the report (models: steady, volatile)\n")
 
 
 def test_failure_scan_rejects_non_curves_report(tmp_path, coin_dist, capsys):

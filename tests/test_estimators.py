@@ -846,7 +846,9 @@ def test_argument_checks_name_their_argument():
         RngStream,
         coverage,
         curves,
+        draw_sample,
         exact_expected_max,
+        percentile_bootstrap_ci,
         percentile_bootstrap_curve,
         probe,
         true_curve,
@@ -866,9 +868,14 @@ def test_argument_checks_name_their_argument():
         ("n_max", lambda: percentile_bootstrap_curve(sample, UNBIASED, 4, boot)),
         ("n_max", lambda: percentile_bootstrap_curve(sample, MEANMAX, 0, boot)),
         ("n_max", lambda: percentile_bootstrap_curve(sample, MEANMAX, -1, boot)),
-        # A truth that cannot be held is refused before any budget is walked.
+        # A curve, truth or draw that cannot be held is refused before any budget is walked
+        # or any value drawn, and so is a resample count whose estimates cannot be held.
+        ("n_max", lambda: expected_max_curve(sample, MEANMAX, 10**13)),
         ("n", lambda: exact_expected_max(dist, 10**13)),
         ("n_max", lambda: true_curve(dist, 10**13)),
+        ("count", lambda: draw_sample(dist, 10**13, rng)),
+        ("resamples", lambda: percentile_bootstrap_ci(
+            sample, UNBIASED, 2, BootstrapConfig(rng, resamples=10**13))),
         ("bandwidth", lambda: KdeSpec(math.inf, 0.0, 1.0)),
         ("bandwidth", lambda: KdeSpec(math.nan, 0.0, 1.0)),
         ("bandwidth", lambda: KdeSpec(0.0, 0.0, 1.0)),

@@ -584,8 +584,10 @@ def test_failure_scan_separated_unbiased_empty(ten):
 
 def test_failure_scan_errors():
     rep = report_from_curves([1, 2], [0.5, 0.6], [0.5, 0.6], [0.4, 0.5], [0.4, 0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError) as info:
         failure_scan(rep, "a", "missing")
+    assert info.value.name == "model_b"
+    assert info.value.detail == "'missing' is not in the report (models: a, b)"
     mismatched = CurveReport(
         models=(
             ModelCurves("a", (1, 2), (0.1, 0.2), (0.1, 0.2), (0.0, 0.0)),
