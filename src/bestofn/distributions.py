@@ -291,13 +291,14 @@ def mc_expected_max(dist: DiscreteDistribution, n: int, iterations: int, rng: Rn
     """
     require_budget(n, dist.size, bounded=False)
     require_count(iterations, "iterations")
+    rows_per_chunk = min(iterations, max(1, _MC_CHUNK_VALUES // n))
+    buf = allocate((rows_per_chunk, n), "n", n, "the draw matrix")
     gen = rng.generator()
-    rows_per_chunk = max(1, _MC_CHUNK_VALUES // n)
     total = 0.0
     done = 0
     while done < iterations:
         rows = min(rows_per_chunk, iterations - done)
-        u = gen.random((rows, n))
+        u = gen.random(out=buf[:rows])
         idx = np.searchsorted(dist.cumulative, u.max(axis=1), side="left")
         total += float(dist.support[idx].sum())
         done += rows

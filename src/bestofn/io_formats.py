@@ -1,9 +1,10 @@
 """File formats: runs CSV ingestion, report envelopes, and SVG chart emission.
 
 Each payload kind has one codec in ``_CODECS``: its payload dataclass, CSV
-header and rows, and chart. JSON is written once for all kinds, by json
-itself a bounded piece at a time (:func:`report_pieces`); ``_json_form``
-gives it the three kinds of value it cannot write: an
+header and rows, and chart. A chart is drawn from the CSV rows that its
+sidecar holds, so the two come from one flattening. JSON is written once for
+all kinds, by json itself a bounded piece at a time (:func:`report_pieces`);
+``_json_form`` gives it the three kinds of value it cannot write: an
 :class:`~bestofn.estimators.Interval` is ``[lo, hi]``, an enum its value and
 any other dataclass an object keyed by field name. ``_from_json`` reads them
 back, reads an integer in a float field as a float, and refuses a NaN or
@@ -31,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import itertools
 import json
 import math
 import sys
@@ -283,54 +285,13 @@ def _json_pieces(obj) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 
-class _Series(NamedTuple):
-    label: str
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-    dashed: bool = False
-    band: tuple[tuple[float, ...], tuple[float, ...]] | None = None  # (los, his)
-
-
-def _curve_chart(report: CurveSet):
-    series = []
-    for c in report.curves:
-        band = None
-        if all(p.ci is not None for p in c.points):
-            band = (tuple(p.ci.lo for p in c.points), tuple(p.ci.hi for p in c.points))
-        xs = tuple(float(p.n) for p in c.points)
-        series.append(_Series(str(c.estimator), xs, tuple(p.estimate for p in c.points), band=band))
-    return series, "expected max score", None, None
-
-
-def _rate_chart(report, rate: str, y_label: str, reference: float):
-    """The proportion field ``rate`` of each row, with its Clopper-Pearson band."""
-    rows = report.rows
-    xs, ys = tuple(float(r.n) for r in rows), tuple(getattr(r, rate) for r in rows)
-    band = (tuple(r.ci.lo for r in rows), tuple(r.ci.hi for r in rows))
-    series = _Series(str(report.estimator), xs, ys, band=band)
-    return [series], y_label, reference, (0.0, 1.0)
-
-
-def _models_chart(report: CurveReport):
-    series = []
-    for m in report.models:
-        xs = tuple(float(n) for n in m.budgets)
-        series.append(_Series(m.name, xs, m.averaged))
-        series.append(_Series(f"{m.name} (true)", xs, m.true, dashed=True))
-    return series, "expected max score", None, None
-
-
-def _ks_chart(report: KsBoundReport):
-    xs = tuple(float(r.n) for r in report.rows)
-    ys = tuple(r.bound for r in report.rows)
-    return [_Series("KS lower bound", xs, ys)], "KS distance", None, (0.0, 1.0)
-
-
 class _Codec(NamedTuple):
     """How one payload kind is decoded, flattened to CSV and charted.
 
     JSON encoding and decoding follow the payload dataclass ``payload_type``
-    and need nothing per kind. ``chart`` returns (series, y label, y of a
+    and need nothing per kind. The chart is drawn from the CSV rows, the ones
+    its sidecar holds: ``chart`` returns (the y columns, the y label, the
+    series name or None when each row's first cell names its series, y of a
     dashed reference line or None, y bounds or None to fit the data).
     """
 
@@ -349,7 +310,7 @@ _CODECS = {
             for c in rep.curves
             for p in c.points
         ),
-        _curve_chart,
+        lambda rep: (("estimate",), "expected max score", None, None, None),
     ),
     "probe": _Codec(
         ProbeReport,
@@ -357,13 +318,13 @@ _CODECS = {
         lambda rep: (
             [r.n, r.underestimates, r.samples, r.proportion, r.ci.lo, r.ci.hi] for r in rep.rows
         ),
-        lambda rep: _rate_chart(rep, "proportion", "underestimate proportion", 0.5),
+        lambda rep: (("proportion",), "underestimate proportion", str(rep.estimator), 0.5, (0.0, 1.0)),
     ),
     "coverage": _Codec(
         CoverageReport,
         ("n", "hits", "samples", "ecp", "ci_lo", "ci_hi"),
         lambda rep: ([r.n, r.hits, r.samples, r.ecp, r.ci.lo, r.ci.hi] for r in rep.rows),
-        lambda rep: _rate_chart(rep, "ecp", "empirical coverage", rep.nominal),
+        lambda rep: (("ecp",), "empirical coverage", str(rep.estimator), rep.nominal, (0.0, 1.0)),
     ),
     "curves": _Codec(
         CurveReport,
@@ -373,7 +334,7 @@ _CODECS = {
             for m in rep.models
             for cells in zip(m.budgets, m.averaged, m.true, m.stderr)
         ),
-        _models_chart,
+        lambda rep: (("estimate", "true"), "expected max score", None, None, None),
     ),
     "failure_scan": _Codec(
         FailureScanReport,
@@ -385,7 +346,7 @@ _CODECS = {
         KsBoundReport,
         ("n", "bound"),
         lambda rep: ([r.n, r.bound] for r in rep.rows),
-        _ks_chart,
+        lambda rep: (("bound",), "KS distance", "KS lower bound", None, (0.0, 1.0)),
     ),
 }
 
@@ -488,18 +449,31 @@ def _line(x1, y1, x2, y2, style: dict | None = None) -> str:
 def emit_plot(envelope: ReportEnvelope, path) -> None:
     """Write a self-contained SVG chart plus a sidecar CSV.
 
-    Solid polylines are estimates, dashed polylines are true curves,
-    translucent polygons are confidence bands; probe and coverage charts get
-    a horizontal reference line (0.5 and the nominal level respectively).
     The sidecar is the report's own CSV, the text ``--format csv`` writes
     (:func:`report_csv_text`); it lands next to the SVG with a ``.csv`` suffix.
+    The chart is drawn from the same rows: a series is a run of rows with one
+    name, x is their ``n`` column and y the codec's y columns, the first solid
+    and any others dashed (true curves). A series whose rows all fill
+    ``ci_lo`` and ``ci_hi`` gets a translucent confidence band. Two adjacent
+    curves of one estimator kind, or two adjacent models with one name, are
+    therefore one series; only a hand-built payload holds them. Probe and
+    coverage charts get a horizontal reference line (0.5 and the nominal
+    level respectively).
     """
-    chart = _codec(envelope.payload_kind).chart
-    if chart is None:
+    codec = _codec(envelope.payload_kind)
+    if codec.chart is None:
         raise ValueError(f"payload kind {envelope.payload_kind!r} has no chart form")
-    series, y_label, reference, y_bounds = chart(envelope.payload)
-    xs_all = [x for s in series for x in s.xs]
-    ys_all = [y for s in series for ys in (s.ys, *(s.band or ())) for y in ys]  # bands included
+    columns, y_label, name, reference, y_bounds = codec.chart(envelope.payload)
+    series = []  # (label, xs, ys, dashed, band or None)
+    for label, rows in itertools.groupby(codec.rows(envelope.payload), lambda row: name or row[0]):
+        cells = dict(zip(codec.header, zip(*rows)))
+        band = None
+        if "ci_lo" in cells and None not in cells["ci_lo"] + cells["ci_hi"]:
+            band = (cells["ci_lo"], cells["ci_hi"])
+        series.append((label, cells["n"], cells[columns[0]], False, band))
+        series.extend((f"{label} ({c})", cells["n"], cells[c], True, None) for c in columns[1:])
+    xs_all = [x for _, xs, *_ in series for x in xs]
+    ys_all = [y for _, _, ys, _, band in series for values in (ys, *(band or ())) for y in values]
     x_lo, x_hi = min(xs_all), max(xs_all)
     if y_bounds is not None:
         y_lo, y_hi = y_bounds
@@ -541,19 +515,19 @@ def emit_plot(envelope: ReportEnvelope, path) -> None:
                          "transform": f"rotate(-90 14 {mid_y})"}, y_label))
 
     data, legend = [], []
-    for i, s in enumerate(series):
+    for i, (label, xs, ys, dashed, band) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         stroke = {"stroke": color, "stroke-width": "1.6"}
-        if s.dashed:
+        if dashed:
             stroke["stroke-dasharray"] = "6,4"
-        if s.band is not None:
-            outline = [*zip(s.xs, s.band[0]), *zip(reversed(s.xs), reversed(s.band[1]))]
+        if band is not None:
+            outline = [*zip(xs, band[0]), *zip(reversed(xs), reversed(band[1]))]
             data.append(_element("polygon", {"points": points(outline), "fill": color,
                                              "fill-opacity": "0.18", "stroke": "none"}))
-        data.append(_element("polyline", {"points": points(zip(s.xs, s.ys)), "fill": "none", **stroke}))
+        data.append(_element("polyline", {"points": points(zip(xs, ys)), "fill": "none", **stroke}))
         ly = _MARGIN_T + 6 + 15 * i
         legend.append(_line(_MARGIN_L + 10, ly, _MARGIN_L + 34, ly, stroke))
-        legend.append(_text({"x": _MARGIN_L + 39, "y": ly + 3.5}, s.label))
+        legend.append(_text({"x": _MARGIN_L + 39, "y": ly + 3.5}, label))
     if reference is not None:
         ry = f"{sy(reference):.2f}"
         data.append(_line(_MARGIN_L, ry, _SVG_W - _MARGIN_R, ry,

@@ -848,6 +848,7 @@ def test_argument_checks_name_their_argument():
         curves,
         draw_sample,
         exact_expected_max,
+        mc_expected_max,
         percentile_bootstrap_ci,
         percentile_bootstrap_curve,
         probe,
@@ -874,6 +875,7 @@ def test_argument_checks_name_their_argument():
         ("n", lambda: exact_expected_max(dist, 10**13)),
         ("n_max", lambda: true_curve(dist, 10**13)),
         ("count", lambda: draw_sample(dist, 10**13, rng)),
+        ("n", lambda: mc_expected_max(dist, 10**13, 1, rng)),
         ("resamples", lambda: percentile_bootstrap_ci(
             sample, UNBIASED, 2, BootstrapConfig(rng, resamples=10**13))),
         ("bandwidth", lambda: KdeSpec(math.inf, 0.0, 1.0)),

@@ -102,11 +102,12 @@ def run_case(name: str, directory: Path) -> str:
     return canonical_json(report)
 
 
-def chart_curve(kind: EstimatorKind, shift: float, ci: bool) -> ExpectedMaxCurve:
+def chart_curve(kind: EstimatorKind, shift: float, ci_budgets=range(1, 7)) -> ExpectedMaxCurve:
+    """Six points, n = 1..6, with a confidence interval at each budget in ``ci_budgets``."""
     points = []
     for n in range(1, 7):
         estimate = 0.62 + shift + 0.19 * (1 - 0.7**n)
-        band = Interval(estimate - 0.03 / n, estimate + 0.041 / n) if ci else None
+        band = Interval(estimate - 0.03 / n, estimate + 0.041 / n) if n in ci_budgets else None
         points.append(CurvePoint(n, estimate, band))
     return ExpectedMaxCurve(tuple(points), kind, 16)
 
@@ -126,13 +127,20 @@ def around(p: float, below: float, above: float) -> Interval:
     return Interval(max(0.0, p - below), min(1.0, p + above))
 
 
-# Each chart kind from a small payload: curve with its three kinds banded and one
-# kind bare; curves with eight series, so the palette wraps, and a model name
-# that text must escape; ks-bound with one row, so its budget axis has no width.
+# Each chart kind from a small payload: curve with its three kinds banded, one
+# kind bare, and the three mixed in one chart; curves with eight series, so the
+# palette wraps, and a model name that text must escape; ks-bound with one row,
+# so its budget axis has no width. In the mixed chart only the first kind gets a
+# band: the prefix kind has intervals at n = 1..3 alone, and the lowest of them
+# sits below every other value, so drawing or fitting it would move the bytes.
 CHARTS = {
     "chart-curve-ci": lambda: ("curve", CurveSet(tuple(
-        chart_curve(kind, 0.013 * i, True) for i, kind in enumerate(EstimatorKind)))),
-    "chart-curve-bare": lambda: ("curve", CurveSet((chart_curve(EstimatorKind.UNBIASED_U, 0.0, False),))),
+        chart_curve(kind, 0.013 * i) for i, kind in enumerate(EstimatorKind)))),
+    "chart-curve-bare": lambda: ("curve", CurveSet((chart_curve(EstimatorKind.UNBIASED_U, 0.0, ()),))),
+    "chart-curve-mixed": lambda: ("curve", CurveSet((
+        chart_curve(EstimatorKind.UNBIASED_U, 0.013),
+        chart_curve(EstimatorKind.MEANMAX_V, 0.026, ()),
+        chart_curve(EstimatorKind.MEANMAX_PREFIX, 0.0, range(1, 4))))),
     "chart-probe": lambda: ("probe", ProbeReport(
         tuple(ProbeRow(n, 19 + 2 * n, 40, (19 + 2 * n) / 40, around((19 + 2 * n) / 40, 0.16, 0.13))
               for n in range(1, 9)),
