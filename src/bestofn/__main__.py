@@ -11,9 +11,10 @@ The imports create some 22,000 container objects that live as long as the
 process. Python's cyclic garbage collector walks them about 35 times while
 they load and in four full collections at exit, and frees a few hundred
 objects: 25-35 ms of a 0.25 s probe. So :func:`main` pauses collections
-while it imports the CLI, then freezes (:func:`gc.freeze`) everything alive,
-which takes it out of the collector's sight, and freezes again after the
-command.
+while it imports the CLI and the modules of the command that ``argv`` names
+(each command loads only the code it runs, the chart code only with
+``--svg``), then freezes (:func:`gc.freeze`) everything alive, which takes
+it out of the collector's sight, and freezes again after the command.
 Objects the command creates are collected as usual, and a caller that had
 switched the collector off finds it off afterwards. A library import of
 ``bestofn`` or ``bestofn.cli`` leaves the environment and the collector
@@ -31,8 +32,9 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        from .cli import main as cli_main
+        from .cli import _preload, main as cli_main
 
+        _preload(sys.argv[1:] if argv is None else argv)
         gc.freeze()
     finally:
         if enabled:

@@ -19,7 +19,8 @@ over the preset or ``KdeSpec()``: ``fit_kde`` owns every default, and its
 data errors are prefixed with the runs file. Paths are checked before
 anything runs: no file a command writes (``-o``, ``--svg`` and the chart's
 ``.csv`` sidecar) may be one it reads (``--runs``, each ``--dist``,
-``--report``) or another it writes.
+``--report``) or another it writes, and each must go to a directory that
+exists. Both refusals exit 2 naming the flag before any input is read.
 
 The root seed defaults to the fixed constant 1729 so bare invocations are
 reproducible. A report's ``config`` is its command line: every flag that
@@ -47,6 +48,14 @@ the intervals of one curve share their resamples. e is fixed per kind
 which other estimators are requested or in what order.
 Every battery runs on the calling thread. ``--threads`` is still accepted
 and checked (K >= 1, after the input files are read), but changes nothing.
+
+Each command imports only the code it runs. This module imports the
+estimators and the report formats; the batteries, the distributions, the
+bootstrap and the chart code are bound here from their modules when a command
+that runs them starts (``_COMMAND_MODULES``; the charts with ``--svg``), or on
+first use of the name, so ``curve`` and ``ks-bound`` never load the batteries
+or the distributions. ``bestofn.__main__`` calls :func:`_preload` to load them
+while its collector is paused.
 """
 
 from __future__ import annotations
@@ -58,15 +67,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .distributions import (
-    KDE_PRESETS,
-    KdeSpec,
-    RngStream,
-    canonical_json,
-    fit_kde,
-    load_distribution,
-    save_distribution,
-)
+from ._rng import RngStream
 from .estimators import (
     ArgumentError,
     CurveSet,
@@ -80,24 +81,73 @@ from .estimators import (
     require_budget,
     reserve,
 )
-from .experiments import FailureScanReport
-from .experiments import coverage as run_coverage
-from .experiments import curves as run_curves
-from .experiments import failure_scan as run_failure_scan
-from .experiments import probe as run_probe
-from .io_formats import (
-    emit_plot,
-    make_envelope,
-    read_report,
-    read_runs,
-    report_pieces,
-    write_report,
-)
+from .io_formats import make_envelope, read_report, read_runs, report_pieces, write_report
 from .io_formats import report_csv_text, report_json_text  # noqa: F401  (perfbench/tracer.py wraps them here)
-from .resampling import BootstrapConfig, percentile_bootstrap_curve
-from .resampling import percentile_bootstrap_ci  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 DEFAULT_SEED = 1729
+
+# Names of modules that some commands never run, each "module.name": cli binds one
+# in its globals on first use (PEP 562), or with the rest of its module when a
+# command that runs the module starts, and never over a name already bound, so a
+# name patched here (perfbench/tracer.py, tests) is the one the commands call.
+_LAZY = {
+    "KDE_PRESETS": "distributions.KDE_PRESETS",
+    "KdeSpec": "distributions.KdeSpec",
+    "canonical_json": "distributions.canonical_json",
+    "fit_kde": "distributions.fit_kde",
+    "load_distribution": "distributions.load_distribution",
+    "save_distribution": "distributions.save_distribution",
+    "FailureScanReport": "experiments.FailureScanReport",
+    "run_coverage": "experiments.coverage",
+    "run_curves": "experiments.curves",
+    "run_failure_scan": "experiments.failure_scan",
+    "run_probe": "experiments.probe",
+    "BootstrapConfig": "resampling.BootstrapConfig",
+    "percentile_bootstrap_ci": "resampling.percentile_bootstrap_ci",  # perfbench/tracer.py wraps it here
+    "percentile_bootstrap_curve": "resampling.percentile_bootstrap_curve",
+    "emit_plot": "_charts.emit_plot",
+}
+
+# The modules of _LAZY each command runs; ``--svg`` adds the chart code. curve
+# checks --resamples and --confidence through BootstrapConfig, with or without --ci.
+_COMMAND_MODULES = {
+    "curve": ("resampling",),
+    "fit": ("distributions",),
+    "probe": ("distributions", "experiments"),
+    "coverage": ("distributions", "experiments", "resampling"),
+    "curves-sim": ("distributions", "experiments"),
+    "failure-scan": ("experiments",),
+    "ks-bound": (),
+}
+
+
+def _bind(modules) -> None:
+    """Bind every name of ``_LAZY`` from ``modules`` that is not bound yet."""
+    for name, where in _LAZY.items():
+        module, attr = where.split(".")
+        if module in modules and name not in globals():
+            # __import__, unlike importlib.import_module, is logged by -X importtime.
+            globals()[name] = getattr(__import__(f"{__package__}.{module}", fromlist=[attr]), attr)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAZY[name].split(".")[:1])
+    return globals()[name]
+
+
+def _modules(command: str | None, svg: bool) -> tuple[str, ...]:
+    return _COMMAND_MODULES.get(command, ()) + (("_charts",) if svg else ())
+
+
+def _preload(argv: Sequence[str]) -> None:
+    """Import the modules that the command ``argv`` names runs, so that the entry
+    point loads them while its collector is paused. A flag spelled in a way this
+    does not see (``--sv`` for ``--svg``) only defers the import to the command."""
+    svg = any(arg.split("=", 1)[0] == "--svg" for arg in argv)
+    _bind(_modules(argv[0] if argv else None, svg))
+
 
 _ESTIMATOR_CHOICES = tuple(str(kind) for kind in EstimatorKind)
 
@@ -106,6 +156,15 @@ _NOT_CONFIG = frozenset({"func", "output", "format", "svg", "threads"})
 
 # The bootstrap child stream of each estimator kind under ``curve --ci``.
 _CI_STREAMS = {EstimatorKind.UNBIASED_U: 0, EstimatorKind.MEANMAX_V: 1, EstimatorKind.MEANMAX_PREFIX: 2}
+
+
+class _PresetNames:
+    """``fit --preset``'s choices, the sorted names of ``KDE_PRESETS``: argparse
+    reads them, and so loads distributions, only for fit's help and ``--preset``."""
+
+    def __iter__(self):
+        _bind(("distributions",))
+        return iter(sorted(KDE_PRESETS))
 
 
 def _bandwidth_flag(raw: str) -> float | str:
@@ -139,7 +198,8 @@ def _dist_flags(args) -> list[str]:
 
 def _check_paths(args) -> None:
     """No file the command writes (``-o``, ``--svg`` and its ``.csv`` sidecar) may be
-    a file it reads (``--runs``, each ``--dist``, ``--report``) or another it writes."""
+    a file it reads (``--runs``, each ``--dist``, ``--report``) or another it writes,
+    or lie in a directory that does not exist."""
     reads = [("runs", getattr(args, "runs", None)), ("report", getattr(args, "report", None))]
     reads += [("dist", _parse_dist_flag(raw)[1]) for raw in _dist_flags(args)]
     svg = getattr(args, "svg", None)
@@ -152,6 +212,8 @@ def _check_paths(args) -> None:
         if path is None:
             continue
         resolved = Path(path).resolve()
+        if not resolved.parent.is_dir():
+            raise ArgumentError(flag, f"{what}: no directory {os.path.dirname(path)!r}")
         if resolved in taken:
             raise ArgumentError(flag, f"{what} would overwrite {taken[resolved]}")
         taken[resolved] = f"--{flag} {what}"
@@ -348,9 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a discretized Gaussian KDE to a runs file")
     p.add_argument("--runs", required=True, metavar="CSV",
                    help="runs file with a score column")
-    p.add_argument("--preset", choices=sorted(KDE_PRESETS), default=None,
+    # Set after add_argument, whose metavar check would read them at once.
+    p.add_argument("--preset", default=None,
                    help="published KDE bandwidth, support, and bins; a flag that is given "
-                        "overrides the preset's value (default: none)")
+                        "overrides the preset's value (default: none)").choices = _PresetNames()
     p.add_argument("--bandwidth", type=_bandwidth_flag, default=None, metavar="H",
                    help="kernel bandwidth, a positive number or 'scott' (default: scott)")
     p.add_argument("--support-lo", type=float, default=None, metavar="X",
@@ -428,6 +491,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _check_paths(args)
+        _bind(_modules(args.command, bool(getattr(args, "svg", None))))
         return args.func(args)
     except ArgumentError as err:
         print(f"bestofn: error: --{err.name.replace('_', '-')} {err.detail}", file=sys.stderr)

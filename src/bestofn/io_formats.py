@@ -1,8 +1,12 @@
-"""File formats: runs CSV ingestion, report envelopes, and SVG chart emission.
+"""File formats: runs CSV ingestion and report envelopes.
 
 Each payload kind has one codec in ``_CODECS``: its payload dataclass, CSV
-header and rows, and chart. A chart is drawn from the CSV rows that its
-sidecar holds, so the two come from one flattening. JSON is written once for
+header and rows, and chart. The payload dataclass is named by module and
+class, and its module is imported on first use, so a ``curve`` or
+``ks-bound`` report loads no battery. A chart is drawn from the CSV rows that
+its sidecar holds, so the two come from one flattening; the SVG code,
+:func:`emit_plot`, lives in ``bestofn._charts`` and loads on first use of the
+name here. JSON is written once for
 all kinds, by json itself a bounded piece at a time (:func:`report_pieces`);
 ``_json_form`` gives it the three kinds of value it cannot write: an
 :class:`~bestofn.estimators.Interval` is ``[lo, hi]``, an enum its value and
@@ -32,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import itertools
 import json
 import math
 import sys
@@ -45,9 +48,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .distributions import RNG_LAYOUT_ID
-from .estimators import CurveSet, Interval, KsBoundReport, ScoreSample
-from .experiments import CoverageReport, CurveReport, FailureScanReport, ProbeReport
+from ._rng import RNG_LAYOUT_ID
+from .estimators import Interval, ScoreSample
 
 SCHEMA_VERSION = "1"
 """Incremented on any breaking change to the envelope or payload layout;
@@ -143,9 +145,11 @@ def make_envelope(payload, config: dict) -> ReportEnvelope:
     """Wrap ``payload`` under the kind whose codec reads its type back."""
     from . import __version__
 
-    kinds = [kind for kind, codec in _CODECS.items() if type(payload) is codec.payload_type]
+    cls = type(payload)
+    kinds = [kind for kind, codec in _CODECS.items()
+             if codec.payload_type.endswith("." + cls.__name__) and _payload_type(kind) is cls]
     if not kinds:
-        raise ValueError(f"{type(payload).__name__} is not a report payload")
+        raise ValueError(f"{cls.__name__} is not a report payload")
     return ReportEnvelope(
         schema_version=SCHEMA_VERSION,
         tool_version=__version__,
@@ -289,13 +293,14 @@ class _Codec(NamedTuple):
     """How one payload kind is decoded, flattened to CSV and charted.
 
     JSON encoding and decoding follow the payload dataclass ``payload_type``
-    and need nothing per kind. The chart is drawn from the CSV rows, the ones
+    and need nothing per kind; ``payload_type`` is ``"module.Class"``, imported
+    by :func:`_payload_type`. The chart is drawn from the CSV rows, the ones
     its sidecar holds: ``chart`` returns (the y columns, the y label, the
     series name or None when each row's first cell names its series, y of a
     dashed reference line or None, y bounds or None to fit the data).
     """
 
-    payload_type: type
+    payload_type: str
     header: tuple[str, ...]
     rows: Callable[[object], Iterable[list]]
     chart: Callable[[object], tuple] | None
@@ -303,7 +308,7 @@ class _Codec(NamedTuple):
 
 _CODECS = {
     "curve": _Codec(
-        CurveSet,
+        "estimators.CurveSet",
         ("estimator", "n", "estimate", "ci_lo", "ci_hi"),
         lambda rep: (
             [str(c.estimator), p.n, p.estimate, *((p.ci.lo, p.ci.hi) if p.ci else (None, None))]
@@ -313,7 +318,7 @@ _CODECS = {
         lambda rep: (("estimate",), "expected max score", None, None, None),
     ),
     "probe": _Codec(
-        ProbeReport,
+        "experiments.ProbeReport",
         ("n", "underestimates", "samples", "proportion", "ci_lo", "ci_hi"),
         lambda rep: (
             [r.n, r.underestimates, r.samples, r.proportion, r.ci.lo, r.ci.hi] for r in rep.rows
@@ -321,13 +326,13 @@ _CODECS = {
         lambda rep: (("proportion",), "underestimate proportion", str(rep.estimator), 0.5, (0.0, 1.0)),
     ),
     "coverage": _Codec(
-        CoverageReport,
+        "experiments.CoverageReport",
         ("n", "hits", "samples", "ecp", "ci_lo", "ci_hi"),
         lambda rep: ([r.n, r.hits, r.samples, r.ecp, r.ci.lo, r.ci.hi] for r in rep.rows),
         lambda rep: (("ecp",), "empirical coverage", str(rep.estimator), rep.nominal, (0.0, 1.0)),
     ),
     "curves": _Codec(
-        CurveReport,
+        "experiments.CurveReport",
         ("model", "n", "estimate", "true", "stderr"),
         lambda rep: (
             [m.name, *cells]
@@ -337,13 +342,13 @@ _CODECS = {
         lambda rep: (("estimate", "true"), "expected max score", None, None, None),
     ),
     "failure_scan": _Codec(
-        FailureScanReport,
+        "experiments.FailureScanReport",
         ("n", "true_leader", "estimated_leader"),
         lambda rep: ([i.n, i.true_leader, i.estimated_leader] for i in rep.inversions),
         None,
     ),
     "ks_bound": _Codec(
-        KsBoundReport,
+        "estimators.KsBoundReport",
         ("n", "bound"),
         lambda rep: ([r.n, r.bound] for r in rep.rows),
         lambda rep: (("bound",), "KS distance", "KS lower bound", None, (0.0, 1.0)),
@@ -355,6 +360,20 @@ def _codec(kind: str) -> _Codec:
     if kind not in _CODECS:
         raise ValueError(f"unknown payload kind {kind!r}")
     return _CODECS[kind]
+
+
+def _payload_type(kind: str) -> type:
+    """The payload dataclass of ``kind``, its module imported on first use."""
+    module, name = _codec(kind).payload_type.split(".")
+    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)  # logged by -X importtime
+
+
+def __getattr__(name: str):
+    if name != "emit_plot":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from ._charts import emit_plot
+
+    return emit_plot
 
 
 def report_json_text(envelope: ReportEnvelope) -> str:
@@ -406,141 +425,7 @@ def read_report(path) -> ReportEnvelope:
                              f"(this build reads {SCHEMA_VERSION!r})")
         obj.setdefault("provenance", None)  # made by RNG layout 1
         envelope = _from_json(ReportEnvelope, obj, "")
-        payload = _from_json(_codec(envelope.payload_kind).payload_type, envelope.payload, "payload")
+        payload = _from_json(_payload_type(envelope.payload_kind), envelope.payload, "payload")
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     return dataclasses.replace(envelope, payload=payload)
-
-
-# ---------------------------------------------------------------------------
-# SVG emission
-# ---------------------------------------------------------------------------
-
-_SVG_W, _SVG_H = 720, 440
-_MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 46
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
-_FONT = {"font-family": "sans-serif", "font-size": "11", "fill": "#333333"}
-
-
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi == lo:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
-
-
-def _element(tag: str, attrs: dict, body: str = "") -> str:
-    """One SVG element as ElementTree writes it: attributes in the order given,
-    ``<tag ... />`` when the body is empty. The values are numbers and fixed
-    words, never text that needs escaping."""
-    head = "<" + tag + "".join(f' {name}="{value}"' for name, value in attrs.items())
-    return f"{head}>{body}</{tag}>" if body else head + " />"
-
-
-def _text(attrs: dict, text: str) -> str:
-    """A text element, with ``&``, ``<`` and ``>`` escaped as ElementTree escapes them."""
-    return _element("text", attrs, text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
-
-
-def _line(x1, y1, x2, y2, style: dict | None = None) -> str:
-    return _element("line", {"x1": x1, "y1": y1, "x2": x2, "y2": y2, **(style or {})})
-
-
-def emit_plot(envelope: ReportEnvelope, path) -> None:
-    """Write a self-contained SVG chart plus a sidecar CSV.
-
-    The sidecar is the report's own CSV, the text ``--format csv`` writes
-    (:func:`report_csv_text`); it lands next to the SVG with a ``.csv`` suffix.
-    The chart is drawn from the same rows: a series is a run of rows with one
-    name, x is their ``n`` column and y the codec's y columns, the first solid
-    and any others dashed (true curves). A series whose rows all fill
-    ``ci_lo`` and ``ci_hi`` gets a translucent confidence band. Two adjacent
-    curves of one estimator kind, or two adjacent models with one name, are
-    therefore one series; only a hand-built payload holds them. Probe and
-    coverage charts get a horizontal reference line (0.5 and the nominal
-    level respectively).
-    """
-    codec = _codec(envelope.payload_kind)
-    if codec.chart is None:
-        raise ValueError(f"payload kind {envelope.payload_kind!r} has no chart form")
-    columns, y_label, name, reference, y_bounds = codec.chart(envelope.payload)
-    series = []  # (label, xs, ys, dashed, band or None)
-    for label, rows in itertools.groupby(codec.rows(envelope.payload), lambda row: name or row[0]):
-        cells = dict(zip(codec.header, zip(*rows)))
-        band = None
-        if "ci_lo" in cells and None not in cells["ci_lo"] + cells["ci_hi"]:
-            band = (cells["ci_lo"], cells["ci_hi"])
-        series.append((label, cells["n"], cells[columns[0]], False, band))
-        series.extend((f"{label} ({c})", cells["n"], cells[c], True, None) for c in columns[1:])
-    xs_all = [x for _, xs, *_ in series for x in xs]
-    ys_all = [y for _, _, ys, _, band in series for values in (ys, *(band or ())) for y in values]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    if y_bounds is not None:
-        y_lo, y_hi = y_bounds
-    else:
-        y_lo, y_hi = min(ys_all), max(ys_all)
-        pad = 0.05 * (y_hi - y_lo) or 1.0
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-
-    px_w = _SVG_W - _MARGIN_L - _MARGIN_R
-    px_h = _SVG_H - _MARGIN_T - _MARGIN_B
-    bottom = _SVG_H - _MARGIN_B
-
-    def sx(x: float) -> float:
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * px_w
-
-    def sy(y: float) -> float:
-        return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * px_h
-
-    def points(pairs) -> str:
-        return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pairs)
-
-    axes = [_line(_MARGIN_L, bottom, _SVG_W - _MARGIN_R, bottom),
-            _line(_MARGIN_L, _MARGIN_T, _MARGIN_L, bottom)]
-    labels = []
-    for tx in _ticks(x_lo, x_hi):
-        px = f"{sx(tx):.2f}"
-        axes.append(_line(px, bottom, px, bottom + 4))
-        labels.append(_text({"x": px, "y": bottom + 16, "text-anchor": "middle"}, f"{tx:.6g}"))
-    for ty in _ticks(y_lo, y_hi):
-        py = sy(ty)
-        axes.append(_line(_MARGIN_L - 4, f"{py:.2f}", _MARGIN_L, f"{py:.2f}"))
-        labels.append(_text({"x": _MARGIN_L - 7, "y": f"{py + 3.5:.2f}", "text-anchor": "end"}, f"{ty:.6g}"))
-    mid_y = f"{_MARGIN_T + px_h / 2:.2f}"
-    labels.append(_text({"x": f"{_MARGIN_L + px_w / 2:.2f}", "y": _SVG_H - 10, "text-anchor": "middle"},
-                        "budget n"))
-    labels.append(_text({"x": "14", "y": mid_y, "text-anchor": "middle",
-                         "transform": f"rotate(-90 14 {mid_y})"}, y_label))
-
-    data, legend = [], []
-    for i, (label, xs, ys, dashed, band) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        stroke = {"stroke": color, "stroke-width": "1.6"}
-        if dashed:
-            stroke["stroke-dasharray"] = "6,4"
-        if band is not None:
-            outline = [*zip(xs, band[0]), *zip(reversed(xs), reversed(band[1]))]
-            data.append(_element("polygon", {"points": points(outline), "fill": color,
-                                             "fill-opacity": "0.18", "stroke": "none"}))
-        data.append(_element("polyline", {"points": points(zip(xs, ys)), "fill": "none", **stroke}))
-        ly = _MARGIN_T + 6 + 15 * i
-        legend.append(_line(_MARGIN_L + 10, ly, _MARGIN_L + 34, ly, stroke))
-        legend.append(_text({"x": _MARGIN_L + 39, "y": ly + 3.5}, label))
-    if reference is not None:
-        ry = f"{sy(reference):.2f}"
-        data.append(_line(_MARGIN_L, ry, _SVG_W - _MARGIN_R, ry,
-                          {"stroke": "#888888", "stroke-width": "1", "stroke-dasharray": "4,3"}))
-
-    svg = _element("svg", {"xmlns": "http://www.w3.org/2000/svg", "width": _SVG_W, "height": _SVG_H,
-                           "viewBox": f"0 0 {_SVG_W} {_SVG_H}"}, "".join([
-        _element("rect", {"x": "0", "y": "0", "width": _SVG_W, "height": _SVG_H, "fill": "white"}),
-        _element("g", {"stroke": "#333333", "stroke-width": "1"}, "".join(axes)),
-        _element("g", _FONT, "".join(labels)),
-        _element("g", {}, "".join(data)),
-        _element("g", _FONT, "".join(legend)),
-    ]))
-    out = Path(path)
-    out.write_text('<?xml version="1.0" encoding="UTF-8"?>\n' + svg + "\n", encoding="utf-8")
-    out.with_suffix(".csv").write_text(report_csv_text(envelope), encoding="utf-8")

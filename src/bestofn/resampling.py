@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RngStream
+from ._rng import RngStream
 from .estimators import ArgumentError, EstimatorKind, Interval, ScoreSample, budget_is_bounded
 from .estimators import allocate, curve_blocks, estimate_rows
 from .estimators import require_budget, require_count

@@ -530,6 +530,33 @@ def test_output_that_would_overwrite_an_input_or_output_is_usage_error(
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("argv, flag, directory", [
+    (["coverage", "--dist", "coin.json", "--B", "50", "--M", "300", "--n-max", "20", "-o", "missing/cov.json"],
+     "--output", "missing"),
+    (["curve", "--runs", "scores.csv", "--svg", "{tmp}/missing/c.svg", "-o", "r.json"], "--svg", "{tmp}/missing"),
+    (["curve", "--runs", "nope.csv", "-o", "scores.csv/r.json"], "--output", "scores.csv"),
+    (["fit", "--runs", "nope.csv", "-o", "missing/fit.json"], "--output", "missing"),
+    (["probe", "--dist", "nope.json", "--svg", "missing/p.svg"], "--svg", "missing"),
+    (["failure-scan", "--report", "nope.json", "-o", "missing/scan.json"], "--output", "missing"),
+    (["ks-bound", "--runs", "nope.csv", "--cdf-at-max", "0.9", "-o", "missing/ks.json"], "--output", "missing"),
+], ids=["coverage-output", "curve-svg", "curve-output-under-a-file", "fit-output", "probe-svg",
+        "failure-scan-output", "ks-bound-output"])
+def test_output_into_a_missing_directory_is_usage_error_before_any_input_is_read(
+    tmp_path, monkeypatch, argv, flag, directory, capsys
+):
+    # A missing input (nope.*) would exit 1 if it were read first, and the coverage
+    # battery would run for over a second; neither happens, and nothing is written.
+    monkeypatch.chdir(tmp_path)
+    write_runs(tmp_path, np.random.default_rng(95).uniform(0.6, 0.9, size=8), "scores.csv")
+    write_dist(tmp_path, [0.0, 1.0], [0.5, 0.5], "coin.json")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bestofn: error: {flag} ")
+    assert err.endswith(f": no directory {directory.replace('{tmp}', str(tmp_path))!r}\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("name", ["curve", "curve-ci", "probe", "coverage", "curves-sim",
                                   "failure-scan", "ks-bound"])
 def test_payload_json_keys_are_the_dataclass_field_names(real_reports, name):

@@ -212,6 +212,107 @@ def test_a_chart_through_the_entry_point_leaves_xml_unloaded(tmp_path):
     assert "xml.etree" not in modules
 
 
+def test_importing_the_cli_loads_no_battery_distribution_bootstrap_or_chart_code():
+    modules = run_child("import json, sys, bestofn.cli; "
+                        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('bestofn.'))))")
+    assert modules == ["bestofn._rng", "bestofn.cli", "bestofn.estimators", "bestofn.io_formats"]
+
+
+# The submodules each command loads through the entry point, beyond the
+# package itself: a command loads only the code it runs, the chart code
+# (bestofn._charts) only with --svg.
+COMMON = ["_rng", "cli", "estimators", "io_formats"]
+BATTERY = sorted([*COMMON, "distributions", "experiments", "resampling"])
+COMMAND_MODULES = [
+    (["curve", "--runs", "RUNS"], sorted([*COMMON, "resampling"])),
+    (["curve", "--runs", "RUNS", "--ci", "--resamples", "50"], sorted([*COMMON, "resampling"])),
+    (["curve", "--runs", "RUNS", "--svg", "OUT.svg"], sorted([*COMMON, "_charts", "resampling"])),
+    (["ks-bound", "--runs", "RUNS", "--cdf-at-max", "0.9"], COMMON),
+    (["fit", "--runs", "RUNS"], sorted([*COMMON, "distributions"])),
+    (["probe", "--dist", "DIST", "--B", "10", "--samples", "20"], BATTERY),
+    (["coverage", "--dist", "DIST", "--B", "10", "--M", "5", "--resamples", "50"], BATTERY),
+    (["curves-sim", "--dist", "DIST", "--B", "10", "--samples", "20"], BATTERY),
+    (["failure-scan", "--report", "REPORT"], BATTERY),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", COMMAND_MODULES, ids=[" ".join(a[:1] + a[3:]) for a, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    runs, report = tmp_path / "runs.csv", tmp_path / "sim.json"
+    runs.write_text("score\n0.1\n0.5\n0.9\n")
+    dist = str(fixture_path("probe-skewed"))
+    from bestofn.cli import main
+
+    assert main(["curves-sim", "--dist", f"a={dist}", "--dist", f"b={fixture_path('crossing-steady')}",
+                 "--B", "5", "--samples", "5", "-o", str(report)]) == 0
+    names = {"RUNS": str(runs), "DIST": dist, "REPORT": str(report), "OUT.svg": str(tmp_path / "out.svg")}
+    code, modules = run_child(MODULES_SCRIPT, *[names.get(a, a) for a in argv], "-o", str(tmp_path / "out"))
+    assert code == 0
+    assert [m.removeprefix("bestofn.") for m in modules if m.startswith("bestofn.")] == loaded
+
+
+# Runs a command through the entry point with the collector collecting after
+# every few allocations, and lists the package's modules at each collection.
+COLLECTIONS_SCRIPT = """
+import gc, json, runpy, sys
+seen = []
+def record(phase, info):
+    if phase == "start":
+        seen.append(sorted(m for m in sys.modules if m.startswith("bestofn.")))
+gc.set_threshold(50)
+gc.callbacks.append(record)
+sys.argv = ["bestofn", *sys.argv[1:]]
+try:
+    runpy.run_module("bestofn", run_name="__main__")
+except SystemExit as stop:
+    code = stop.code
+gc.callbacks.remove(record)
+print(json.dumps([code, seen, sorted(m for m in sys.modules if m.startswith("bestofn."))]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--dist", str(fixture_path("probe-skewed")), "--B", "10", "--samples", "50"],
+    ["curve", "--runs", "RUNS", "--ci", "--resamples", "50", "--svg", "OUT.svg"],
+], ids=["probe", "curve-ci-svg"])
+def test_a_commands_modules_load_while_the_collector_is_paused(tmp_path, argv):
+    # A module imported after the pause would be imported among collections, and
+    # some collection would see the CLI loaded without it.
+    runs = tmp_path / "runs.csv"
+    runs.write_text("score\n0.1\n0.5\n0.9\n")
+    names = {"RUNS": str(runs), "OUT.svg": str(tmp_path / "out.svg")}
+    code, seen, loaded = run_child(COLLECTIONS_SCRIPT, *[names.get(a, a) for a in argv],
+                                   "-o", str(tmp_path / "out.json"))
+    assert code == 0
+    during_command = [modules for modules in seen if "bestofn.cli" in modules]
+    assert during_command  # the command collected
+    assert all(modules == loaded for modules in during_command)
+    assert all(modules == [] for modules in seen if "bestofn.cli" not in modules)
+
+
+# Replaces names of bestofn.cli before any command has bound them, as
+# perfbench/tracer.py does, and runs a command that calls them.
+PATCH_SCRIPT = """
+import json, sys
+import bestofn.cli as cli
+calls = []
+cli.emit_plot = lambda envelope, path: calls.append("emit_plot")
+real = cli.load_distribution
+cli.load_distribution = lambda path: calls.append("load_distribution") or real(path)
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, calls]))
+"""
+
+
+def test_a_name_patched_on_the_cli_before_its_module_loads_is_the_one_the_command_calls(tmp_path):
+    svg = tmp_path / "probe.svg"
+    code, calls = run_child(PATCH_SCRIPT, "probe", "--dist", str(fixture_path("probe-skewed")), "--B", "10",
+                            "--samples", "20", "--svg", str(svg), "-o", str(tmp_path / "probe.json"))
+    assert code == 0
+    assert calls == ["load_distribution", "emit_plot"]
+    assert not svg.exists()
+
+
 CLI_SCRIPT = "import sys; from bestofn.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
